@@ -5,7 +5,7 @@
 //! benches, tests, examples, and (eventually) a service layer. It caches
 //! candidate sets per [`ProfileConfig`] so a batch of experiments over the
 //! same world pays the TMY synthesis cost once, and [`Engine::run_all`]
-//! fans independent specs out over scoped threads (the same crossbeam
+//! fans independent specs out over `std::thread::scope` threads (the same
 //! worker-pool pattern the sweep and annealing layers use), so concurrent
 //! scenario queries share one engine.
 
@@ -23,6 +23,7 @@ use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::candidate::CandidateSite;
 use greencloud_core::filter::filter_candidates;
 use greencloud_core::framework::SizeClass;
+use greencloud_core::lock_ok;
 use greencloud_core::milp::{solve_exact, ExactOptions};
 use greencloud_core::solution::PlacementSolution;
 use greencloud_core::tool::{default_threads, PlacementTool};
@@ -31,11 +32,10 @@ use greencloud_lp::{PricingMode, SimplexOptions};
 use greencloud_nebula::emulation::{self, EmulationConfig};
 use greencloud_nebula::scheduler::{RollingScheduler, Scheduler, SchedulerConfig};
 use greencloud_nebula::sweep::run_sweep_observed;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::wallclock::{self, Stopwatch};
@@ -108,18 +108,18 @@ pub struct CancelRegistry {
 impl CancelRegistry {
     /// Associates `token` with `job_id` for the duration of a run.
     pub fn register(&self, job_id: &str, token: Arc<AtomicBool>) {
-        self.by_job.lock().insert(job_id.to_string(), token);
+        lock_ok(&self.by_job).insert(job_id.to_string(), token);
     }
 
     /// Drops the association (the run finished, however it finished).
     pub fn unregister(&self, job_id: &str) {
-        self.by_job.lock().remove(job_id);
+        lock_ok(&self.by_job).remove(job_id);
     }
 
     /// Fires the token registered for `job_id`, if any. Returns whether a
     /// running job was signalled.
     pub fn fire(&self, job_id: &str) -> bool {
-        match self.by_job.lock().get(job_id) {
+        match lock_ok(&self.by_job).get(job_id) {
             Some(t) => {
                 t.store(true, Ordering::SeqCst);
                 true
@@ -130,7 +130,7 @@ impl CancelRegistry {
 
     /// How many jobs are currently registered (running).
     pub fn len(&self) -> usize {
-        self.by_job.lock().len()
+        lock_ok(&self.by_job).len()
     }
 
     /// True when no job is registered.
@@ -167,7 +167,7 @@ impl Engine {
     /// parameters today, but a stale coupling here would be silent.
     pub fn with_params(mut self, params: CostParams) -> Self {
         self.params = params;
-        self.candidates.lock().clear();
+        lock_ok(&self.candidates).clear();
         self
     }
 
@@ -200,7 +200,7 @@ impl Engine {
     /// The candidate set for `profile`, built on first use and shared
     /// across experiments (and threads) thereafter.
     pub fn candidates(&self, profile: &ProfileConfig) -> Arc<Vec<CandidateSite>> {
-        if let Some(c) = self.candidates.lock().get(profile) {
+        if let Some(c) = lock_ok(&self.candidates).get(profile) {
             return Arc::clone(c);
         }
         // Build outside the lock: candidate synthesis is the expensive
@@ -211,8 +211,7 @@ impl Engine {
             profile,
             self.threads,
         ));
-        self.candidates
-            .lock()
+        lock_ok(&self.candidates)
             .entry(*profile)
             .or_insert_with(|| Arc::clone(&built))
             .clone()
@@ -392,18 +391,18 @@ impl Engine {
         {
             let next = AtomicUsize::new(0);
             let slots = Mutex::new(&mut slots);
-            let scope_out = crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 if let Some(dl) = deadline {
                     // Watchdog: fires a spec's token once its deadline
                     // passes; exits when every spec has completed.
                     let tokens = &tokens;
                     let started = &started;
                     let all_done = &all_done;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         while !all_done.load(Ordering::Relaxed) {
                             for (token, t0) in tokens.iter().zip(started) {
                                 if !token.load(Ordering::Relaxed)
-                                    && t0.lock().is_some_and(|t| t.elapsed() >= dl)
+                                    && lock_ok(t0).is_some_and(|t| t.elapsed() >= dl)
                                 {
                                     token.store(true, Ordering::Relaxed);
                                 }
@@ -419,12 +418,12 @@ impl Engine {
                     let started = &started;
                     let completed = &completed;
                     let all_done = &all_done;
-                    scope.spawn(move |_| loop {
+                    scope.spawn(move || loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
                         if k >= specs.len() {
                             break;
                         }
-                        *started[k].lock() = Some(wallclock::now());
+                        *lock_ok(&started[k]) = Some(wallclock::now());
                         let out = catch_unwind(AssertUnwindSafe(|| {
                             self.run_cancellable(&specs[k], &tokens[k], None)
                         }))
@@ -441,18 +440,13 @@ impl Engine {
                         } else {
                             out
                         };
-                        slots.lock()[k] = Some(out);
+                        lock_ok(slots)[k] = Some(out);
                         if completed.fetch_add(1, Ordering::Relaxed) + 1 == specs.len() {
                             all_done.store(true, Ordering::Relaxed);
                         }
                     });
                 }
             });
-            if scope_out.is_err() {
-                // A worker died outside the catch_unwind window; the slots
-                // it owned stay None and are reported below.
-                all_done.store(true, Ordering::Relaxed);
-            }
         }
         slots
             .into_iter()

@@ -43,6 +43,7 @@
 pub mod engine;
 pub mod error;
 pub mod harness;
+pub mod http;
 pub mod json;
 pub mod report;
 pub mod router;

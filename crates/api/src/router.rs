@@ -1,11 +1,11 @@
 //! `repro router` — a sharding, streaming front-end over N `repro serve`
 //! backends.
 //!
-//! A hand-rolled HTTP/1.1 reverse proxy in the workspace's no-deps style
-//! (cf. [`crate::serve`]): `std::net`, a thread per client connection, and
-//! zero buffering of response bodies. One `repro serve` process already
-//! degrades instead of dying; the router scales that envelope past one
-//! process:
+//! An HTTP/1.1 reverse proxy in the workspace's no-deps style: the same
+//! acceptor, connection loop and request reader as [`crate::serve`], and
+//! the shared keep-alive client of [`crate::http`] toward the backends.
+//! One `repro serve` process already degrades instead of dying; the router
+//! scales that envelope past one process:
 //!
 //! * **Consistent-hash sharding.** Requests are placed on a ring of
 //!   virtual nodes keyed by [`crate::store::ring_key`] — the first 64 bits
@@ -26,9 +26,8 @@
 //!   router answer `503` itself.
 //! * **Streaming relay.** Chunked responses (the `X-Progress: stream`
 //!   progress frames of [`crate::serve`]) are relayed chunk by chunk as
-//!   they arrive, flushed after every chunk, with the framing parsed only
-//!   far enough to know where the response ends — the router never holds
-//!   a full body in memory.
+//!   they arrive, flushed after every chunk — the router holds at most one
+//!   chunk of a response in memory, never a whole body.
 //! * **Fleet stats and drain.** `GET /v1/stats` fans out to every backend
 //!   and returns a `greencloud-router-stats/1` document with per-backend
 //!   snapshots plus a summed fleet view. SIGTERM (via
@@ -37,18 +36,19 @@
 //!   returns the run's counters for a clean exit 0.
 
 use crate::error::ApiError;
-use crate::json::Json;
-use crate::serve::{
-    error_body, find_head_end, header, lock_ok, read_request, status_reason, write_response,
-    HttpLimits, ReadOut, Request, MAX_HEAD_BYTES,
+use crate::http::{
+    self, finish_chunks, write_chunk, write_error, write_head, write_response, Conn, Framing, Gate,
+    Request, Response,
 };
-use crate::spec::ExperimentSpec;
+use crate::json::Json;
+use crate::serve;
 use crate::store;
 use crate::wallclock::Stopwatch;
+use greencloud_core::lock_ok;
 
-use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -166,8 +166,14 @@ struct Backend {
     up: AtomicBool,
     /// Idle keep-alive connections, reused LIFO so the warmest socket
     /// goes first.
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
     relayed: AtomicU64,
+}
+
+impl Backend {
+    fn is_up(&self) -> bool {
+        self.up.load(Ordering::SeqCst)
+    }
 }
 
 /// Monotonic router counters, snapshotted into [`RouterSummary`].
@@ -240,32 +246,15 @@ struct RouterInner {
     cfg: RouterConfig,
     ring: Ring,
     backends: Vec<Backend>,
-    shutdown: AtomicBool,
-    draining: AtomicBool,
+    /// Shutdown and drain flags, live client connections, HTTP limits.
+    gate: Arc<Gate>,
+    /// Stops the prober once the drain is over.
     stop: AtomicBool,
-    live_conns: AtomicUsize,
     stats: RouterStats,
 }
 
 /// A cloneable remote control for a running [`Router`].
-#[derive(Clone)]
-pub struct RouterHandle {
-    inner: Arc<RouterInner>,
-}
-
-impl RouterHandle {
-    /// Begins graceful shutdown: the acceptor stops, readyz starts
-    /// failing, and [`Router::join`] proceeds to drain.
-    pub fn trigger_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// True once shutdown has been triggered.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
-    }
-}
+pub type RouterHandle = http::ShutdownHandle;
 
 /// A running router. Construct with [`Router::bind`], stop with
 /// [`RouterHandle::trigger_shutdown`] + [`Router::join`].
@@ -303,24 +292,33 @@ impl Router {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let gate = Arc::new(Gate {
+            max_connections: cfg.max_connections,
+            max_body_bytes: cfg.max_body_bytes,
+            read_timeout_ms: cfg.read_timeout_ms,
+            write_timeout_ms: cfg.write_timeout_ms,
+            ..Gate::default()
+        });
         let inner = Arc::new(RouterInner {
             cfg,
             ring,
             backends,
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
+            gate,
             stop: AtomicBool::new(false),
-            live_conns: AtomicUsize::new(0),
             stats: RouterStats::default(),
         });
         let p = Arc::clone(&inner);
         let prober = thread::Builder::new()
             .name("gc-router-probe".to_string())
             .spawn(move || probe_loop(&p))?;
-        let acc = Arc::clone(&inner);
-        let acceptor = thread::Builder::new()
-            .name("gc-router-accept".to_string())
-            .spawn(move || acceptor_loop(&listener, &acc))?;
+        let acceptor = http::spawn_acceptor(
+            listener,
+            &inner,
+            "gc-router",
+            |i| &i.gate,
+            refuse_busy,
+            handle_client,
+        )?;
         Ok(Router {
             inner,
             addr,
@@ -336,9 +334,7 @@ impl Router {
 
     /// A cloneable shutdown control for this router.
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        http::ShutdownHandle(Arc::clone(&self.inner.gate))
     }
 
     /// Convenience for [`RouterHandle::trigger_shutdown`].
@@ -353,10 +349,10 @@ impl Router {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.gate.draining.store(true, Ordering::SeqCst);
         let drain = Stopwatch::start();
         while (drain.elapsed_ms() as u64) < self.inner.cfg.drain_ms {
-            if self.inner.live_conns.load(Ordering::SeqCst) == 0 {
+            if self.inner.gate.live_conns.load(Ordering::SeqCst) == 0 {
                 break;
             }
             thread::sleep(Duration::from_millis(10));
@@ -369,11 +365,6 @@ impl Router {
     }
 }
 
-/// Resolves `addr` to its first socket address.
-fn resolve(addr: &str) -> Option<SocketAddr> {
-    addr.to_socket_addrs().ok()?.next()
-}
-
 /// Health prober: hits every backend's `/v1/readyz` each interval with
 /// short budgets and flips the `up` bit on the verdict. A draining
 /// backend answers 503, so it goes dark here and stops receiving new
@@ -381,7 +372,9 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 fn probe_loop(inner: &RouterInner) {
     while !inner.stop.load(Ordering::SeqCst) {
         for b in &inner.backends {
-            let ok = probe_once(&b.addr, &inner.cfg);
+            let budget = inner.cfg.connect_timeout_ms.max(250);
+            let ok = backend_get(&b.addr, "/v1/readyz", &inner.cfg, budget)
+                .is_some_and(|r| r.status == 200);
             b.up.store(ok, Ordering::SeqCst);
             if !ok {
                 // Idle pooled connections to a dark backend are stale.
@@ -398,136 +391,30 @@ fn probe_loop(inner: &RouterInner) {
     }
 }
 
-/// One readiness probe: fresh connection, `GET /v1/readyz`, true iff the
-/// backend answers 200 within the probe budgets.
-fn probe_once(addr: &str, cfg: &RouterConfig) -> bool {
-    let Some(sa) = resolve(addr) else {
-        return false;
-    };
-    let Ok(mut conn) =
-        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms))
-    else {
-        return false;
-    };
-    let budget = cfg.connect_timeout_ms.max(250);
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(budget)));
-    let _ = conn.set_write_timeout(Some(Duration::from_millis(budget)));
-    let req = format!("GET /v1/readyz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    if conn.write_all(req.as_bytes()).is_err() {
-        return false;
-    }
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let clock = Stopwatch::start();
-    loop {
-        if find_head_end(&buf).is_some() || buf.len() > MAX_HEAD_BYTES {
-            break;
-        }
-        if clock.elapsed_ms() as u64 > budget {
-            return false;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    parse_status_line(&buf).is_some_and(|s| s == 200)
-}
-
-/// The status code from a response head's first line, if parseable.
-fn parse_status_line(buf: &[u8]) -> Option<u16> {
-    let line_end = buf.windows(2).position(|w| w == b"\r\n")?;
-    let line = std::str::from_utf8(buf.get(..line_end)?).ok()?;
-    let mut parts = line.split(' ');
-    let version = parts.next()?;
-    if !version.starts_with("HTTP/1.") {
-        return None;
-    }
-    parts.next()?.parse::<u16>().ok()
-}
-
-/// Accepts connections until shutdown; each client gets its own thread,
-/// capped at `max_connections` live at once.
-fn acceptor_loop(listener: &TcpListener, inner: &Arc<RouterInner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if inner.live_conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
-                    refuse_busy(stream, inner);
-                    continue;
-                }
-                inner.live_conns.fetch_add(1, Ordering::SeqCst);
-                let conn = Arc::clone(inner);
-                let spawned = thread::Builder::new()
-                    .name("gc-router-conn".to_string())
-                    .spawn(move || {
-                        handle_client(stream, &conn);
-                        conn.live_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    inner.live_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
+/// One `GET` to a backend over a fresh connection with `budget_ms` read
+/// and write timeouts — the readiness probe and the stats fan-out.
+fn backend_get(addr: &str, path: &str, cfg: &RouterConfig, budget_ms: u64) -> Option<Response> {
+    let budget = Duration::from_millis(budget_ms);
+    let connect = Duration::from_millis(cfg.connect_timeout_ms);
+    let mut conn = Conn::connect(addr, connect, budget, budget).ok()?;
+    let headers = [("Host", addr), ("Connection", "close")];
+    conn.request("GET", path, &headers, None).ok()
 }
 
 /// Best-effort 503 for a connection over the `max_connections` cap.
-fn refuse_busy(mut stream: TcpStream, inner: &RouterInner) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let body = error_body("overloaded", "router connection limit reached", Vec::new());
-    let _ = write_response(
-        &mut stream,
-        503,
-        &[("Retry-After", "1".to_string())],
-        &body,
-        true,
-    );
+fn refuse_busy(stream: TcpStream, inner: &RouterInner) {
+    http::refuse(stream, &inner.gate, "router connection limit reached");
 }
 
-/// Serves one client connection: requests are read with the same
-/// slow-loris envelope as `serve` and routed until the peer hangs up,
-/// sends `Connection: close`, errors, or the router drains.
-fn handle_client(mut stream: TcpStream, inner: &RouterInner) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let limits = HttpLimits {
-        max_body_bytes: inner.cfg.max_body_bytes,
-        read_timeout_ms: inner.cfg.read_timeout_ms,
-        draining: &inner.draining,
-    };
-    loop {
-        match read_request(&mut stream, &limits) {
-            ReadOut::Closed => break,
-            ReadOut::Reject {
-                status,
-                code,
-                message,
-            } => {
-                inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                let body = error_body(code, &message, Vec::new());
-                let _ = write_response(&mut stream, status, &[], &body, true);
-                break;
-            }
-            ReadOut::Request(req) => {
-                let close = req.close || inner.draining.load(Ordering::SeqCst);
-                let keep = route_request(&mut stream, inner, &req, close);
-                if close || !keep {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
+/// Serves one client connection through the shared HTTP connection loop
+/// — the same slow-loris envelope as `serve`.
+fn handle_client(stream: TcpStream, inner: &RouterInner) {
+    http::serve_connection(
+        stream,
+        &inner.gate,
+        &inner.stats.client_errors,
+        |s, req, close| route_request(s, inner, req, close),
+    );
 }
 
 /// Dispatch: local endpoints (healthz/readyz/stats) are answered here;
@@ -541,25 +428,12 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
         }
         ("GET", "/v1/readyz") => {
             let up = backends_up(inner);
-            if inner.draining.load(Ordering::SeqCst) {
-                let body = error_body("draining", "router is draining", Vec::new());
-                let _ = write_response(
-                    stream,
-                    503,
-                    &[("Retry-After", "1".to_string())],
-                    &body,
-                    true,
-                );
-                false
+            if inner.gate.is_draining() {
+                http::refuse_draining(stream, "router is draining")
             } else if up == 0 {
-                let body = error_body("no_backends", "every backend is dark", Vec::new());
-                let _ = write_response(
-                    stream,
-                    503,
-                    &[("Retry-After", "1".to_string())],
-                    &body,
-                    true,
-                );
+                let retry = [("Retry-After", "1")];
+                let msg = "every backend is dark";
+                let _ = write_error(stream, 503, "no_backends", msg, &retry, true);
                 false
             } else {
                 let body = Json::obj([
@@ -576,27 +450,17 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
         }
         ("POST", "/v1/experiments" | "/v1/jobs") => {
             inner.stats.received.fetch_add(1, Ordering::SeqCst);
-            if inner.draining.load(Ordering::SeqCst) {
-                let body = error_body(
-                    "draining",
-                    "router is draining; not accepting work",
-                    Vec::new(),
-                );
-                let _ = write_response(
-                    stream,
-                    503,
-                    &[("Retry-After", "1".to_string())],
-                    &body,
-                    true,
-                );
-                return false;
+            if inner.gate.is_draining() {
+                return http::refuse_draining(stream, "router is draining; not accepting work");
             }
-            let key = match spec_ring_key(&req.body) {
-                Ok(k) => k,
+            // The ring key is the hash of the normalized spec — what the
+            // backend's cache and job ids use — so formatting differences
+            // cannot split a spec across backends.
+            let key = match serve::parse_spec(&req.body) {
+                Ok(spec) => store::ring_key(spec.to_json_string().as_bytes()),
                 Err((status, body)) => {
-                    // The router parses with the same crate the backends
-                    // use, so a spec it rejects would be rejected there
-                    // too — answer at the edge without burning a relay.
+                    // A spec rejected here would be rejected by the
+                    // backend too — answer at the edge without a relay.
                     inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
                     return write_response(stream, status, &[], &body, close).is_ok();
                 }
@@ -613,51 +477,12 @@ fn route_request(stream: &mut TcpStream, inner: &RouterInner, req: &Request, clo
                 store::ring_key_of_job_id(id).unwrap_or_else(|| store::ring_key(id.as_bytes()));
             relay_keyed(stream, inner, req, close, key)
         }
-        (_, "/v1/healthz" | "/v1/readyz" | "/v1/stats" | "/v1/experiments" | "/v1/jobs") => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let allow = if req.path == "/v1/experiments" || req.path == "/v1/jobs" {
-                "POST"
-            } else {
-                "GET"
-            };
-            let body = error_body(
-                "method_not_allowed",
-                &format!("{} is not supported on {}", req.method, req.path),
-                Vec::new(),
-            );
-            write_response(stream, 405, &[("Allow", allow.to_string())], &body, close).is_ok()
-        }
-        _ => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body("not_found", &format!("no route {}", req.path), Vec::new());
-            write_response(stream, 404, &[], &body, close).is_ok()
-        }
+        _ => http::unrouted(stream, req, &inner.stats.client_errors, close),
     }
 }
 
 fn backends_up(inner: &RouterInner) -> usize {
-    inner
-        .backends
-        .iter()
-        .filter(|b| b.up.load(Ordering::SeqCst))
-        .count()
-}
-
-/// The ring key for a `POST` body: parse, normalize, hash — the same
-/// normalization the backend's cache and job ids use, so formatting
-/// differences cannot split a spec across backends.
-fn spec_ring_key(body: &[u8]) -> Result<u64, (u16, String)> {
-    let text = std::str::from_utf8(body).map_err(|_| {
-        (
-            400,
-            error_body("bad_request", "body is not valid UTF-8", Vec::new()),
-        )
-    })?;
-    let spec = ExperimentSpec::from_json_str(text).map_err(|e| {
-        let err = ApiError::from(e);
-        (err.http_status(), err.to_error_json())
-    })?;
-    Ok(store::ring_key(spec.to_json_string().as_bytes()))
+    inner.backends.iter().filter(|b| b.is_up()).count()
 }
 
 /// How one relay attempt ended.
@@ -686,22 +511,10 @@ fn relay_keyed(
     close: bool,
     key: u64,
 ) -> bool {
-    let order = inner.ring.order(key, inner.backends.len());
-    let mut plan: Vec<usize> = Vec::with_capacity(order.len());
-    for &b in &order {
-        if inner
-            .backends
-            .get(b)
-            .is_some_and(|be| be.up.load(Ordering::SeqCst))
-        {
-            plan.push(b);
-        }
-    }
-    for &b in &order {
-        if !plan.contains(&b) {
-            plan.push(b);
-        }
-    }
+    let mut plan = inner.ring.order(key, inner.backends.len());
+    // A stable sort: up backends first, each group still in ring order.
+    let up = |b: usize| inner.backends.get(b).is_some_and(Backend::is_up);
+    plan.sort_by_key(|&b| !up(b));
     // Job lookups retry 404s across the ring: a job accepted while its
     // owner was dark lives on the failover target instead.
     let retry_not_found = req.path.starts_with("/v1/jobs/");
@@ -735,20 +548,17 @@ fn relay_keyed(
         // Every live backend answered definitively: the job truly does
         // not exist anywhere in the fleet.
         inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-        let body = error_body("job_not_found", "no backend holds this job", Vec::new());
-        return write_response(stream, 404, &[], &body, close).is_ok() && !close;
+        let msg = "no backend holds this job";
+        return write_error(stream, 404, "job_not_found", msg, &[], close).is_ok() && !close;
     }
     inner.stats.all_dark.fetch_add(1, Ordering::SeqCst);
-    let body = error_body(
-        "no_backends",
-        &format!("all {} backends failed for this request", plan.len()),
-        Vec::new(),
-    );
-    let _ = write_response(
+    let msg = format!("all {} backends failed for this request", plan.len());
+    let _ = write_error(
         stream,
         503,
-        &[("Retry-After", "1".to_string())],
-        &body,
+        "no_backends",
+        &msg,
+        &[("Retry-After", "1")],
         true,
     );
     false
@@ -757,7 +567,7 @@ fn relay_keyed(
 /// One relay attempt against one backend: send the request (reusing a
 /// pooled keep-alive connection when one exists, with a single fresh
 /// retry if the pooled socket turns out stale), read the response head,
-/// then stream the body through without buffering it.
+/// then stream the body through.
 fn relay_once(
     stream: &mut TcpStream,
     inner: &RouterInner,
@@ -767,32 +577,27 @@ fn relay_once(
     retry_not_found: bool,
 ) -> Result<bool, RelayErr> {
     let pooled = lock_ok(&backend.pool).pop();
-    let had_pooled = pooled.is_some();
-    let conn = match pooled {
-        Some(c) => c,
-        None => fresh_conn(backend, &inner.cfg).ok_or(RelayErr::Backend)?,
-    };
-    match relay_on_conn(stream, inner, req, close, backend, conn, retry_not_found) {
-        Ok(keep) => Ok(keep),
-        // A stale pooled socket fails before any response bytes exist;
-        // one fresh connection gets the verdict instead.
-        Err(RelayErr::Backend) if had_pooled => {
-            let conn = fresh_conn(backend, &inner.cfg).ok_or(RelayErr::Backend)?;
-            relay_on_conn(stream, inner, req, close, backend, conn, retry_not_found)
+    if let Some(conn) = pooled {
+        match relay_on_conn(stream, inner, req, close, backend, conn, retry_not_found) {
+            // A stale pooled socket fails before any response bytes exist;
+            // one fresh connection gets the verdict instead.
+            Err(RelayErr::Backend) => {}
+            done => return done,
         }
-        Err(e) => Err(e),
     }
+    let conn = fresh_conn(backend, &inner.cfg)?;
+    relay_on_conn(stream, inner, req, close, backend, conn, retry_not_found)
 }
 
 /// Connects to `backend` within the configured budgets.
-fn fresh_conn(backend: &Backend, cfg: &RouterConfig) -> Option<TcpStream> {
-    let sa = resolve(&backend.addr)?;
-    let conn =
-        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms)).ok()?;
-    let _ = conn.set_nodelay(true);
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(cfg.relay_timeout_ms)));
-    let _ = conn.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms)));
-    Some(conn)
+fn fresh_conn(backend: &Backend, cfg: &RouterConfig) -> Result<Conn, RelayErr> {
+    Conn::connect(
+        &backend.addr,
+        Duration::from_millis(cfg.connect_timeout_ms),
+        Duration::from_millis(cfg.relay_timeout_ms),
+        Duration::from_millis(cfg.write_timeout_ms),
+    )
+    .map_err(|_| RelayErr::Backend)
 }
 
 /// The relay proper, on an established backend connection.
@@ -802,273 +607,83 @@ fn relay_on_conn(
     req: &Request,
     close: bool,
     backend: &Backend,
-    mut conn: TcpStream,
+    mut conn: Conn,
     retry_not_found: bool,
 ) -> Result<bool, RelayErr> {
-    // Rebuild the request head: hop-by-hop headers are the router's
-    // business (`connection`), `expect` must not trigger an interim 100
-    // (the body is already fully read), and length framing is restated
-    // from the bytes actually held.
-    let mut head = format!("{} {} HTTP/1.1\r\n", req.method, req.path);
-    for (k, v) in &req.headers {
-        if matches!(
-            k.as_str(),
-            "connection" | "content-length" | "host" | "expect"
-        ) {
-            continue;
-        }
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Host: {}\r\n", backend.addr));
-    if req.method == "POST" || req.method == "PUT" || !req.body.is_empty() {
-        head.push_str(&format!("Content-Length: {}\r\n", req.body.len()));
-    }
-    head.push_str("Connection: keep-alive\r\n\r\n");
-    if conn.write_all(head.as_bytes()).is_err()
-        || conn.write_all(&req.body).is_err()
-        || conn.flush().is_err()
-    {
-        return Err(RelayErr::Backend);
-    }
-
-    // Read the backend's response head.
-    let (status, resp_headers, leftover) =
-        read_backend_head(&mut conn, inner.cfg.relay_timeout_ms).ok_or(RelayErr::Backend)?;
-    if status >= 500 {
+    // Rebuild the request: hop-by-hop headers are the router's business
+    // (`connection`), `expect` must not trigger an interim 100 (the body
+    // is already fully read), and length framing is restated from the
+    // bytes actually held.
+    let mut headers: Vec<(&str, &str)> = req
+        .headers
+        .iter()
+        .filter(|(k, _)| {
+            !matches!(
+                k.as_str(),
+                "connection" | "content-length" | "host" | "expect"
+            )
+        })
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    headers.push(("Host", &backend.addr));
+    headers.push(("Connection", "keep-alive"));
+    let has_body = req.method == "POST" || req.method == "PUT" || !req.body.is_empty();
+    let body = has_body.then_some(req.body.as_slice());
+    let head = conn
+        .send(&req.method, &req.path, &headers, body)
+        .and_then(|()| conn.read_head())
+        .map_err(|_| RelayErr::Backend)?;
+    if head.status >= 500 {
         // The backend is misbehaving: drop the connection (no draining of
         // the body — it may be arbitrarily large) and let the next ring
         // node serve the request. 4xx including 429 passes through: that
         // verdict is about the *request*, not the backend.
         return Err(RelayErr::Backend);
     }
-    if retry_not_found && status == 404 {
+    if retry_not_found && head.status == 404 {
         // The job may live on the next ring node; consume the small error
         // body so the connection stays reusable, then move on.
-        let len = header(&resp_headers, "content-length").and_then(|v| v.parse::<u64>().ok());
-        let backend_close =
-            header(&resp_headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        if let Some(len) = len.filter(|&l| l <= 64 * 1024) {
-            if drain_exact(&mut conn, leftover, len).is_ok() && !backend_close {
-                lock_ok(&backend.pool).push(conn);
-            }
+        let small = matches!(head.framing, Framing::Length(n) if n <= 64 * 1024);
+        if small && conn.read_body(head.framing, |_| Ok(())).is_ok() && !head.closes() {
+            lock_ok(&backend.pool).push(conn);
         }
         return Err(RelayErr::NotFound);
     }
 
-    // Forward the head to the client.
-    let mut out = format!("HTTP/1.1 {status} {}\r\n", status_reason(status));
-    for (k, v) in &resp_headers {
-        if k == "connection" {
-            continue;
-        }
-        out.push_str(&format!("{k}: {v}\r\n"));
-    }
-    out.push_str(if close {
-        "Connection: close\r\n\r\n"
-    } else {
-        "Connection: keep-alive\r\n\r\n"
-    });
-    if stream.write_all(out.as_bytes()).is_err() {
-        return Err(RelayErr::Abort);
-    }
-
-    let chunked = header(&resp_headers, "transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    let content_length =
-        header(&resp_headers, "content-length").and_then(|v| v.parse::<u64>().ok());
-    let backend_close =
-        header(&resp_headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-
-    let reusable = if chunked {
+    // Forward the head with the router's own `Connection`, then the body:
+    // chunked bodies chunk by chunk, each flushed on arrival.
+    let forwarded: Vec<(&str, &str)> = head
+        .headers
+        .iter()
+        .filter(|(k, _)| k != "connection")
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    write_head(stream, head.status, &forwarded, close, b"").map_err(|_| RelayErr::Abort)?;
+    let chunked = head.framing == Framing::Chunked;
+    if chunked {
         inner.stats.streamed.fetch_add(1, Ordering::SeqCst);
-        relay_chunked(&mut conn, stream, leftover).map_err(|_| RelayErr::Abort)?
-    } else if let Some(len) = content_length {
-        relay_exact(&mut conn, stream, leftover, len).map_err(|_| RelayErr::Abort)?
-    } else {
-        // No framing: copy until EOF; the connection cannot be reused.
-        relay_to_eof(&mut conn, stream, leftover).map_err(|_| RelayErr::Abort)?;
-        false
-    };
-    if stream.flush().is_err() {
-        return Err(RelayErr::Abort);
     }
-    if reusable && !backend_close {
+    conn.read_body(head.framing, |piece| {
+        if chunked {
+            write_chunk(stream, piece)
+        } else {
+            stream.write_all(piece)
+        }
+    })
+    .and_then(|()| {
+        if chunked {
+            finish_chunks(stream)
+        } else {
+            stream.flush()
+        }
+    })
+    .map_err(|_| RelayErr::Abort)?;
+    // An EOF-framed body ends with the socket; anything else leaves the
+    // connection reusable unless the backend said it would close.
+    if head.framing != Framing::Eof && !head.closes() {
         lock_ok(&backend.pool).push(conn);
     }
     Ok(!close)
-}
-
-/// Reads a backend response head under a time budget. Returns the status,
-/// headers, and any body bytes read past the head.
-#[allow(clippy::type_complexity)]
-fn read_backend_head(
-    conn: &mut TcpStream,
-    budget_ms: u64,
-) -> Option<(u16, Vec<(String, String)>, Vec<u8>)> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let clock = Stopwatch::start();
-    let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
-        }
-        if buf.len() > MAX_HEAD_BYTES || clock.elapsed_ms() as u64 > budget_ms {
-            return None;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return None,
-        }
-    };
-    let status = parse_status_line(&buf)?;
-    let head_text = std::str::from_utf8(buf.get(..head_end.saturating_sub(4))?).ok()?;
-    let mut headers = Vec::new();
-    for line in head_text.split("\r\n").skip(1) {
-        if line.is_empty() {
-            continue;
-        }
-        let (k, v) = line.split_once(':')?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-    }
-    let leftover = buf.split_off(head_end);
-    Some((status, headers, leftover))
-}
-
-/// Streams exactly `len` body bytes from `conn` to `client`, starting
-/// with `leftover`. Returns whether the backend connection is reusable.
-fn relay_exact(
-    conn: &mut TcpStream,
-    client: &mut TcpStream,
-    leftover: Vec<u8>,
-    len: u64,
-) -> io::Result<bool> {
-    let mut remaining = len;
-    let take = leftover.len().min(remaining as usize);
-    if take > 0 {
-        client.write_all(leftover.get(..take).unwrap_or_default())?;
-        remaining -= take as u64;
-    }
-    let mut chunk = [0u8; 8192];
-    while remaining > 0 {
-        let want = chunk.len().min(remaining as usize);
-        let slot = chunk.get_mut(..want).unwrap_or_default();
-        match conn.read(slot) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => {
-                client.write_all(slot.get(..n).unwrap_or_default())?;
-                remaining -= n as u64;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads and discards exactly `len` body bytes (beyond `leftover`).
-fn drain_exact(conn: &mut TcpStream, leftover: Vec<u8>, len: u64) -> io::Result<()> {
-    let mut remaining = len.saturating_sub(leftover.len() as u64);
-    let mut chunk = [0u8; 4096];
-    while remaining > 0 {
-        let want = chunk.len().min(remaining as usize);
-        match conn.read(chunk.get_mut(..want).unwrap_or_default()) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => remaining -= n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Copies from `conn` to `client` until the backend closes.
-fn relay_to_eof(conn: &mut TcpStream, client: &mut TcpStream, leftover: Vec<u8>) -> io::Result<()> {
-    client.write_all(&leftover)?;
-    let mut chunk = [0u8; 8192];
-    loop {
-        match conn.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => client.write_all(chunk.get(..n).unwrap_or_default())?,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Relays a chunked body verbatim, flushing after every chunk so progress
-/// frames reach the client as they are produced, parsing the framing only
-/// to find the terminating zero chunk. Returns whether the backend
-/// connection is reusable (true — chunked framing is self-delimiting).
-fn relay_chunked(
-    conn: &mut TcpStream,
-    client: &mut TcpStream,
-    leftover: Vec<u8>,
-) -> io::Result<bool> {
-    // `buf` holds bytes read from the backend but not yet forwarded.
-    let mut buf = leftover;
-    let mut chunk = [0u8; 8192];
-    loop {
-        // Chunk-size line.
-        let line_end = loop {
-            if let Some(p) = buf.windows(2).position(|w| w == b"\r\n") {
-                break p;
-            }
-            if buf.len() > 128 {
-                return Err(io::ErrorKind::InvalidData.into());
-            }
-            let n = read_some(conn, &mut chunk)?;
-            buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        };
-        let line = std::str::from_utf8(buf.get(..line_end).unwrap_or_default())
-            .map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?;
-        let size_text = line.split(';').next().unwrap_or("").trim();
-        let size = u64::from_str_radix(size_text, 16)
-            .map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?;
-        // Forward the size line + payload + trailing CRLF.
-        let mut need = line_end as u64 + 2 + size + 2;
-        loop {
-            let have = (buf.len() as u64).min(need) as usize;
-            if have > 0 {
-                client.write_all(buf.get(..have).unwrap_or_default())?;
-                buf.drain(..have);
-                need -= have as u64;
-            }
-            if need == 0 {
-                break;
-            }
-            let n = read_some(conn, &mut chunk)?;
-            buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
-        }
-        client.flush()?;
-        if size == 0 {
-            // The zero chunk's trailing CRLF was already forwarded above;
-            // `serve` sends no trailers, and any unread trailer bytes
-            // would poison the pooled connection — so only an empty
-            // buffer leaves the socket reusable.
-            return Ok(buf.is_empty());
-        }
-    }
-}
-
-/// One blocking read that treats EOF as an error (chunked bodies end with
-/// the zero chunk, never the socket).
-fn read_some(conn: &mut TcpStream, chunk: &mut [u8; 8192]) -> io::Result<usize> {
-    loop {
-        match conn.read(chunk) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => return Ok(n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// `GET /v1/stats`: fetches every backend's stats document, sums the
@@ -1078,7 +693,10 @@ fn aggregate_stats(inner: &RouterInner) -> String {
     let mut fleet: Vec<(String, u64)> = Vec::new();
     let mut backend_docs = Vec::new();
     for b in &inner.backends {
-        let doc = fetch_backend_stats(b, &inner.cfg).and_then(|text| Json::parse(&text).ok());
+        let budget = inner.cfg.connect_timeout_ms.max(1_000);
+        let doc = backend_get(&b.addr, "/v1/stats", &inner.cfg, budget)
+            .filter(|r| r.status == 200)
+            .and_then(|r| Json::parse(&r.body).ok());
         let mut fields = vec![
             ("addr".to_string(), Json::from(b.addr.as_str())),
             ("up".to_string(), Json::from(doc.is_some())),
@@ -1113,10 +731,7 @@ fn aggregate_stats(inner: &RouterInner) -> String {
         ("client_errors", Json::from(s.client_errors)),
         ("aborted_relays", Json::from(s.aborted_relays)),
         ("backends_up", Json::from(backends_up(inner) as u64)),
-        (
-            "draining",
-            Json::from(inner.draining.load(Ordering::SeqCst)),
-        ),
+        ("draining", Json::from(inner.gate.is_draining())),
         ("backends", Json::Array(backend_docs)),
         (
             "fleet",
@@ -1124,42 +739,6 @@ fn aggregate_stats(inner: &RouterInner) -> String {
         ),
     ])
     .render()
-}
-
-/// One backend's `/v1/stats` body via a short-budget fresh connection,
-/// `None` when the backend is unreachable or answers anything but 200.
-fn fetch_backend_stats(backend: &Backend, cfg: &RouterConfig) -> Option<String> {
-    let sa = resolve(&backend.addr)?;
-    let mut conn =
-        TcpStream::connect_timeout(&sa, Duration::from_millis(cfg.connect_timeout_ms)).ok()?;
-    let budget = cfg.connect_timeout_ms.max(1_000);
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(budget)));
-    let _ = conn.set_write_timeout(Some(Duration::from_millis(budget)));
-    let req = format!(
-        "GET /v1/stats HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n",
-        backend.addr
-    );
-    conn.write_all(req.as_bytes()).ok()?;
-    let (status, headers, mut body) = read_backend_head(&mut conn, budget)?;
-    if status != 200 {
-        return None;
-    }
-    let len = header(&headers, "content-length").and_then(|v| v.parse::<usize>().ok())?;
-    let clock = Stopwatch::start();
-    let mut chunk = [0u8; 4096];
-    while body.len() < len {
-        if clock.elapsed_ms() as u64 > budget {
-            return None;
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    body.truncate(len);
-    String::from_utf8(body).ok()
 }
 
 #[cfg(test)]
@@ -1258,18 +837,6 @@ mod tests {
                 "backend {b} owns {share:.3} of the key space"
             );
         }
-    }
-
-    #[test]
-    fn status_line_parser_accepts_and_rejects() {
-        assert_eq!(parse_status_line(b"HTTP/1.1 200 OK\r\n"), Some(200));
-        assert_eq!(
-            parse_status_line(b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\n\r\n"),
-            Some(429)
-        );
-        assert_eq!(parse_status_line(b"SPDY/9 200 OK\r\n"), None);
-        assert_eq!(parse_status_line(b"HTTP/1.1 abc\r\n"), None);
-        assert_eq!(parse_status_line(b"no crlf yet"), None);
     }
 
     #[test]

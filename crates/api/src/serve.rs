@@ -1,11 +1,11 @@
 //! `repro serve` — an overload-safe HTTP service wrapping [`Engine`].
 //!
-//! A hand-rolled HTTP/1.1 server over `std::net` in the workspace's
-//! no-external-deps style (cf. [`crate::json`]): no hyper, no tokio, just
-//! a nonblocking acceptor, a thread per connection, and a fixed pool of
-//! solver workers pulling from a bounded queue. The interesting part is
-//! not the parsing but the robustness envelope — the server is engineered
-//! to *degrade instead of die*:
+//! An HTTP/1.1 server over `std::net` in the workspace's no-external-deps
+//! style: the framing, the acceptor and the thread-per-connection loop
+//! live in [`crate::http`]; this module routes requests to a fixed pool
+//! of solver workers pulling from a bounded queue. The interesting part
+//! is not the parsing but the robustness envelope — the server is
+//! engineered to *degrade instead of die*:
 //!
 //! * **Admission control.** At most `max_inflight` specs solve at once;
 //!   at most `queue_depth` wait behind them. A request arriving to a full
@@ -24,7 +24,7 @@
 //! * **Slow-loris resistance.** Request heads and bodies are read under
 //!   both a byte cap and a wall-time budget; bodies require
 //!   `Content-Length` (chunked is refused with `411`) and are capped at
-//!   `max_body_bytes` (`413`).
+//!   `max_body_bytes` (`413`). Pipelined requests are answered in order.
 //! * **Report LRU.** Whole rendered `Report` bodies are cached, keyed on
 //!   the *normalized* spec bytes (`ExperimentSpec::to_json_string` of the
 //!   parsed spec), so formatting differences still hit. `Cache-Control:
@@ -48,22 +48,24 @@
 //! `/v1/stats` complete the operational surface.
 
 use crate::engine::{Engine, Progress};
-use crate::error::{ApiError, ERROR_SCHEMA};
+use crate::error::ApiError;
+use crate::http::{
+    self, error_body, finish_chunks, header, write_chunk, write_chunked_head, write_error,
+    write_response, Gate, Request,
+};
 use crate::json::Json;
 use crate::spec::ExperimentSpec;
 use crate::store::{self, JobStatus, JobStore};
 use crate::wallclock::{self, Stopwatch};
+use greencloud_core::lock_ok;
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Upper bound on a request head (request line + headers).
-pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Schema identifier of the progress frames emitted on streamed
 /// responses (`X-Progress: stream` on `POST /v1/experiments`).
@@ -137,13 +139,6 @@ impl Default for ServeConfig {
             redelivery_backoff_ms: 250,
         }
     }
-}
-
-/// Locks a mutex, treating poisoning as survivable: the protected data is
-/// counters/queues whose invariants hold between individual operations,
-/// and a worker panic is already captured at the engine boundary.
-pub(crate) fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-request lifecycle shared by the connection thread, the worker that
@@ -427,17 +422,15 @@ impl ReportCache {
 struct ServerInner {
     engine: Engine,
     cfg: ServeConfig,
-    /// Set by [`ServeHandle::trigger_shutdown`]; stops the acceptor.
-    shutdown: AtomicBool,
-    /// Set at shutdown: readyz fails, new experiments get 503, idle
-    /// keep-alive connections close.
-    draining: AtomicBool,
+    /// Shutdown and drain flags, live connections, HTTP limits. Draining
+    /// fails readyz, answers new experiments 503 and closes idle
+    /// keep-alive connections.
+    gate: Arc<Gate>,
     /// Set after the drain budget: workers and the watchdog exit.
     stop_workers: AtomicBool,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     inflight: AtomicUsize,
-    live_conns: AtomicUsize,
     /// Every live job, for the deadline watchdog and the drain sweep.
     registry: Mutex<Vec<Weak<JobState>>>,
     cache: Mutex<ReportCache>,
@@ -453,24 +446,7 @@ struct ServerInner {
 
 /// A cloneable remote control for a running [`Server`] — lets signal
 /// handlers and tests trigger shutdown without owning the server.
-#[derive(Clone)]
-pub struct ServeHandle {
-    inner: Arc<ServerInner>,
-}
-
-impl ServeHandle {
-    /// Begins graceful shutdown: the acceptor stops, readyz starts
-    /// failing, and [`Server::join`] proceeds to drain.
-    pub fn trigger_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// True once shutdown has been triggered.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
-    }
-}
+pub type ServeHandle = http::ShutdownHandle;
 
 /// A running experiment service. Construct with [`Server::bind`], stop
 /// with [`ServeHandle::trigger_shutdown`] + [`Server::join`].
@@ -502,16 +478,21 @@ impl Server {
         let addr = listener.local_addr()?;
         let max_inflight = cfg.max_inflight;
         let cache_capacity = cfg.cache_capacity;
+        let gate = Arc::new(Gate {
+            max_connections: cfg.max_connections,
+            max_body_bytes: cfg.max_body_bytes,
+            read_timeout_ms: cfg.read_timeout_ms,
+            write_timeout_ms: cfg.write_timeout_ms,
+            ..Gate::default()
+        });
         let inner = Arc::new(ServerInner {
             engine,
             cfg,
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
+            gate,
             stop_workers: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             inflight: AtomicUsize::new(0),
-            live_conns: AtomicUsize::new(0),
             registry: Mutex::new(Vec::new()),
             cache: Mutex::new(ReportCache::new(cache_capacity)),
             stats: Stats::default(),
@@ -535,10 +516,14 @@ impl Server {
         let watchdog = thread::Builder::new()
             .name("gc-serve-watchdog".to_string())
             .spawn(move || watchdog_loop(&wd))?;
-        let acc = Arc::clone(&inner);
-        let acceptor = thread::Builder::new()
-            .name("gc-serve-accept".to_string())
-            .spawn(move || acceptor_loop(&listener, &acc))?;
+        let acceptor = http::spawn_acceptor(
+            listener,
+            &inner,
+            "gc-serve",
+            |i| &i.gate,
+            refuse_busy,
+            handle_connection,
+        )?;
         Ok(Server {
             inner,
             addr,
@@ -555,9 +540,7 @@ impl Server {
 
     /// A cloneable shutdown control for this server.
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        http::ShutdownHandle(Arc::clone(&self.inner.gate))
     }
 
     /// Convenience for [`ServeHandle::trigger_shutdown`].
@@ -573,13 +556,13 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.gate.draining.store(true, Ordering::SeqCst);
         let drain = Stopwatch::start();
         while (drain.elapsed_ms() as u64) < self.inner.cfg.drain_ms {
             let pending = lock_ok(&self.inner.queue).len();
             if pending == 0
                 && self.inner.inflight.load(Ordering::SeqCst) == 0
-                && self.inner.live_conns.load(Ordering::SeqCst) == 0
+                && self.inner.gate.live_conns.load(Ordering::SeqCst) == 0
             {
                 break;
             }
@@ -599,7 +582,7 @@ impl Server {
         let grace = Stopwatch::start();
         while (grace.elapsed_ms() as u64) < 2_000 {
             if self.inner.inflight.load(Ordering::SeqCst) == 0
-                && self.inner.live_conns.load(Ordering::SeqCst) == 0
+                && self.inner.gate.live_conns.load(Ordering::SeqCst) == 0
             {
                 break;
             }
@@ -677,53 +660,6 @@ fn recover_jobs(inner: &Arc<ServerInner>) {
             stream: false,
         });
     }
-}
-
-/// Accepts connections until shutdown; each gets its own thread, capped
-/// at `max_connections` live at once.
-fn acceptor_loop(listener: &TcpListener, inner: &Arc<ServerInner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if inner.live_conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
-                    refuse_busy(stream, inner);
-                    continue;
-                }
-                inner.live_conns.fetch_add(1, Ordering::SeqCst);
-                let conn = Arc::clone(inner);
-                let spawned = thread::Builder::new()
-                    .name("gc-serve-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &conn);
-                        conn.live_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    inner.live_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// Best-effort 503 for a connection over the `max_connections` cap.
-fn refuse_busy(mut stream: TcpStream, inner: &ServerInner) {
-    inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let body = error_body("overloaded", "connection limit reached", Vec::new());
-    let _ = write_response(
-        &mut stream,
-        503,
-        &[("Retry-After", "1".to_string())],
-        &body,
-        true,
-    );
 }
 
 /// Solver worker: pops jobs, honors already-fired cancellations, runs the
@@ -942,355 +878,31 @@ fn client_gone(stream: &TcpStream) -> bool {
     }
 }
 
-/// One parsed HTTP request. Shared with the router, which reads client
-/// requests with the same slow-loris envelope before relaying them.
-pub(crate) struct Request {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) headers: Vec<(String, String)>,
-    pub(crate) body: Vec<u8>,
-    pub(crate) close: bool,
-}
-
-/// Outcome of reading one request off a connection.
-pub(crate) enum ReadOut {
-    /// A complete, parseable request.
-    Request(Request),
-    /// The peer closed (or idled out, or we are draining) — hang up
-    /// without writing anything.
-    Closed,
-    /// A malformed or abusive request: answer `status` with an
-    /// [`ERROR_SCHEMA`] body carrying `code`, then close.
-    Reject {
-        status: u16,
-        code: &'static str,
-        message: String,
-    },
-}
-
-/// The read-side budgets [`read_request`] enforces, decoupled from
-/// [`ServeConfig`] so the router can lend its own limits.
-pub(crate) struct HttpLimits<'a> {
-    pub(crate) max_body_bytes: usize,
-    pub(crate) read_timeout_ms: u64,
-    /// Checked while idling for a request's first byte: a draining
-    /// process closes idle keep-alive connections instead of waiting.
-    pub(crate) draining: &'a AtomicBool,
-}
-
-pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// Parses `X-Deadline-Ms`, distinguishing *absent* (`Ok(None)`) from
-/// *malformed* (`Err(raw)`). Non-numeric and negative values are client
-/// errors answered with a typed 400 — never silently the default.
-fn parse_deadline(headers: &[(String, String)]) -> Result<Option<u64>, String> {
-    let Some(raw) = header(headers, "x-deadline-ms") else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(v) => Ok(Some(v)),
-        Err(_) => Err(raw.to_string()),
-    }
-}
-
-/// The `greencloud-error/1` body for a malformed `X-Deadline-Ms`.
-fn deadline_invalid_body(raw: &str) -> String {
-    error_body(
-        "deadline_invalid",
-        &format!(
-            "X-Deadline-Ms must be a non-negative integer number of milliseconds, got {raw:?}"
-        ),
-        Vec::new(),
-    )
-}
-
-pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// (method, path, headers) from a parsed request head.
-type ParsedHead = (String, String, Vec<(String, String)>);
-
-fn parse_head(head: &str) -> Result<ParsedHead, String> {
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ');
-    let method = parts.next().unwrap_or("").to_string();
-    let path = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("");
-    if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-        return Err(format!("malformed request line {request_line:?}"));
-    }
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((k, v)) = line.split_once(':') else {
-            return Err(format!("malformed header line {line:?}"));
-        };
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-    }
-    Ok((method, path, headers))
-}
-
-/// Reads one request under slow-loris budgets: a 250 ms-granularity idle
-/// wait for the first byte (closing on drain or keep-alive idle
-/// expiration), then byte- and time-capped reads for head and body.
-pub(crate) fn read_request(stream: &mut TcpStream, limits: &HttpLimits<'_>) -> ReadOut {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let idle = Stopwatch::start();
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return ReadOut::Closed,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if limits.draining.load(Ordering::SeqCst) {
-                    return ReadOut::Closed;
-                }
-                if idle.elapsed_ms() as u64 > limits.read_timeout_ms {
-                    return ReadOut::Closed;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOut::Closed,
-        }
-    }
-    let head_clock = Stopwatch::start();
-    let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return ReadOut::Reject {
-                status: 431,
-                code: "head_too_large",
-                message: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-            };
-        }
-        if head_clock.elapsed_ms() as u64 > limits.read_timeout_ms {
-            return ReadOut::Reject {
-                status: 408,
-                code: "request_timeout",
-                message: "timed out reading the request head".to_string(),
-            };
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return ReadOut::Closed,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return ReadOut::Closed,
-        }
-    };
-    let head_text = match std::str::from_utf8(&buf[..head_end.saturating_sub(4)]) {
-        Ok(t) => t.to_string(),
-        Err(_) => {
-            return ReadOut::Reject {
-                status: 400,
-                code: "bad_request",
-                message: "request head is not valid UTF-8".to_string(),
-            }
-        }
-    };
-    let (method, path, headers) = match parse_head(&head_text) {
-        Ok(t) => t,
-        Err(message) => {
-            return ReadOut::Reject {
-                status: 400,
-                code: "bad_request",
-                message,
-            }
-        }
-    };
-    let mut body: Vec<u8> = buf.split_off(head_end);
-    let close = header(&headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    if method == "POST" || method == "PUT" {
-        if header(&headers, "transfer-encoding").is_some() {
-            return ReadOut::Reject {
-                status: 411,
-                code: "length_required",
-                message: "chunked bodies are not supported; send Content-Length".to_string(),
-            };
-        }
-        let Some(len) = header(&headers, "content-length").and_then(|v| v.parse::<usize>().ok())
-        else {
-            return ReadOut::Reject {
-                status: 411,
-                code: "length_required",
-                message: "POST requires a Content-Length header".to_string(),
-            };
-        };
-        if len > limits.max_body_bytes {
-            return ReadOut::Reject {
-                status: 413,
-                code: "body_too_large",
-                message: format!(
-                    "body of {len} bytes exceeds the {} byte cap",
-                    limits.max_body_bytes
-                ),
-            };
-        }
-        if body.is_empty()
-            && header(&headers, "expect")
-                .is_some_and(|v| v.to_ascii_lowercase().contains("100-continue"))
-        {
-            let _ = stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-            let _ = stream.flush();
-        }
-        let body_clock = Stopwatch::start();
-        while body.len() < len {
-            if body_clock.elapsed_ms() as u64 > limits.read_timeout_ms {
-                return ReadOut::Reject {
-                    status: 408,
-                    code: "request_timeout",
-                    message: "timed out reading the request body".to_string(),
-                };
-            }
-            match stream.read(&mut chunk) {
-                Ok(0) => return ReadOut::Closed,
-                Ok(n) => body.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(_) => return ReadOut::Closed,
-            }
-        }
-        body.truncate(len);
-    }
-    ReadOut::Request(Request {
-        method,
-        path,
-        headers,
-        body,
-        close,
+/// Parses a request body as a spec. A failure comes with its status and
+/// `greencloud-error/1` body; the router parses at its edge with this
+/// too, so both reject the same bodies the same way.
+pub(crate) fn parse_spec(body: &[u8]) -> Result<ExperimentSpec, (u16, String)> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| (400, error_body("bad_request", "body is not valid UTF-8")))?;
+    ExperimentSpec::from_json_str(text).map_err(|e| {
+        let err = ApiError::from(e);
+        (err.http_status(), err.to_error_json())
     })
 }
 
-pub(crate) fn status_reason(status: u16) -> &'static str {
-    match status {
-        100 => "Continue",
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        411 => "Length Required",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        499 => "Client Closed Request",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
-}
-
-/// Renders an [`ERROR_SCHEMA`] body from serve-level (non-`ApiError`)
-/// failures; `extra` appends detail fields.
-pub(crate) fn error_body(code: &str, message: &str, extra: Vec<(&'static str, Json)>) -> String {
-    let mut fields = vec![
-        ("schema".to_string(), Json::from(ERROR_SCHEMA)),
-        ("code".to_string(), Json::from(code)),
-        ("message".to_string(), Json::from(message)),
-    ];
-    for (k, v) in extra {
-        fields.push((k.to_string(), v));
-    }
-    Json::Object(fields).render()
-}
-
-pub(crate) fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-    close: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        status_reason(status),
-        body.len()
-    );
-    for (k, v) in extra_headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(if close {
-        "Connection: close\r\n\r\n"
-    } else {
-        "Connection: keep-alive\r\n\r\n"
-    });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes the head of a chunked (streamed) response. The body follows as
-/// [`write_chunk`] calls ended by [`finish_chunks`] — one JSON document
-/// per chunk; the status commits before the solve finishes, so later
-/// failures must travel in-band as `greencloud-error/1` documents.
-fn write_chunked_head(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    close: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/x-json-stream\r\nTransfer-Encoding: chunked\r\n",
-        status_reason(status),
-    );
-    for (k, v) in extra_headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(if close {
-        "Connection: close\r\n\r\n"
-    } else {
-        "Connection: keep-alive\r\n\r\n"
-    });
-    stream.write_all(head.as_bytes())?;
-    stream.flush()
-}
-
-/// One HTTP/1.1 chunk: hex length, CRLF, payload, CRLF — flushed so the
-/// client (or a relaying router) sees the frame immediately.
-fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
-    stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
-}
-
-/// The terminating zero-length chunk of a streamed response.
-fn finish_chunks(stream: &mut TcpStream) -> io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+/// Parses `X-Deadline-Ms`: `Ok(None)` when absent. Non-numeric and
+/// negative values are client errors answered with a typed 400 — never
+/// silently the default.
+fn parse_deadline(headers: &[(String, String)]) -> Result<Option<u64>, (u16, String)> {
+    let Some(raw) = header(headers, "x-deadline-ms") else {
+        return Ok(None);
+    };
+    raw.trim().parse::<u64>().map(Some).map_err(|_| {
+        let msg = format!(
+            "X-Deadline-Ms must be a non-negative integer number of milliseconds, got {raw:?}"
+        );
+        (400, error_body("deadline_invalid", &msg))
+    })
 }
 
 /// Renders one `greencloud-progress/1` frame document (sent as its own
@@ -1307,39 +919,20 @@ fn progress_frame(kind: &str, done: u64, total: u64) -> String {
     doc
 }
 
-/// Serves one connection: requests are read and routed until the peer
-/// hangs up, sends `Connection: close`, errors, or the server drains.
-fn handle_connection(mut stream: TcpStream, inner: &ServerInner) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(inner.cfg.write_timeout_ms)));
-    let limits = HttpLimits {
-        max_body_bytes: inner.cfg.max_body_bytes,
-        read_timeout_ms: inner.cfg.read_timeout_ms,
-        draining: &inner.draining,
-    };
-    loop {
-        match read_request(&mut stream, &limits) {
-            ReadOut::Closed => break,
-            ReadOut::Reject {
-                status,
-                code,
-                message,
-            } => {
-                inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                let body = error_body(code, &message, Vec::new());
-                let _ = write_response(&mut stream, status, &[], &body, true);
-                break;
-            }
-            ReadOut::Request(req) => {
-                let close = req.close || inner.draining.load(Ordering::SeqCst);
-                let keep = route(&mut stream, inner, &req, close);
-                if close || !keep {
-                    break;
-                }
-            }
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
+/// Best-effort 503 for a connection over the `max_connections` cap.
+fn refuse_busy(stream: TcpStream, inner: &ServerInner) {
+    inner.stats.shed.fetch_add(1, Ordering::SeqCst);
+    http::refuse(stream, &inner.gate, "connection limit reached");
+}
+
+/// Serves one connection through the shared HTTP connection loop.
+fn handle_connection(stream: TcpStream, inner: &ServerInner) {
+    http::serve_connection(
+        stream,
+        &inner.gate,
+        &inner.stats.client_errors,
+        |s, req, close| route(s, inner, req, close),
+    );
 }
 
 fn route(stream: &mut TcpStream, inner: &ServerInner, req: &Request, close: bool) -> bool {
@@ -1348,49 +941,64 @@ fn route(stream: &mut TcpStream, inner: &ServerInner, req: &Request, close: bool
             let body = Json::obj([("status", Json::from("ok"))]).render();
             write_response(stream, 200, &[], &body, close).is_ok()
         }
-        ("GET", "/v1/readyz") => {
-            if inner.draining.load(Ordering::SeqCst) {
-                let body = error_body("draining", "server is draining", Vec::new());
-                let _ = write_response(
-                    stream,
-                    503,
-                    &[("Retry-After", "1".to_string())],
-                    &body,
-                    true,
-                );
-                false
-            } else {
-                let body = Json::obj([("status", Json::from("ready"))]).render();
-                write_response(stream, 200, &[], &body, close).is_ok()
-            }
+        ("GET", "/v1/readyz") if inner.gate.is_draining() => {
+            http::refuse_draining(stream, "server is draining")
         }
-        ("GET", "/v1/stats") => {
-            let body = stats_json(inner);
+        ("GET", "/v1/readyz") => {
+            let body = Json::obj([("status", Json::from("ready"))]).render();
             write_response(stream, 200, &[], &body, close).is_ok()
         }
+        ("GET", "/v1/stats") => write_response(stream, 200, &[], &stats_json(inner), close).is_ok(),
         ("POST", "/v1/experiments") => handle_experiment(stream, inner, req, close),
         ("POST", "/v1/jobs") => handle_job_submit(stream, inner, req, close),
-        (_, p) if p.starts_with("/v1/jobs/") => handle_job_entity(stream, inner, req, close),
-        (_, "/v1/healthz" | "/v1/readyz" | "/v1/stats" | "/v1/experiments" | "/v1/jobs") => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let allow = if req.path == "/v1/experiments" || req.path == "/v1/jobs" {
-                "POST"
-            } else {
-                "GET"
-            };
-            let body = error_body(
-                "method_not_allowed",
-                &format!("{} is not supported on {}", req.method, req.path),
-                Vec::new(),
-            );
-            write_response(stream, 405, &[("Allow", allow.to_string())], &body, close).is_ok()
-        }
-        _ => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body("not_found", &format!("no route {}", req.path), Vec::new());
-            write_response(stream, 404, &[], &body, close).is_ok()
-        }
+        _ => match (req.method.as_str(), http::job_id(&req.path)) {
+            ("GET", Some(id)) => handle_job_get(stream, inner, id, close),
+            ("DELETE", Some(id)) => handle_job_delete(stream, inner, id, close),
+            _ => http::unrouted(stream, req, &inner.stats.client_errors, close),
+        },
     }
+}
+
+/// The shared front of both submit routes: refuses new work while
+/// draining, then parses the spec and its `X-Deadline-Ms`. `Err(keep)`
+/// means the refusal has been written and says whether the connection
+/// stays open.
+fn read_submission(
+    stream: &mut TcpStream,
+    inner: &ServerInner,
+    req: &Request,
+    close: bool,
+) -> Result<(ExperimentSpec, Option<u64>), bool> {
+    inner.stats.received.fetch_add(1, Ordering::SeqCst);
+    if inner.gate.is_draining() {
+        let msg = "server is draining; not accepting work";
+        return Err(http::refuse_draining(stream, msg));
+    }
+    let parsed = parse_spec(&req.body).and_then(|spec| Ok((spec, parse_deadline(&req.headers)?)));
+    parsed.map_err(|(status, body)| {
+        inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
+        write_response(stream, status, &[], &body, close).is_ok()
+    })
+}
+
+/// Sheds a request with `429` and a `Retry-After` from the solve-time EMA.
+fn shed(stream: &mut TcpStream, inner: &ServerInner, close: bool) -> bool {
+    inner.stats.shed.fetch_add(1, Ordering::SeqCst);
+    let secs = retry_after_secs(inner);
+    let msg = format!(
+        "queue full ({} pending); retry after {secs}s",
+        inner.cfg.queue_depth
+    );
+    let retry = secs.to_string();
+    write_error(
+        stream,
+        429,
+        "overloaded",
+        &msg,
+        &[("Retry-After", &retry)],
+        close,
+    )
+    .is_ok()
 }
 
 /// `POST /v1/experiments`: parse → cache lookup → admit or shed →
@@ -1401,52 +1009,16 @@ fn handle_experiment(
     req: &Request,
     close: bool,
 ) -> bool {
-    inner.stats.received.fetch_add(1, Ordering::SeqCst);
-    if inner.draining.load(Ordering::SeqCst) {
-        let body = error_body(
-            "draining",
-            "server is draining; not accepting work",
-            Vec::new(),
-        );
-        let _ = write_response(
-            stream,
-            503,
-            &[("Retry-After", "1".to_string())],
-            &body,
-            true,
-        );
-        return false;
-    }
-    let text = match std::str::from_utf8(&req.body) {
+    let (spec, deadline) = match read_submission(stream, inner, req, close) {
         Ok(t) => t,
-        Err(_) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body("bad_request", "body is not valid UTF-8", Vec::new());
-            return write_response(stream, 400, &[], &body, close).is_ok();
-        }
+        Err(keep) => return keep,
     };
-    let spec = match ExperimentSpec::from_json_str(text) {
-        Ok(s) => s,
-        Err(e) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let err = ApiError::from(e);
-            return write_response(stream, err.http_status(), &[], &err.to_error_json(), close)
-                .is_ok();
-        }
-    };
+    let limit_ms = deadline
+        .unwrap_or(inner.cfg.default_deadline_ms)
+        .clamp(1, inner.cfg.max_deadline_ms);
     // Normalized spec bytes key the cache: two differently-formatted
     // documents describing the same experiment share an entry.
     let cache_key = spec.to_json_string();
-    let limit_ms = match parse_deadline(&req.headers) {
-        Ok(v) => v
-            .unwrap_or(inner.cfg.default_deadline_ms)
-            .clamp(1, inner.cfg.max_deadline_ms),
-        Err(raw) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = deadline_invalid_body(&raw);
-            return write_response(stream, 400, &[], &body, close).is_ok();
-        }
-    };
     // `X-Progress: stream` opts the response into chunked transfer
     // encoding with `greencloud-progress/1` frames ahead of the body.
     let want_stream = header(&req.headers, "x-progress").is_some_and(|v| {
@@ -1465,38 +1037,20 @@ fn handle_experiment(
                 // client never needs both framings: one `cached` frame,
                 // then the body line.
                 inner.stats.streamed.fetch_add(1, Ordering::SeqCst);
-                let ok = write_chunked_head(stream, 200, &[("X-Cache", "hit".to_string())], close)
+                let ok = write_chunked_head(stream, 200, &[("X-Cache", "hit")], close)
                     .and_then(|()| write_chunk(stream, progress_frame("cached", 1, 1).as_bytes()))
                     .and_then(|()| write_chunk(stream, format!("{body}\n").as_bytes()))
                     .and_then(|()| finish_chunks(stream));
                 return ok.is_ok();
             }
-            return write_response(stream, 200, &[("X-Cache", "hit".to_string())], &body, close)
-                .is_ok();
+            return write_response(stream, 200, &[("X-Cache", "hit")], &body, close).is_ok();
         }
     }
     let state = {
         let mut q = lock_ok(&inner.queue);
         if q.len() >= inner.cfg.queue_depth {
             drop(q);
-            inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-            let secs = retry_after_secs(inner);
-            let body = error_body(
-                "overloaded",
-                &format!(
-                    "queue full ({} pending); retry after {secs}s",
-                    inner.cfg.queue_depth
-                ),
-                Vec::new(),
-            );
-            return write_response(
-                stream,
-                429,
-                &[("Retry-After", secs.to_string())],
-                &body,
-                close,
-            )
-            .is_ok();
+            return shed(stream, inner, close);
         }
         let state = Arc::new(JobState::new(limit_ms));
         q.push_back(Job {
@@ -1514,80 +1068,107 @@ fn handle_experiment(
     if want_stream {
         return stream_experiment(stream, inner, &state, close);
     }
-    let result = loop {
-        let mut done = lock_ok(&state.done);
-        if let Some(r) = done.take() {
-            break r;
-        }
-        let (mut done, _timed_out) = state
-            .cv
-            .wait_timeout(done, Duration::from_millis(25))
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = done.take() {
-            break r;
-        }
-        drop(done);
-        if inner.stop_workers.load(Ordering::SeqCst) && !state.finished.load(Ordering::SeqCst) {
-            // Backstop: the pool stopped before this job ran (drain
-            // budget exhausted while it sat queued).
-            state.fire(REASON_DRAIN);
-            inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
-            let body = error_body(
-                "draining",
-                "server stopped before the experiment ran",
-                Vec::new(),
-            );
-            let _ = write_response(stream, 503, &[], &body, true);
+    let result = match await_result(stream, inner, &state, |_| true) {
+        Waited::Done(r) => r,
+        Waited::Stopped => {
+            let _ = write_error(stream, 503, "draining", NEVER_RAN, &[], true);
             return false;
         }
-        if client_gone(stream) {
-            state.fire(REASON_DISCONNECT);
-            inner.stats.disconnects.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
+        Waited::Gone => return false,
     };
     match result {
         Ok(body) => {
             inner.stats.ok.fetch_add(1, Ordering::SeqCst);
-            write_response(
-                stream,
-                200,
-                &[("X-Cache", "miss".to_string())],
-                &body,
-                close,
-            )
-            .is_ok()
+            write_response(stream, 200, &[("X-Cache", "miss")], &body, close).is_ok()
         }
-        Err(err) => match state.reason_code() {
-            REASON_DISCONNECT => {
-                // Nothing to write — the peer is gone (counted when the
-                // disconnect was detected, or here if the worker saw it
-                // first via a racing token).
-                false
-            }
-            REASON_DRAIN => {
-                inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
-                let body = error_body(
-                    "draining",
-                    "experiment cancelled by server drain",
-                    Vec::new(),
-                );
-                let _ = write_response(stream, 503, &[], &body, true);
-                false
-            }
-            _ => {
-                let status = err.http_status();
-                if status >= 500 {
-                    inner.stats.server_errors.fetch_add(1, Ordering::SeqCst);
-                } else if status == 422 {
-                    inner.stats.solve_errors.fetch_add(1, Ordering::SeqCst);
-                } else if status != 408 {
-                    // 408s are already counted by the watchdog.
-                    inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                }
-                write_response(stream, status, &[], &err.to_error_json(), close).is_ok()
+        Err(err) => match failure_reply(inner, &state, &err) {
+            None => false,
+            Some((status, body, drained)) => {
+                write_response(stream, status, &[], &body, close || drained).is_ok() && !drained
             }
         },
+    }
+}
+
+/// The drain backstop's message: the pool stopped (drain budget
+/// exhausted) while the experiment still sat queued.
+const NEVER_RAN: &str = "server stopped before the experiment ran";
+
+/// How waiting on a queued experiment ended.
+enum Waited {
+    /// The worker filled the result slot.
+    Done(Result<Arc<String>, ApiError>),
+    /// The pool stopped before the job ran; cancelled and counted.
+    Stopped,
+    /// The client vanished; cancelled and counted.
+    Gone,
+}
+
+/// Waits for `state`'s result, waking every 25 ms to check for a stopped
+/// pool and a vanished client. `tick` runs on each wake — the streamed
+/// path writes fresh progress frames there — and returns false when the
+/// client can no longer be written to.
+fn await_result(
+    stream: &mut TcpStream,
+    inner: &ServerInner,
+    state: &JobState,
+    mut tick: impl FnMut(&mut TcpStream) -> bool,
+) -> Waited {
+    loop {
+        {
+            let mut done = lock_ok(&state.done);
+            if done.is_none() {
+                done = state
+                    .cv
+                    .wait_timeout(done, Duration::from_millis(25))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            if let Some(r) = done.take() {
+                return Waited::Done(r);
+            }
+        }
+        if inner.stop_workers.load(Ordering::SeqCst) && !state.finished.load(Ordering::SeqCst) {
+            state.fire(REASON_DRAIN);
+            inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
+            return Waited::Stopped;
+        }
+        if !tick(stream) || client_gone(stream) {
+            state.fire(REASON_DISCONNECT);
+            inner.stats.disconnects.fetch_add(1, Ordering::SeqCst);
+            return Waited::Gone;
+        }
+    }
+}
+
+/// Classifies a failed experiment: counts it and returns the status, the
+/// error body, and whether the drain cancelled it (the connection then
+/// closes). `None` when the client is gone — nothing is written, and the
+/// disconnect was counted when it was detected.
+fn failure_reply(
+    inner: &ServerInner,
+    state: &JobState,
+    err: &ApiError,
+) -> Option<(u16, String, bool)> {
+    match state.reason_code() {
+        REASON_DISCONNECT => None,
+        REASON_DRAIN => {
+            inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
+            let body = error_body("draining", "experiment cancelled by server drain");
+            Some((503, body, true))
+        }
+        _ => {
+            let status = err.http_status();
+            let counter = match status {
+                500.. => &inner.stats.server_errors,
+                422 => &inner.stats.solve_errors,
+                // 408s are already counted by the watchdog.
+                408 => return Some((status, err.to_error_json(), false)),
+                _ => &inner.stats.client_errors,
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+            Some((status, err.to_error_json(), false))
+        }
     }
 }
 
@@ -1604,7 +1185,7 @@ fn stream_experiment(
     close: bool,
 ) -> bool {
     inner.stats.streamed.fetch_add(1, Ordering::SeqCst);
-    let opened = write_chunked_head(stream, 200, &[("X-Cache", "miss".to_string())], close)
+    let opened = write_chunked_head(stream, 200, &[("X-Cache", "miss")], close)
         .and_then(|()| write_chunk(stream, progress_frame("queued", 0, 0).as_bytes()));
     if opened.is_err() {
         state.fire(REASON_DISCONNECT);
@@ -1612,84 +1193,37 @@ fn stream_experiment(
         return false;
     }
     let mut last_seq = 0u64;
-    let result = loop {
-        let mut done = lock_ok(&state.done);
-        if let Some(r) = done.take() {
-            break r;
-        }
-        let (mut done, _timed_out) = state
-            .cv
-            .wait_timeout(done, Duration::from_millis(25))
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = done.take() {
-            break r;
-        }
-        drop(done);
+    let progress = |s: &mut TcpStream| {
         let (seq, frame) = state.latest_progress();
-        if seq != last_seq {
-            last_seq = seq;
-            if let Some(p) = frame {
-                let (done_n, total) = p.counts();
-                let line = progress_frame(p.kind(), done_n as u64, total as u64);
-                if write_chunk(stream, line.as_bytes()).is_err() {
-                    state.fire(REASON_DISCONNECT);
-                    inner.stats.disconnects.fetch_add(1, Ordering::SeqCst);
-                    return false;
-                }
-            }
+        if seq == last_seq {
+            return true;
         }
-        if inner.stop_workers.load(Ordering::SeqCst) && !state.finished.load(Ordering::SeqCst) {
-            state.fire(REASON_DRAIN);
-            inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
-            let line = error_body(
-                "draining",
-                "server stopped before the experiment ran",
-                Vec::new(),
-            );
-            let _ = write_chunk(stream, format!("{line}\n").as_bytes());
-            let _ = finish_chunks(stream);
-            return false;
-        }
-        if client_gone(stream) {
-            state.fire(REASON_DISCONNECT);
-            inner.stats.disconnects.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
+        last_seq = seq;
+        frame.is_none_or(|p| {
+            let (done, total) = p.counts();
+            let line = progress_frame(p.kind(), done as u64, total as u64);
+            write_chunk(s, line.as_bytes()).is_ok()
+        })
     };
-    let final_line = match result {
-        Ok(body) => {
+    let final_line = match await_result(stream, inner, state, progress) {
+        Waited::Done(Ok(body)) => {
             inner.stats.ok.fetch_add(1, Ordering::SeqCst);
             format!("{body}\n")
         }
-        Err(err) => match state.reason_code() {
-            REASON_DISCONNECT => return false,
-            REASON_DRAIN => {
-                inner.stats.drain_cancelled.fetch_add(1, Ordering::SeqCst);
-                format!(
-                    "{}\n",
-                    error_body(
-                        "draining",
-                        "experiment cancelled by server drain",
-                        Vec::new(),
-                    )
-                )
-            }
-            _ => {
-                let status = err.http_status();
-                if status >= 500 {
-                    inner.stats.server_errors.fetch_add(1, Ordering::SeqCst);
-                } else if status == 422 {
-                    inner.stats.solve_errors.fetch_add(1, Ordering::SeqCst);
-                } else if status != 408 {
-                    // 408s are already counted by the watchdog.
-                    inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-                }
-                format!("{}\n", err.to_error_json())
-            }
+        Waited::Done(Err(err)) => match failure_reply(inner, state, &err) {
+            None => return false,
+            Some((_, body, _)) => format!("{body}\n"),
         },
+        Waited::Stopped => {
+            let line = format!("{}\n", error_body("draining", NEVER_RAN));
+            let _ = write_chunk(stream, line.as_bytes()).and_then(|()| finish_chunks(stream));
+            return false;
+        }
+        Waited::Gone => return false,
     };
-    let wrote = write_chunk(stream, final_line.as_bytes()).and_then(|()| finish_chunks(stream));
-    wrote.is_ok()
+    write_chunk(stream, final_line.as_bytes())
+        .and_then(|()| finish_chunks(stream))
+        .is_ok()
 }
 
 /// The `greencloud-job/1` state body for one job.
@@ -1712,6 +1246,22 @@ fn job_state_body(id: &str, e: &crate::store::JobEntry) -> String {
     Json::Object(fields).render()
 }
 
+/// The `greencloud-job/1` acknowledgement body: id and status only.
+fn job_ack_body(id: &str, status: &str) -> String {
+    Json::obj([
+        ("schema", Json::from(store::JOB_SCHEMA)),
+        ("job_id", Json::from(id)),
+        ("status", Json::from(status)),
+    ])
+    .render()
+}
+
+/// Answers `500` for a failed journal operation.
+fn store_failed(stream: &mut TcpStream, inner: &ServerInner, e: ApiError, close: bool) -> bool {
+    inner.stats.server_errors.fetch_add(1, Ordering::SeqCst);
+    write_response(stream, 500, &[], &e.to_error_json(), close).is_ok()
+}
+
 /// `POST /v1/jobs`: parse and normalize the spec, fsync an `Accepted`
 /// record, answer `202` with the content-derived job id. Resubmitting
 /// identical normalized spec bytes returns the existing job in whatever
@@ -1722,49 +1272,12 @@ fn handle_job_submit(
     req: &Request,
     close: bool,
 ) -> bool {
-    inner.stats.received.fetch_add(1, Ordering::SeqCst);
-    if inner.draining.load(Ordering::SeqCst) {
-        let body = error_body(
-            "draining",
-            "server is draining; not accepting work",
-            Vec::new(),
-        );
-        let _ = write_response(
-            stream,
-            503,
-            &[("Retry-After", "1".to_string())],
-            &body,
-            true,
-        );
-        return false;
-    }
-    let text = match std::str::from_utf8(&req.body) {
+    let (spec, deadline) = match read_submission(stream, inner, req, close) {
         Ok(t) => t,
-        Err(_) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body("bad_request", "body is not valid UTF-8", Vec::new());
-            return write_response(stream, 400, &[], &body, close).is_ok();
-        }
-    };
-    let spec = match ExperimentSpec::from_json_str(text) {
-        Ok(s) => s,
-        Err(e) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let err = ApiError::from(e);
-            return write_response(stream, err.http_status(), &[], &err.to_error_json(), close)
-                .is_ok();
-        }
+        Err(keep) => return keep,
     };
     // Jobs are asynchronous: no deadline unless the client asks for one.
-    let limit_ms = match parse_deadline(&req.headers) {
-        Ok(Some(v)) => v.clamp(1, inner.cfg.max_deadline_ms),
-        Ok(None) => u64::MAX,
-        Err(raw) => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = deadline_invalid_body(&raw);
-            return write_response(stream, 400, &[], &body, close).is_ok();
-        }
-    };
+    let limit_ms = deadline.map_or(u64::MAX, |v| v.clamp(1, inner.cfg.max_deadline_ms));
     let key = spec.to_json_string();
     // Admission control applies to *new* jobs only; the race between this
     // check and the push below can overshoot `queue_depth` by at most the
@@ -1775,33 +1288,12 @@ fn handle_job_submit(
             .get(&store::job_id(key.as_bytes()))
             .is_none()
     {
-        inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-        let secs = retry_after_secs(inner);
-        let body = error_body(
-            "overloaded",
-            &format!(
-                "queue full ({} pending); retry after {secs}s",
-                inner.cfg.queue_depth
-            ),
-            Vec::new(),
-        );
-        return write_response(
-            stream,
-            429,
-            &[("Retry-After", secs.to_string())],
-            &body,
-            close,
-        )
-        .is_ok();
+        return shed(stream, inner, close);
     }
     let accepted = lock_ok(&inner.store).accept(&key);
     let (id, new) = match accepted {
         Ok(t) => t,
-        Err(e) => {
-            inner.stats.server_errors.fetch_add(1, Ordering::SeqCst);
-            let err = ApiError::from(e);
-            return write_response(stream, 500, &[], &err.to_error_json(), close).is_ok();
-        }
+        Err(e) => return store_failed(stream, inner, e.into(), close),
     };
     let status = if new {
         let state = Arc::new(JobState::new(limit_ms));
@@ -1818,60 +1310,12 @@ fn handle_job_submit(
         inner.queue_cv.notify_one();
         JobStatus::Accepted
     } else {
-        match lock_ok(&inner.store).get(&id).map(|e| e.status) {
-            Some(s) => s,
-            None => JobStatus::Accepted,
-        }
+        let current = lock_ok(&inner.store).get(&id).map(|e| e.status);
+        current.unwrap_or(JobStatus::Accepted)
     };
-    let body = Json::obj([
-        ("schema", Json::from(store::JOB_SCHEMA)),
-        ("job_id", Json::from(id.as_str())),
-        ("status", Json::from(status.as_str())),
-    ])
-    .render();
-    write_response(
-        stream,
-        202,
-        &[("Location", format!("/v1/jobs/{id}"))],
-        &body,
-        close,
-    )
-    .is_ok()
-}
-
-/// `GET`/`DELETE /v1/jobs/:id` dispatch.
-fn handle_job_entity(
-    stream: &mut TcpStream,
-    inner: &ServerInner,
-    req: &Request,
-    close: bool,
-) -> bool {
-    let id = req.path.trim_start_matches("/v1/jobs/");
-    if id.is_empty() || id.contains('/') {
-        inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-        let body = error_body("not_found", &format!("no route {}", req.path), Vec::new());
-        return write_response(stream, 404, &[], &body, close).is_ok();
-    }
-    match req.method.as_str() {
-        "GET" => handle_job_get(stream, inner, id, close),
-        "DELETE" => handle_job_delete(stream, inner, id, close),
-        _ => {
-            inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            let body = error_body(
-                "method_not_allowed",
-                &format!("{} is not supported on {}", req.method, req.path),
-                Vec::new(),
-            );
-            write_response(
-                stream,
-                405,
-                &[("Allow", "GET, DELETE".to_string())],
-                &body,
-                close,
-            )
-            .is_ok()
-        }
-    }
+    let body = job_ack_body(&id, status.as_str());
+    let location = format!("/v1/jobs/{id}");
+    write_response(stream, 202, &[("Location", &location)], &body, close).is_ok()
 }
 
 /// `GET /v1/jobs/:id`: the finished report for completed jobs, a
@@ -1886,29 +1330,16 @@ fn handle_job_get(stream: &mut TcpStream, inner: &ServerInner, id: &str, close: 
     };
     let Some((status, report, state_body)) = found else {
         inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-        let body = error_body("job_not_found", &format!("no job {id}"), Vec::new());
-        return write_response(stream, 404, &[], &body, close).is_ok();
+        let msg = format!("no job {id}");
+        return write_error(stream, 404, "job_not_found", &msg, &[], close).is_ok();
     };
+    let job_status = [("X-Job-Status", status.as_str())];
     match (status, report) {
         (JobStatus::Completed, Some(report)) => {
             inner.stats.ok.fetch_add(1, Ordering::SeqCst);
-            write_response(
-                stream,
-                200,
-                &[("X-Job-Status", "completed".to_string())],
-                &report,
-                close,
-            )
-            .is_ok()
+            write_response(stream, 200, &job_status, &report, close).is_ok()
         }
-        _ => write_response(
-            stream,
-            200,
-            &[("X-Job-Status", status.as_str().to_string())],
-            &state_body,
-            close,
-        )
-        .is_ok(),
+        _ => write_response(stream, 200, &job_status, &state_body, close).is_ok(),
     }
 }
 
@@ -1924,37 +1355,23 @@ fn handle_job_delete(stream: &mut TcpStream, inner: &ServerInner, id: &str, clos
     inner.engine.cancels().fire(id);
     let res = lock_ok(&inner.store).cancel(id, "cancelled by client request");
     match res {
-        Err(e) => {
-            inner.stats.server_errors.fetch_add(1, Ordering::SeqCst);
-            let err = ApiError::from(e);
-            write_response(stream, 500, &[], &err.to_error_json(), close).is_ok()
-        }
+        Err(e) => store_failed(stream, inner, e.into(), close),
         Ok(true) => {
-            let body = Json::obj([
-                ("schema", Json::from(store::JOB_SCHEMA)),
-                ("job_id", Json::from(id)),
-                ("status", Json::from("cancelled")),
-            ])
-            .render();
+            let body = job_ack_body(id, "cancelled");
             write_response(stream, 200, &[], &body, close).is_ok()
         }
         Ok(false) => {
             let current = lock_ok(&inner.store).get(id).map(|e| e.status);
             inner.stats.client_errors.fetch_add(1, Ordering::SeqCst);
-            match current {
-                None => {
-                    let body = error_body("job_not_found", &format!("no job {id}"), Vec::new());
-                    write_response(stream, 404, &[], &body, close).is_ok()
-                }
-                Some(s) => {
-                    let body = error_body(
-                        "job_terminal",
-                        &format!("job {id} is already {}", s.as_str()),
-                        Vec::new(),
-                    );
-                    write_response(stream, 409, &[], &body, close).is_ok()
-                }
-            }
+            let (status, code, msg) = match current {
+                None => (404, "job_not_found", format!("no job {id}")),
+                Some(s) => (
+                    409,
+                    "job_terminal",
+                    format!("job {id} is already {}", s.as_str()),
+                ),
+            };
+            write_error(stream, status, code, &msg, &[], close).is_ok()
         }
     }
 }
@@ -1984,13 +1401,10 @@ fn stats_json(inner: &ServerInner) -> String {
         ),
         (
             "connections",
-            Json::from(inner.live_conns.load(Ordering::SeqCst) as u64),
+            Json::from(inner.gate.live_conns.load(Ordering::SeqCst) as u64),
         ),
         ("cached_reports", Json::from(cached as u64)),
-        (
-            "draining",
-            Json::from(inner.draining.load(Ordering::SeqCst)),
-        ),
+        ("draining", Json::from(inner.gate.is_draining())),
         (
             "ema_solve_ms",
             Json::from(inner.ema_ms.load(Ordering::SeqCst)),
@@ -2087,26 +1501,6 @@ mod tests {
     }
 
     #[test]
-    fn head_end_finder() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
-    }
-
-    #[test]
-    fn parse_head_accepts_and_rejects() {
-        let (m, p, h) = parse_head("POST /v1/experiments HTTP/1.1\r\nContent-Length: 12\r\nX-Y: z")
-            .expect("parses");
-        assert_eq!(m, "POST");
-        assert_eq!(p, "/v1/experiments");
-        assert_eq!(header(&h, "content-length"), Some("12"));
-        assert_eq!(header(&h, "x-y"), Some("z"));
-        assert!(parse_head("GARBAGE").is_err());
-        assert!(parse_head("GET / SPDY/9").is_err());
-        assert!(parse_head("GET / HTTP/1.1\r\nno-colon-here").is_err());
-    }
-
-    #[test]
     fn fire_is_first_cause_wins() {
         let s = JobState::new(100);
         assert_eq!(s.reason_code(), REASON_NONE);
@@ -2132,23 +1526,6 @@ mod tests {
             reason_error(REASON_DRAIN, 0),
             ApiError::Cancelled(_)
         ));
-    }
-
-    #[test]
-    fn error_body_is_schema_versioned() {
-        let body = error_body(
-            "overloaded",
-            "queue full",
-            vec![("retry_after_s", Json::from(3u64))],
-        );
-        let doc = Json::parse(&body).expect("parses");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(ERROR_SCHEMA));
-        assert_eq!(doc.get("code").and_then(Json::as_str), Some("overloaded"));
-        assert_eq!(
-            doc.get("message").and_then(Json::as_str),
-            Some("queue full")
-        );
-        assert_eq!(doc.get("retry_after_s").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
@@ -2199,28 +1576,20 @@ mod tests {
     }
 
     #[test]
-    fn status_reasons_cover_every_emitted_code() {
-        for code in [
-            200, 202, 400, 404, 405, 408, 409, 411, 413, 422, 429, 431, 499, 500, 503,
-        ] {
-            assert_ne!(status_reason(code), "Unknown", "status {code}");
-        }
-    }
-
-    #[test]
     fn deadline_header_distinguishes_absent_valid_and_malformed() {
         let hdrs = |v: &str| vec![("x-deadline-ms".to_string(), v.to_string())];
         assert_eq!(parse_deadline(&[]), Ok(None));
         assert_eq!(parse_deadline(&hdrs("250")), Ok(Some(250)));
         assert_eq!(parse_deadline(&hdrs(" 42 ")), Ok(Some(42)));
-        assert_eq!(parse_deadline(&hdrs("-5")), Err("-5".to_string()));
-        assert_eq!(parse_deadline(&hdrs("soon")), Err("soon".to_string()));
-        assert_eq!(parse_deadline(&hdrs("1.5")), Err("1.5".to_string()));
-        let body = deadline_invalid_body("-5");
-        let doc = Json::parse(&body).expect("parses");
-        assert_eq!(
-            doc.get("code").and_then(Json::as_str),
-            Some("deadline_invalid")
-        );
+        for raw in ["-5", "soon", "1.5"] {
+            let Err((status, body)) = parse_deadline(&hdrs(raw)) else {
+                panic!("{raw:?} must be rejected");
+            };
+            assert_eq!(status, 400);
+            let doc = Json::parse(&body).expect("parses");
+            let field = |k| doc.get(k).and_then(Json::as_str).unwrap_or_default();
+            assert_eq!(field("code"), "deadline_invalid");
+            assert!(field("message").contains(&format!("{raw:?}")), "{body}");
+        }
     }
 }

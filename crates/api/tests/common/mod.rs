@@ -1,10 +1,11 @@
-//! Shared helpers for the serve integration tests: a minimal HTTP/1.1
-//! client over `TcpStream` and spec fixtures.
+//! Shared helpers for the serve integration tests: wrappers over the
+//! crate's HTTP client, server and router starters, and spec fixtures.
 //!
 //! Each integration test binary compiles its own copy, so helpers used by
 //! only one binary look dead in the others.
 #![allow(dead_code)]
 
+use greencloud_api::http::{Conn, Response};
 use greencloud_api::json::Json;
 use greencloud_api::spec::{AnnualSpec, ExperimentSpec, SearchSpec, SitingSpec};
 use greencloud_api::{Engine, Router, RouterConfig, ServeConfig, Server};
@@ -13,8 +14,8 @@ use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::framework::PlacementInput;
 use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::scheduler::SchedulerConfig;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write as _;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 pub const SEED: u64 = 20140701;
@@ -67,46 +68,30 @@ pub fn start_router(
     (router, addr)
 }
 
-/// A parsed response.
-pub struct Resp {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    pub body: String,
+/// JSON helpers on a response.
+pub trait ResponseExt {
+    fn json(&self) -> Json;
+    fn code(&self) -> Option<String>;
+    /// The `greencloud-progress/1` frames, parsed — one per chunk.
+    fn progress_frames(&self) -> Vec<Json>;
+    /// The final streamed document (the report or error body), trailing
+    /// whitespace trimmed.
+    fn final_document(&self) -> String;
 }
 
-/// A persistent keep-alive HTTP/1.1 client: many requests over one
-/// `TcpStream`, each response read by its declared framing
-/// (`Content-Length` or chunked) instead of connection close.
-pub struct Session {
-    stream: TcpStream,
-    carry: Vec<u8>,
-}
-
-/// One response off a [`Session`], framing-aware.
-pub struct FramedResp {
-    pub status: u16,
-    pub headers: Vec<(String, String)>,
-    /// Decoded body: for chunked responses, the concatenated chunk
-    /// payloads.
-    pub body: String,
-    /// Per-chunk payloads of a chunked response. The streaming protocol
-    /// writes one JSON document per chunk (progress frames, then the
-    /// final report or error), so these are the protocol messages.
-    pub chunks: Vec<String>,
-    /// True when the response used chunked transfer encoding.
-    pub chunked: bool,
-}
-
-impl FramedResp {
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+impl ResponseExt for Response {
+    fn json(&self) -> Json {
+        Json::parse(&self.body).expect("response body parses as JSON")
     }
 
-    /// The `greencloud-progress/1` frames, parsed — one per chunk.
-    pub fn progress_frames(&self) -> Vec<Json> {
+    fn code(&self) -> Option<String> {
+        self.json()
+            .get("code")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    }
+
+    fn progress_frames(&self) -> Vec<Json> {
         self.chunks
             .iter()
             .filter_map(|c| Json::parse(c).ok())
@@ -116,9 +101,7 @@ impl FramedResp {
             .collect()
     }
 
-    /// The final streamed document (the report or error body), trailing
-    /// whitespace trimmed.
-    pub fn final_document(&self) -> String {
+    fn final_document(&self) -> String {
         self.chunks
             .last()
             .map(|c| c.trim_end().to_string())
@@ -126,21 +109,18 @@ impl FramedResp {
     }
 }
 
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
+fn connect(addr: SocketAddr) -> Conn {
+    let budget = Duration::from_secs(150);
+    Conn::connect(&addr.to_string(), Duration::from_secs(10), budget, budget).expect("connect")
 }
+
+/// A persistent keep-alive client: many requests over one connection,
+/// each response read by its framing.
+pub struct Session(Conn);
 
 impl Session {
     pub fn connect(addr: SocketAddr) -> Session {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(150)))
-            .expect("read timeout");
-        let _ = stream.set_nodelay(true);
-        Session {
-            stream,
-            carry: Vec::new(),
-        }
+        Session(connect(addr))
     }
 
     /// Sends one request (keep-alive) and reads exactly one response.
@@ -150,212 +130,51 @@ impl Session {
         path: &str,
         headers: &[(&str, &str)],
         body: Option<&[u8]>,
-    ) -> FramedResp {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\n");
-        if let Some(b) = body {
-            head.push_str(&format!("Content-Length: {}\r\n", b.len()));
-        }
-        for (k, v) in headers {
-            head.push_str(&format!("{k}: {v}\r\n"));
-        }
-        head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes()).expect("write head");
-        if let Some(b) = body {
-            self.stream.write_all(b).expect("write body");
-        }
-        self.stream.flush().expect("flush");
-        self.read_framed()
-    }
-
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 8192];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => panic!("connection closed mid-response"),
-            Ok(n) => self.carry.extend_from_slice(&chunk[..n]),
-            Err(e) => panic!("session read: {e}"),
-        }
-    }
-
-    fn read_framed(&mut self) -> FramedResp {
-        let head_end = loop {
-            if let Some(p) = find_subslice(&self.carry, b"\r\n\r\n") {
-                break p + 4;
-            }
-            self.fill();
-        };
-        let head_bytes: Vec<u8> = self.carry.drain(..head_end).collect();
-        let head = String::from_utf8_lossy(&head_bytes).to_string();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-        let headers: Vec<(String, String)> = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-            .collect();
-        let get = |name: &str| {
-            headers
-                .iter()
-                .find(|(k, _)| k.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        };
-        let chunked =
-            get("transfer-encoding").is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-        let mut chunks: Vec<String> = Vec::new();
-        let body = if chunked {
-            let mut payload = Vec::new();
-            loop {
-                let line_end = loop {
-                    if let Some(p) = find_subslice(&self.carry, b"\r\n") {
-                        break p;
-                    }
-                    self.fill();
-                };
-                let size_text = String::from_utf8_lossy(&self.carry[..line_end]).to_string();
-                let size =
-                    usize::from_str_radix(size_text.split(';').next().unwrap_or("").trim(), 16)
-                        .unwrap_or_else(|_| panic!("bad chunk size line {size_text:?}"));
-                self.carry.drain(..line_end + 2);
-                while self.carry.len() < size + 2 {
-                    self.fill();
-                }
-                if size > 0 {
-                    chunks.push(String::from_utf8_lossy(&self.carry[..size]).to_string());
-                }
-                payload.extend_from_slice(&self.carry[..size]);
-                self.carry.drain(..size + 2);
-                if size == 0 {
-                    break;
-                }
-            }
-            String::from_utf8_lossy(&payload).to_string()
-        } else {
-            let len = get("content-length")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(0);
-            while self.carry.len() < len {
-                self.fill();
-            }
-            let body_bytes: Vec<u8> = self.carry.drain(..len).collect();
-            String::from_utf8_lossy(&body_bytes).to_string()
-        };
-        FramedResp {
-            status,
-            headers,
-            body,
-            chunks,
-            chunked,
-        }
+    ) -> Response {
+        let headers = [&[("Host", "test")], headers].concat();
+        self.0
+            .request(method, path, &headers, body)
+            .expect("request")
     }
 }
 
-impl Resp {
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    pub fn json(&self) -> Json {
-        Json::parse(&self.body).expect("response body parses as JSON")
-    }
-
-    pub fn code(&self) -> Option<String> {
-        self.json()
-            .get("code")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    }
-}
-
-/// Sends one request and reads the full response (Connection: close).
+/// Sends one request on a fresh connection (`Connection: close`) and
+/// reads the response.
 pub fn http(
     addr: SocketAddr,
     method: &str,
     path: &str,
     headers: &[(&str, &str)],
     body: Option<&[u8]>,
-) -> Resp {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(150)))
-        .expect("read timeout");
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        head.push_str(&format!("Content-Length: {}\r\n", b.len()));
-    }
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes()).expect("write head");
-    if let Some(b) = body {
-        stream.write_all(b).expect("write body");
-    }
-    stream.flush().expect("flush");
-    read_response(&mut stream)
+) -> Response {
+    let headers = [&[("Host", "test"), ("Connection", "close")], headers].concat();
+    connect(addr)
+        .request(method, path, &headers, body)
+        .expect("request")
 }
 
-/// Sends raw bytes and reads whatever comes back (for malformed HTTP).
-pub fn http_raw(addr: SocketAddr, raw: &[u8]) -> Resp {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(150)))
-        .expect("read timeout");
-    stream.write_all(raw).expect("write raw");
-    stream.flush().expect("flush");
-    read_response(&mut stream)
+/// Sends raw bytes in one write and reads `n` responses (for malformed
+/// HTTP and pipelining).
+pub fn http_raw_n(addr: SocketAddr, raw: &[u8], n: usize) -> Vec<Response> {
+    let mut conn = connect(addr);
+    conn.stream().write_all(raw).expect("write raw");
+    (0..n)
+        .map(|_| conn.read_response().expect("response"))
+        .collect()
 }
 
-fn read_response(stream: &mut TcpStream) -> Resp {
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e) => {
-                assert!(!raw.is_empty(), "read error before any response: {e}");
-                break;
-            }
-        }
-    }
-    let text = String::from_utf8_lossy(&raw).to_string();
-    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    Resp {
-        status,
-        headers,
-        body: body.to_string(),
-    }
+/// Sends raw bytes and reads the response (for malformed HTTP).
+pub fn http_raw(addr: SocketAddr, raw: &[u8]) -> Response {
+    http_raw_n(addr, raw, 1).remove(0)
 }
 
 /// Connects, sends the full request, then hangs up without reading — the
 /// server should detect the vanished client and cancel the solve.
 pub fn post_and_vanish(addr: SocketAddr, body: &[u8]) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "POST /v1/experiments HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nCache-Control: no-cache\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body).expect("write body");
-    stream.flush().expect("flush");
-    drop(stream);
+    let headers = [("Host", "test"), ("Cache-Control", "no-cache")];
+    connect(addr)
+        .send("POST", "/v1/experiments", &headers, Some(body))
+        .expect("send");
 }
 
 /// A small, fast annual spec; `start_hour` makes specs distinct.

@@ -13,8 +13,9 @@
 mod common;
 
 use common::{
-    annual_spec, http, normalize_report_json, remove_journal, start, temp_path, Resp, SEED,
+    annual_spec, http, normalize_report_json, remove_journal, start, temp_path, ResponseExt, SEED,
 };
+use greencloud_api::http::Response;
 use greencloud_api::json::Json;
 use greencloud_api::{Engine, JobStore, ServeConfig, Server};
 use greencloud_climate::catalog::WorldCatalog;
@@ -24,7 +25,7 @@ use std::time::Duration;
 
 /// Polls `GET /v1/jobs/:id` until `X-Job-Status` is terminal, then
 /// returns the final response. Panics after `budget_ms`.
-fn wait_terminal(addr: SocketAddr, id: &str, budget_ms: u64) -> Resp {
+fn wait_terminal(addr: SocketAddr, id: &str, budget_ms: u64) -> Response {
     let mut waited = 0u64;
     loop {
         let resp = http(addr, "GET", &format!("/v1/jobs/{id}"), &[], None);

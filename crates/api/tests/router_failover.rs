@@ -6,6 +6,7 @@ mod common;
 
 use common::{
     annual_spec, http, normalize_report_json, remove_journal, start, start_router, temp_path,
+    ResponseExt,
 };
 use greencloud_api::json::Json;
 use greencloud_api::{Engine, ServeConfig, Server};

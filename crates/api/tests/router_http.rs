@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{annual_spec, http, start, start_router, Session};
+use common::{annual_spec, http, http_raw_n, start, start_router, ResponseExt, Session};
 use greencloud_api::json::Json;
 
 /// A duplicate-spec burst through the router over three backends must
@@ -266,6 +266,29 @@ fn local_endpoints_and_drain_summary() {
     assert_eq!(summary.all_dark, 0);
     assert_eq!(summary.aborted_relays, 0);
 
+    server.trigger_shutdown();
+    server.join();
+}
+
+/// Two requests sent in one write get two responses, in order — from a
+/// backend directly and through the router alike.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (server, server_addr) = start(|_| {});
+    let (router, router_addr) = start_router(&[server_addr], |_| {});
+    let raw = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n\
+                GET /v1/readyz HTTP/1.1\r\nHost: t\r\n\r\n";
+    for addr in [server_addr, router_addr] {
+        // Each answer in order: healthz first, then readyz.
+        for (resp, want) in http_raw_n(addr, raw, 2).iter().zip(["ok", "ready"]) {
+            let doc = resp.json();
+            let status = doc.get("status").and_then(Json::as_str);
+            assert_eq!((resp.status, status), (200, Some(want)), "from {addr}");
+        }
+    }
+
+    router.trigger_shutdown();
+    router.join();
     server.trigger_shutdown();
     server.join();
 }

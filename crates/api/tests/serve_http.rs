@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{annual_spec, http, http_raw, siting_spec, start};
+use common::{annual_spec, http, http_raw, siting_spec, start, ResponseExt};
 use greencloud_api::json::Json;
 use std::thread;
 

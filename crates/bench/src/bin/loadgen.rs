@@ -52,11 +52,11 @@
 //! same spec. `--allow-transport` additionally tolerates transport errors
 //! (statuses 0/599), for bursts deliberately cut down by `kill -9`.
 
+use greencloud_api::http::{self, Conn, Response};
 use greencloud_api::json::Json;
 use greencloud_api::wallclock::Stopwatch;
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -269,98 +269,51 @@ fn perturb_start_hour(doc: &mut Json, hour: u64) -> bool {
     true
 }
 
-/// A parsed HTTP response: status, cache marker, body text.
-struct Response {
-    status: u16,
-    cache_hit: bool,
-    body: String,
-}
-
 /// Sends one request over a fresh connection and reads the response.
-/// `cut_after` truncates the write mid-body and hangs up (mid-request
-/// disconnect chaos); `drop_after_send` hangs up right after writing
-/// without reading the response (cancels the in-flight solve).
+/// `hang_up_after` sends only that many body bytes, announcing the whole
+/// body, and hangs up without reading: mid-body it is the mid-request
+/// disconnect chaos, which the server's read budget must reclaim; after
+/// the whole body it cancels the in-flight solve.
 fn send_request(
     addr: &str,
     method: &str,
     path: &str,
     body: &[u8],
-    headers: &[(&str, String)],
-    cut_after: Option<usize>,
-    drop_after_send: bool,
+    headers: &[(&str, &str)],
+    hang_up_after: Option<usize>,
 ) -> Result<Option<Response>, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(150)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    );
-    for (k, v) in headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream
-        .write_all(head.as_bytes())
-        .map_err(|e| format!("write head: {e}"))?;
-    if let Some(cut) = cut_after {
-        let cut = cut.min(body.len());
-        let _ = stream.write_all(&body[..cut]);
-        let _ = stream.flush();
-        // Hang up mid-body: the server's read budget must reclaim this.
+    let mut conn = Conn::connect(
+        addr,
+        Duration::from_secs(10),
+        Duration::from_secs(150),
+        Duration::from_secs(10),
+    )
+    .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut all = vec![
+        ("Host", addr),
+        ("Content-Type", "application/json"),
+        ("Connection", "close"),
+    ];
+    all.extend_from_slice(headers);
+    if let Some(cut) = hang_up_after {
+        let msg = http::request_bytes(method, path, &all, Some(body));
+        let sent = msg.len() - body.len() + cut.min(body.len());
+        let part = msg.get(..sent).unwrap_or_default();
+        conn.stream()
+            .write_all(part)
+            .map_err(|e| format!("write: {e}"))?;
         return Ok(None);
     }
-    stream
-        .write_all(body)
-        .map_err(|e| format!("write body: {e}"))?;
-    stream.flush().map_err(|e| format!("flush: {e}"))?;
-    if drop_after_send {
-        // Hang up without reading: the server should detect the vanished
-        // client and cancel the solve.
-        return Ok(None);
+    let sent = conn.send(method, path, &all, Some(body));
+    // A server refusing an oversized body answers and closes before
+    // taking all of it, so a failed write still reads the response.
+    match conn.read_response() {
+        Ok(r) => Ok(Some(r)),
+        Err(e) => Err(match sent {
+            Err(w) => format!("write: {w}"),
+            Ok(()) => format!("read: {e}"),
+        }),
     }
-    let mut raw = Vec::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e) => {
-                if raw.is_empty() {
-                    return Err(format!("read: {e}"));
-                }
-                break;
-            }
-        }
-    }
-    let text = String::from_utf8_lossy(&raw).to_string();
-    // Skip interim 100 Continue responses before parsing the real one.
-    let resp = match text.strip_prefix("HTTP/1.1 100") {
-        Some(_) => text
-            .split_once("\r\n\r\n")
-            .map(|(_, rest)| rest.to_string())
-            .unwrap_or_default(),
-        None => text,
-    };
-    let status_line = resp.split("\r\n").next().unwrap_or("");
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let (head_text, body_text) = resp
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((resp, String::new()));
-    let cache_hit = head_text
-        .lines()
-        .any(|l| l.to_ascii_lowercase().starts_with("x-cache:") && l.contains("hit"));
-    Ok(Some(Response {
-        status,
-        cache_hit,
-        body: body_text,
-    }))
 }
 
 /// One worker request: picks a behavior for request `i` and executes it.
@@ -379,7 +332,6 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                 b"{\"schema\": \"greencloud-spec/1\", ",
                 &[],
                 None,
-                false,
             ),
         ),
         // 10% oversized body → 413 (2 MiB of padding).
@@ -387,15 +339,7 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
             let huge = vec![b' '; 2 * 1024 * 1024];
             (
                 KIND_OVERSIZED,
-                send_request(
-                    &cfg.addr,
-                    "POST",
-                    "/v1/experiments",
-                    &huge,
-                    &[],
-                    None,
-                    false,
-                ),
+                send_request(&cfg.addr, "POST", "/v1/experiments", &huge, &[], None),
             )
         }
         // 5% mid-request disconnect → no response, server must recover.
@@ -408,7 +352,6 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                 spec_text.as_bytes(),
                 &[],
                 Some(spec_text.len() / 2),
-                false,
             ),
         ),
         // 5% post-request disconnect → in-flight solve is cancelled.
@@ -420,8 +363,7 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                 "/v1/experiments",
                 spec_text.as_bytes(),
                 &[],
-                None,
-                true,
+                Some(spec_text.len()),
             ),
         ),
         // 10% deadline storm: a 1 ms deadline → 408 (or a 200 when the
@@ -433,20 +375,20 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                 "POST",
                 "/v1/experiments",
                 spec_text.as_bytes(),
-                &[("X-Deadline-Ms", "1".to_string())],
+                &[("X-Deadline-Ms", "1")],
                 None,
-                false,
             ),
         ),
         // The rest: honest traffic — synchronous solves, or durable job
         // submissions under --jobs.
         _ => {
-            let mut headers: Vec<(&str, String)> = Vec::new();
+            let deadline = cfg.deadline_ms.to_string();
+            let mut headers: Vec<(&str, &str)> = Vec::new();
             if cfg.no_cache {
-                headers.push(("Cache-Control", "no-cache".to_string()));
+                headers.push(("Cache-Control", "no-cache"));
             }
             if cfg.deadline_ms > 0 {
-                headers.push(("X-Deadline-Ms", cfg.deadline_ms.to_string()));
+                headers.push(("X-Deadline-Ms", &deadline));
             }
             if cfg.jobs {
                 let out = send_request(
@@ -456,7 +398,6 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                     spec_text.as_bytes(),
                     &headers,
                     None,
-                    false,
                 );
                 if let (Some(dir), Ok(Some(r))) = (&cfg.jobs_dir, &out) {
                     if r.status == 202 {
@@ -474,7 +415,6 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
                         spec_text.as_bytes(),
                         &headers,
                         None,
-                        false,
                     ),
                 )
             }
@@ -486,7 +426,7 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
             kind,
             status: r.status,
             ms,
-            cache_hit: r.cache_hit,
+            cache_hit: r.header("x-cache").is_some_and(|v| v.contains("hit")),
         },
         Ok(None) => Sample {
             kind,
@@ -506,7 +446,7 @@ fn run_one(cfg: &Config, specs: &[String], i: usize) -> Sample {
 /// One backend's `(received, cache_hits)` counters from `/v1/stats`, or
 /// `None` when the backend is unreachable (e.g. killed mid-burst).
 fn backend_cache_counters(addr: &str) -> Option<(u64, u64)> {
-    let resp = send_request(addr, "GET", "/v1/stats", b"", &[], None, false).ok()??;
+    let resp = send_request(addr, "GET", "/v1/stats", b"", &[], None).ok()??;
     if resp.status != 200 {
         return None;
     }
@@ -704,15 +644,7 @@ fn verify_one_job(cfg: &Config, id: &str, spec: &str) -> VerifyOutcome {
         if budget.elapsed_ms() / 1e3 > cfg.verify_timeout_s as f64 {
             return VerifyOutcome::Failed(format!("not terminal within {}s", cfg.verify_timeout_s));
         }
-        let resp = send_request(
-            &cfg.addr,
-            "GET",
-            &format!("/v1/jobs/{id}"),
-            b"",
-            &[],
-            None,
-            false,
-        );
+        let resp = send_request(&cfg.addr, "GET", &format!("/v1/jobs/{id}"), b"", &[], None);
         match resp {
             Ok(Some(r)) if r.status == 200 => {
                 let Ok(doc) = Json::parse(&r.body) else {
@@ -759,9 +691,8 @@ fn verify_one_job(cfg: &Config, id: &str, spec: &str) -> VerifyOutcome {
             "POST",
             "/v1/experiments",
             spec.as_bytes(),
-            &[("Cache-Control", "no-cache".to_string())],
+            &[("Cache-Control", "no-cache")],
             None,
-            false,
         ) {
             Ok(Some(r)) if r.status == 200 => break r.body,
             // Shed under recovery load: back off and retry.

@@ -13,10 +13,9 @@ use crate::geo::LatLon;
 use crate::weather::{ClimateParams, Tmy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a location inside one catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocationId(pub usize);
 
 impl LocationId {
@@ -27,7 +26,7 @@ impl LocationId {
 }
 
 /// A candidate datacenter location.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Location {
     /// Catalog identifier.
     pub id: LocationId,
@@ -44,7 +43,7 @@ pub struct Location {
 }
 
 /// The set of candidate locations for siting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldCatalog {
     locations: Vec<Location>,
     seed: u64,

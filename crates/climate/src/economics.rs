@@ -7,10 +7,9 @@
 //! ~$90/MWh, line distances up to a few hundred km).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Economic attributes of a candidate location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Economics {
     /// Industrial land price, $/m².
     pub land_usd_per_m2: f64,

@@ -1,13 +1,12 @@
 //! Coordinates, great-circle distances, and longitude-derived time zones.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A geographic coordinate in decimal degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatLon {
     /// Latitude, degrees north (−90..=90).
     pub lat: f64,

@@ -15,7 +15,6 @@
 use crate::weather::Tmy;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hours represented by one slot must total the full year.
 pub const YEAR_HOURS: f64 = 8760.0;
@@ -24,7 +23,7 @@ pub const YEAR_HOURS: f64 = 8760.0;
 const SEASON_BOUNDS: [(usize, usize); 4] = [(0, 91), (91, 182), (182, 273), (273, 365)];
 
 /// Configuration of representative-day selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfileConfig {
     /// Representative days sampled per season (1 = fastest, 2–3 typical).
     pub days_per_season: usize,
@@ -76,7 +75,7 @@ impl ProfileConfig {
 }
 
 /// One weighted hour of weather.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeatherSlot {
     /// Dry-bulb temperature, °C.
     pub temp_c: f64,
@@ -91,7 +90,7 @@ pub struct WeatherSlot {
 }
 
 /// A location's weather compressed onto the shared slot clock.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherProfile {
     slots: Vec<WeatherSlot>,
 }

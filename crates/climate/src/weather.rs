@@ -22,10 +22,9 @@ use crate::solar;
 use crate::HOURS_PER_YEAR;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Climate description of a location, the input to TMY synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClimateParams {
     /// Annual mean temperature, °C.
     pub t_mean_c: f64,
@@ -67,7 +66,7 @@ impl Default for ClimateParams {
 }
 
 /// One synthetic Typical Meteorological Year of hourly data (UTC-indexed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tmy {
     /// Dry-bulb temperature, °C.
     pub temp_c: Vec<f64>,

@@ -12,18 +12,17 @@ use crate::availability::min_datacenters;
 use crate::candidate::CandidateSite;
 use crate::formulation::{build_network_lp_cached, NetworkDispatch};
 use crate::framework::{PlacementInput, SizeClass};
+use crate::lock_ok;
 use crate::siteblock::SiteBlockCache;
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Basis, SimplexOptions, SolveError};
-use parking_lot::{Mutex, RwLock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One siting: sorted, de-duplicated `(candidate index, size class)` pairs.
 pub type Siting = Vec<(usize, SizeClass)>;
@@ -65,7 +64,7 @@ impl Default for AnnealOptions {
 }
 
 /// Counters describing how the search spent its LP budget.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
     /// LP solves actually performed (eval-cache misses).
     pub evaluations: usize,
@@ -174,11 +173,11 @@ impl EvalCache {
     }
 
     fn get(&self, siting: &Siting) -> Option<CachedEval> {
-        self.shard(siting).lock().map.get(siting).cloned()
+        lock_ok(self.shard(siting)).map.get(siting).cloned()
     }
 
     fn insert(&self, siting: Siting, mut entry: CachedEval) {
-        let mut shard = self.shard(&siting).lock();
+        let mut shard = lock_ok(self.shard(&siting));
         if entry.basis.is_some() {
             if shard.bases_held >= Self::BASIS_CAP_PER_SHARD {
                 entry.basis = None;
@@ -255,18 +254,17 @@ pub fn anneal(
     let initial: Siting = (0..n_min).map(|i| (i, class_for(n_min))).collect();
 
     let chains = options.chains.max(1);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for chain in 0..chains {
             let shared = &shared;
             let initial = initial.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 run_chain(
                     params, input, candidates, options, chain, initial, shared, n_min,
                 );
             });
         }
-    })
-    .expect("annealing threads never panic");
+    });
 
     let stats = SearchStats {
         evaluations: shared.evals.load(Ordering::Relaxed),
@@ -281,7 +279,10 @@ pub fn anneal(
         btrans: shared.btrans.load(Ordering::Relaxed),
         pricing_ns: shared.pricing_ns.load(Ordering::Relaxed),
     };
-    let best = shared.best.into_inner();
+    let best = shared
+        .best
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     match best {
         Some((_, siting, dispatch)) => Ok(AnnealResult {
             siting,
@@ -339,7 +340,7 @@ fn run_chain(
         // Periodic synchronization: adopt the global best.
         if iter % 8 == 7 {
             let adopted = {
-                let best = shared.best.read();
+                let best = shared.best.read().unwrap_or_else(PoisonError::into_inner);
                 match best.as_ref() {
                     Some((bc, bs, _)) if *bc < current_cost => Some((*bc, bs.clone())),
                     _ => None,
@@ -420,6 +421,7 @@ fn run_chain(
         let improved = shared
             .best
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
             .is_some_and(|(bc, _, _)| cost < *bc);
         if improved {
@@ -487,11 +489,12 @@ fn evaluate(
             let better = shared
                 .best
                 .read()
+                .unwrap_or_else(PoisonError::into_inner)
                 .as_ref()
                 .is_none_or(|(bc, _, _)| cost < *bc);
             if better {
                 // Re-check under the write lock; another chain may have won.
-                let mut best = shared.best.write();
+                let mut best = shared.best.write().unwrap_or_else(PoisonError::into_inner);
                 if best.as_ref().is_none_or(|(bc, _, _)| cost < *bc) {
                     *best = Some((cost, siting.clone(), dispatch));
                 }

@@ -6,7 +6,6 @@ use greencloud_climate::geo::LatLon;
 use greencloud_climate::profiles::{ProfileConfig, WeatherProfile};
 use greencloud_energy::capacity_factor::CapacityFactors;
 use greencloud_energy::profile::EnergyProfile;
-use serde::{Deserialize, Serialize};
 
 /// A candidate location with everything the optimizer needs: economics,
 /// slot-level energy coefficients, and annual statistics.
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Building a candidate synthesizes and aggregates the location's TMY year,
 /// which costs a few milliseconds; candidates are therefore built once and
 /// shared across the thousands of LP evaluations of the heuristic search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CandidateSite {
     /// Catalog identity.
     pub id: LocationId,
@@ -73,16 +72,15 @@ impl CandidateSite {
         }
         let chunk = ids.len().div_ceil(threads);
         let mut slots: Vec<Option<CandidateSite>> = vec![None; ids.len()];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (slot_chunk, id_chunk) in slots.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, id) in slot_chunk.iter_mut().zip(id_chunk) {
                         *slot = Some(CandidateSite::build(catalog, *id, config));
                     }
                 });
             }
-        })
-        .expect("candidate building never panics");
+        });
         slots.into_iter().map(|c| c.expect("built")).collect()
     }
 

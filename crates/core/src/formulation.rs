@@ -33,11 +33,10 @@ use crate::siteblock::{SiteBlock, SiteBlockCache, SiteVars, MONTHS};
 use greencloud_cost::finance::{land_monthly_cost, monthly_cost};
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Basis, Model, Sense, SimplexOptions, Solution, SolveError, VarId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Monthly unit costs ($/month per MW or per MWh) for one site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitCosts {
     /// Per MW of compute capacity: building + IT + land + bandwidth.
     pub capacity_mw: f64,
@@ -134,7 +133,7 @@ pub struct NetworkLp {
 }
 
 /// Per-site sizing and dispatch extracted from the LP optimum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteDispatch {
     /// Compute capacity, MW.
     pub capacity_mw: f64,
@@ -171,7 +170,7 @@ pub struct SiteDispatch {
 }
 
 /// The LP optimum for a fixed siting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkDispatch {
     /// Total monthly cost, $ (the paper's `TotalCost` for this siting).
     pub monthly_cost: f64,

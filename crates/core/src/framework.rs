@@ -1,10 +1,9 @@
 //! The provider-facing problem statement.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which renewable technologies the provider may build on-site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechMix {
     /// No on-site plants at all (the paper's "Brown" baseline).
     BrownOnly,
@@ -29,7 +28,7 @@ impl TechMix {
 }
 
 /// How surplus green energy may be stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageMode {
     /// Bank energy in the grid with an annual true-up (the paper's default).
     NetMetering,
@@ -45,7 +44,7 @@ pub enum StorageMode {
 /// The heuristic solver fixes the class per candidate — exactly the paper's
 /// "specify whether each datacenter should be small or large" device that
 /// keeps the subproblem linear.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SizeClass {
     /// Maximum power ≤ 10 MW, $15/W.
     Small,
@@ -54,7 +53,7 @@ pub enum SizeClass {
 }
 
 /// Everything the cloud provider specifies when siting a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementInput {
     /// Minimum total compute power the network must always provide, MW
     /// (the paper's `totalCapacity`).
@@ -104,7 +103,7 @@ impl Default for PlacementInput {
 /// offending field and carries the offending value, so callers (and the
 /// `greencloud-api` error hierarchy) can match on the failure instead of
 /// parsing a message.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValidationError {
     /// `total_capacity_mw` must be positive and finite.
     NonPositiveCapacity(f64),

@@ -44,3 +44,12 @@ pub use candidate::CandidateSite;
 pub use framework::{PlacementInput, SizeClass, StorageMode, TechMix, ValidationError};
 pub use solution::{PlacementSolution, SitedDatacenter};
 pub use tool::{default_threads, PlacementTool, ToolOptions};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, treating poisoning as survivable: the workspace's shared
+/// state is caches, queues and counters whose invariants hold between
+/// individual operations, and panics are contained at the API boundary.
+pub fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

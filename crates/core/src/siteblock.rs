@@ -19,12 +19,12 @@
 use crate::candidate::CandidateSite;
 use crate::formulation::UnitCosts;
 use crate::framework::{PlacementInput, SizeClass, StorageMode};
+use crate::lock_ok;
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Model, Sense, VarId};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Months per year (energy flows are annual; costs are reported monthly).
 pub(crate) const MONTHS: f64 = 12.0;
@@ -462,7 +462,7 @@ impl SiteBlockCache {
         class: SizeClass,
     ) -> Arc<SiteBlock> {
         {
-            let mut fp = self.fingerprint.lock();
+            let mut fp = lock_ok(&self.fingerprint);
             match fp.as_ref() {
                 None => *fp = Some((params.clone(), input.clone())),
                 Some((p, i)) => assert!(
@@ -473,13 +473,13 @@ impl SiteBlockCache {
             }
         }
         let shard = self.shard(ci);
-        if let Some(hit) = shard.lock().get(&(ci, class)) {
+        if let Some(hit) = lock_ok(shard).get(&(ci, class)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         // Compile outside the lock; losing a race just wastes one build.
         let block = Arc::new(SiteBlock::build(params, input, ci, site, class));
-        let mut guard = shard.lock();
+        let mut guard = lock_ok(shard);
         let entry = guard
             .entry((ci, class))
             .or_insert_with(|| Arc::clone(&block));

@@ -8,10 +8,9 @@ use greencloud_climate::catalog::LocationId;
 use greencloud_climate::geo::LatLon;
 use greencloud_cost::breakdown::{CostBreakdown, Provisioning};
 use greencloud_cost::params::CostParams;
-use serde::{Deserialize, Serialize};
 
 /// One datacenter in the final solution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SitedDatacenter {
     /// The catalog location.
     pub location: LocationId,
@@ -40,7 +39,7 @@ pub struct SitedDatacenter {
 }
 
 /// A complete siting/provisioning solution for a placement input.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacementSolution {
     /// The sited datacenters.
     pub datacenters: Vec<SitedDatacenter>,

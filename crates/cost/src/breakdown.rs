@@ -3,10 +3,9 @@
 use crate::finance::{land_monthly_cost, monthly_cost};
 use crate::params::CostParams;
 use greencloud_climate::economics::Economics;
-use serde::{Deserialize, Serialize};
 
 /// Physical sizing of one datacenter and its on-site plants.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Provisioning {
     /// IT compute capacity, kW (the paper's `capacity(d)`).
     pub capacity_kw: f64,
@@ -32,7 +31,7 @@ impl Provisioning {
 /// The component split matches the paper's Fig. 7 stack: datacenter
 /// building, IT equipment, grid/network connections, land, green plants,
 /// batteries, network bandwidth, and brown energy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Datacenter construction (power + cooling infrastructure).
     pub building_dc: f64,

@@ -1,13 +1,11 @@
 //! Table I framework parameters (2011 price levels, as in the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// All provider-level framework defaults of the paper's Table I.
 ///
 /// Per-location parameters (land price, electricity price, distances,
 /// capacity factors) live on `greencloud_climate::Location`; this struct
 /// holds everything that is location-independent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// Annual interest rate used to finance all CAPEX.
     pub interest_rate: f64,

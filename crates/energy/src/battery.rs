@@ -5,10 +5,8 @@
 //! battery dynamics as constraints; this runtime ledger is used by the
 //! GreenNebula emulation and enforces the same physics imperatively.
 
-use serde::{Deserialize, Serialize};
-
 /// A battery bank with finite capacity and lossy charging.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     capacity_kwh: f64,
     level_kwh: f64,

@@ -4,10 +4,9 @@ use crate::pue::PueModel;
 use crate::pv::PvModel;
 use crate::windturbine::Turbine;
 use greencloud_climate::weather::Tmy;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated annual statistics of a location's energy characteristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityFactors {
     /// Solar capacity factor: annual mean of α(d,t).
     pub solar: f64,

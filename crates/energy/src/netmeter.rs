@@ -6,10 +6,8 @@
 //! real tariffs and closing the paper's cash-out loophole — total credit
 //! revenue can never exceed what the operator actually pays the utility.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-location net-metering account.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetMeter {
     banked_kwh: f64,
     pushed_kwh: f64,

@@ -5,14 +5,13 @@ use crate::pv::PvModel;
 use crate::windturbine::Turbine;
 use greencloud_climate::profiles::WeatherProfile;
 use greencloud_climate::weather::Tmy;
-use serde::{Deserialize, Serialize};
 
 /// α, β, and PUE per time slot, with slot weights.
 ///
 /// Built either from a representative-day [`WeatherProfile`] (for the siting
 /// optimization) or from a full hourly TMY (for GreenNebula emulation, where
 /// every weight is one hour).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyProfile {
     /// Solar production fraction per slot.
     pub alpha: Vec<f64>,

@@ -6,8 +6,6 @@
 //! to ≈ 1.4 at 45 °C. We fit a piecewise-linear curve through the figure's
 //! knee points.
 
-use serde::{Deserialize, Serialize};
-
 /// `(outside °C, PUE)` knots of the paper's Fig. 4 curve.
 const FIG4_KNOTS: &[(f64, f64)] = &[
     (15.0, 1.050),
@@ -20,7 +18,7 @@ const FIG4_KNOTS: &[(f64, f64)] = &[
 ];
 
 /// PUE model (Fig. 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PueModel;
 
 impl PueModel {

@@ -8,10 +8,8 @@
 //! the STC rating; it determines *land area per kW* (Table I's `areaSolar`),
 //! not α.
 
-use serde::{Deserialize, Serialize};
-
 /// PV array model producing the paper's α(d,t).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PvModel {
     /// Fixed DC→AC system derate (inverter, wiring, soiling).
     pub system_derate: f64,

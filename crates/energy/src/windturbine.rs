@@ -5,8 +5,6 @@
 //! interpolation, an air-density correction in the sub-rated region, and
 //! the storm-control ramp-down Enercon fits above 28 m/s.
 
-use serde::{Deserialize, Serialize};
-
 /// Published E-126 power curve `(wind speed m/s, output kW)` at standard
 /// air density (1.225 kg/m³).
 const E126_CURVE: &[(f64, f64)] = &[
@@ -33,7 +31,7 @@ pub const RHO_0: f64 = 1.225;
 const R_AIR: f64 = 287.05;
 
 /// A wind turbine model producing the paper's β(d,t).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Turbine {
     /// Rated electrical output, kW.
     pub rated_kw: f64,

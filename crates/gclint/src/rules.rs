@@ -81,6 +81,7 @@ fn panic_scope(p: &str) -> bool {
         || p == "crates/api/src/serve.rs"
         || p == "crates/api/src/store.rs"
         || p == "crates/api/src/router.rs"
+        || p == "crates/api/src/http.rs"
 }
 
 fn lp_scope(p: &str) -> bool {
@@ -530,6 +531,8 @@ mod tests {
         let d = diag("crates/api/src/store.rs", src);
         assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
         let d = diag("crates/api/src/router.rs", src);
+        assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
+        let d = diag("crates/api/src/http.rs", src);
         assert!(d.iter().any(|d| d.rule == "panic-path"), "{d:?}");
         // ...but the rest of the api crate is not.
         assert!(diag("crates/api/src/engine.rs", src).is_empty());

@@ -2,12 +2,11 @@
 
 use crate::expr::LinExpr;
 use crate::revised::{RevisedSimplex, SimplexOptions};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// Handle to a decision variable in a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -26,7 +25,7 @@ impl VarId {
 }
 
 /// Handle to a constraint in a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConId(pub(crate) usize);
 
 impl ConId {
@@ -37,7 +36,7 @@ impl ConId {
 }
 
 /// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sense {
     /// `expr ≤ rhs`
     Le,
@@ -58,7 +57,7 @@ impl fmt::Display for Sense {
 }
 
 /// Continuity class of a variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VarKind {
     /// Real-valued.
     #[default]
@@ -68,7 +67,7 @@ pub enum VarKind {
     Integer,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct VarDef {
     pub name: String,
     pub lb: f64,
@@ -77,7 +76,7 @@ pub(crate) struct VarDef {
     pub kind: VarKind,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct ConDef {
     pub name: String,
     pub terms: Vec<(VarId, f64)>,
@@ -115,7 +114,7 @@ impl fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// An optimal solution to a [`Model`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// Objective value (minimization).
     pub objective: f64,
@@ -160,7 +159,7 @@ impl Index<VarId> for Solution {
 /// expressions compared against a right-hand side. The model is solved with
 /// [`Model::solve`] (LP, integrality relaxed) or
 /// [`crate::BranchAndBound`] (MILP).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Model {
     pub(crate) vars: Vec<VarDef>,
     pub(crate) cons: Vec<ConDef>,

@@ -27,10 +27,9 @@
 use crate::lu::{ColMatrix, FactorizeError, RowMatrix, SparseLu};
 use crate::model::{Model, Sense, Solution, SolveError};
 use crate::wallclock::Stopwatch;
-use serde::{Deserialize, Serialize};
 
 /// Status of one column in an exported [`Basis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisStatus {
     /// In the basis (its value is determined by the basic solve).
     Basic,
@@ -52,7 +51,7 @@ pub enum BasisStatus {
 /// via [`crate::lu::SparseLu`], primal feasibility) and silently falls back
 /// to the cold crash basis when it cannot be used, so warm starts never
 /// change *what* is solved — only how fast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     statuses: Vec<BasisStatus>,
     /// Rows whose *artificial* column was still (degenerately) basic at
@@ -116,7 +115,7 @@ impl Basis {
 /// All modes share the same incrementally maintained reduced costs and the
 /// same Bland's-rule anti-cycling escape; they differ only in how the next
 /// entering column is chosen from those reduced costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PricingMode {
     /// Devex reference-framework pricing: columns are ranked by
     /// `d²/w` where the weight `w` approximates the steepest-edge norm and
@@ -142,7 +141,7 @@ pub enum PricingMode {
 /// Equality compares the deterministic pivot/solve counters only:
 /// `pricing_ns` is measured wall time and is excluded, so two replays of
 /// the same solve compare equal even though their clocks differ.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
     /// Simplex iterations (phase 1 + phase 2 + dual restoration), including
     /// any discarded warm attempt that fell back to a cold solve.

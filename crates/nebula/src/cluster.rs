@@ -2,15 +2,14 @@
 
 use crate::vm::{Vm, VmId, VmSpec};
 use greencloud_climate::geo::LatLon;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a datacenter in the deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DatacenterId(pub u32);
 
 /// A physical machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     /// CPU cores.
     pub cores: u32,
@@ -65,7 +64,7 @@ impl Host {
 
 /// A datacenter: hosts plus its on-site plant capacities, managed by a
 /// first-fit placer (the within-datacenter OpenNebula role).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Datacenter {
     /// Identity.
     pub id: DatacenterId,

@@ -43,7 +43,6 @@ use crate::predictor::{GreenPredictor, PredictionMode};
 use crate::scheduler::{RollingScheduler, RollingStats, SchedulerConfig, SiteState};
 use crate::vm::{Vm, VmId, VmSpec};
 use crate::wan::WanModel;
-use bytes::Bytes;
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_energy::battery::Battery;
 use greencloud_energy::netmeter::NetMeter;
@@ -52,11 +51,11 @@ use greencloud_energy::pue::PueModel;
 use greencloud_energy::pv::PvModel;
 use greencloud_energy::windturbine::Turbine;
 use greencloud_simkernel::{Engine, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// One emulated site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationSite {
     /// Catalog name substring identifying the location (e.g. "Harare").
     pub location_name: String,
@@ -71,7 +70,7 @@ pub struct EmulationSite {
 }
 
 /// Emulation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationConfig {
     /// Total IT load, MW (the paper's 50 MW requirement).
     pub total_load_mw: f64,
@@ -162,7 +161,7 @@ impl EmulationConfig {
 }
 
 /// One datacenter-hour of the Fig. 15 trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRow {
     /// Hour since the start of the run.
     pub hour: usize,
@@ -191,7 +190,7 @@ pub struct TraceRow {
 }
 
 /// One executed VM migration (the report's audit log).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRecord {
     /// Hour the migration started.
     pub hour: usize,
@@ -212,7 +211,7 @@ pub struct MigrationRecord {
 /// Equality is exact on every simulated quantity ([`RollingStats`] excludes
 /// its wall-clock field), so two runs of one config compare equal iff they
 /// are deterministic replays of each other.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationReport {
     /// Per datacenter-hour rows (Fig. 15's series).
     pub rows: Vec<TraceRow>,
@@ -891,7 +890,7 @@ pub fn run_observed(
                         file: FileId(vmid.0 as u64),
                         index: (h as u32 * dirty_blocks + k) % blocks_per_vm,
                     };
-                    gdfs.write(block, DatacenterId(i as u32), Bytes::new());
+                    gdfs.write(block, DatacenterId(i as u32), Arc::from([]));
                 }
             }
         }

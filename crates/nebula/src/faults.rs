@@ -31,10 +31,9 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// The fault taxonomy (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A whole datacenter goes dark: no IT capacity, no green plant.
     SiteOutage,
@@ -75,7 +74,7 @@ impl FaultKind {
 
 /// A hand-placed fault on top of the drawn schedule (reproducible chaos
 /// experiments: "kill Harare at hour 6 for 12 hours").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// What fails.
     pub kind: FaultKind,
@@ -97,7 +96,7 @@ pub struct ScheduledFault {
 /// The default is entirely quiet (no drawn faults, nothing scheduled), so
 /// `FaultSpec::default()` attached to an emulation reproduces the fault-free
 /// run plus an all-zero resilience report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Seed for the drawn fault streams (`GC_FAULT_SEED` overrides).
     pub seed: u64,
@@ -575,7 +574,7 @@ impl FaultSchedule {
 
 /// Resilience statistics accumulated by a fault-injected emulation run
 /// (the payload of the `greencloud-resilience/1` report body).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilienceReport {
     /// Fault transitions applied during the run (onsets + clears + fade
     /// steps).

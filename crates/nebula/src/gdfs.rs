@@ -8,19 +8,18 @@
 //! blocks that have not yet been re-replicated.
 
 use crate::cluster::DatacenterId;
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Block size, MB (HDFS-style large blocks).
 pub const BLOCK_MB: f64 = 64.0;
 
 /// Identifier of a file in the namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 /// Identifier of a block within a file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId {
     /// Owning file.
     pub file: FileId,
@@ -35,11 +34,11 @@ struct BlockMeta {
     /// Monotonic version, bumped on every write.
     version: u64,
     /// Last written payload (emulation keeps only the latest).
-    data: Bytes,
+    data: Arc<[u8]>,
 }
 
 /// A pending background re-replication task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationTask {
     /// Block to copy.
     pub block: BlockId,
@@ -102,7 +101,7 @@ impl GdfsMaster {
                 BlockMeta {
                     valid: replicas.clone(),
                     version: 0,
-                    data: Bytes::new(),
+                    data: Arc::from([]),
                 },
             );
         }
@@ -114,7 +113,7 @@ impl GdfsMaster {
     /// queued (the paper's write path).
     ///
     /// Returns the new version, or `None` for an unknown block.
-    pub fn write(&mut self, block: BlockId, dc: DatacenterId, data: Bytes) -> Option<u64> {
+    pub fn write(&mut self, block: BlockId, dc: DatacenterId, data: Arc<[u8]>) -> Option<u64> {
         let meta = self.blocks.get_mut(&block)?;
         meta.version += 1;
         meta.data = data;
@@ -139,7 +138,7 @@ impl GdfsMaster {
     /// Reads a block from `dc`. Returns `(data, remote_fetch)`: when the
     /// local replica is stale/missing the read is served by a valid remote
     /// replica (`remote_fetch = true`).
-    pub fn read(&self, block: BlockId, dc: DatacenterId) -> Option<(Bytes, bool)> {
+    pub fn read(&self, block: BlockId, dc: DatacenterId) -> Option<(Arc<[u8]>, bool)> {
         let meta = self.blocks.get(&block)?;
         let local = meta.valid.contains(&dc);
         Some((meta.data.clone(), !local))
@@ -229,9 +228,7 @@ mod tests {
         let mut m = master();
         m.create_file(F, 2, DatacenterId(0));
         let b = BlockId { file: F, index: 0 };
-        let v = m
-            .write(b, DatacenterId(2), Bytes::from_static(b"new"))
-            .unwrap();
+        let v = m.write(b, DatacenterId(2), Arc::from(&b"new"[..])).unwrap();
         assert_eq!(v, 1);
         assert_eq!(m.replica_count(b), 1, "only the writer holds validity");
         assert!(m.pending_replications() > 0);
@@ -249,8 +246,7 @@ mod tests {
         let mut m = master();
         m.create_file(F, 1, DatacenterId(0));
         let b = BlockId { file: F, index: 0 };
-        m.write(b, DatacenterId(1), Bytes::from_static(b"x"))
-            .unwrap();
+        m.write(b, DatacenterId(1), Arc::from(&b"x"[..])).unwrap();
         assert_eq!(m.replica_count(b), 1);
         let task = m.replicate_step().expect("task queued");
         assert_eq!(task.from, DatacenterId(1));
@@ -263,11 +259,9 @@ mod tests {
         let mut m = master();
         m.create_file(F, 1, DatacenterId(0));
         let b = BlockId { file: F, index: 0 };
-        m.write(b, DatacenterId(1), Bytes::from_static(b"a"))
-            .unwrap();
+        m.write(b, DatacenterId(1), Arc::from(&b"a"[..])).unwrap();
         // Second write at a different site makes the first task stale.
-        m.write(b, DatacenterId(2), Bytes::from_static(b"b"))
-            .unwrap();
+        m.write(b, DatacenterId(2), Arc::from(&b"b"[..])).unwrap();
         while m.replicate_step().is_some() {}
         // All applied tasks must have come from currently-valid sources:
         // the final state holds the latest data everywhere it is valid.
@@ -281,8 +275,16 @@ mod tests {
         m.create_file(F, 4, DatacenterId(0));
         assert_eq!(m.unreplicated_mb(F, DatacenterId(0)), 0.0);
         // Dirty two blocks locally.
-        m.write(BlockId { file: F, index: 0 }, DatacenterId(0), Bytes::new());
-        m.write(BlockId { file: F, index: 3 }, DatacenterId(0), Bytes::new());
+        m.write(
+            BlockId { file: F, index: 0 },
+            DatacenterId(0),
+            Arc::from([]),
+        );
+        m.write(
+            BlockId { file: F, index: 3 },
+            DatacenterId(0),
+            Arc::from([]),
+        );
         assert_eq!(m.unreplicated_mb(F, DatacenterId(0)), 2.0 * BLOCK_MB);
         // After background replication the payload shrinks to zero.
         while m.replicate_step().is_some() {}
@@ -293,7 +295,11 @@ mod tests {
     fn transfer_marks_blocks_at_destination() {
         let mut m = master();
         m.create_file(F, 2, DatacenterId(0));
-        m.write(BlockId { file: F, index: 1 }, DatacenterId(0), Bytes::new());
+        m.write(
+            BlockId { file: F, index: 1 },
+            DatacenterId(0),
+            Arc::from([]),
+        );
         m.transfer_unique_blocks(F, DatacenterId(0), DatacenterId(2));
         assert_eq!(m.unreplicated_mb(F, DatacenterId(0)), 0.0);
         let (_, remote) = m
@@ -310,7 +316,7 @@ mod tests {
         m.create_file(F, 1, DatacenterId(0));
         let b = BlockId { file: F, index: 0 };
         for (i, dc) in [0u32, 1, 2, 1, 0].iter().enumerate() {
-            let payload = Bytes::from(format!("v{i}"));
+            let payload: Arc<[u8]> = Arc::from(format!("v{i}").as_bytes());
             m.write(b, DatacenterId(*dc), payload.clone());
             for reader in 0..3 {
                 let (data, _) = m.read(b, DatacenterId(reader)).unwrap();

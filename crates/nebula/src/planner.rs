@@ -8,10 +8,9 @@
 
 use crate::cluster::{Datacenter, DatacenterId};
 use crate::vm::VmId;
-use serde::{Deserialize, Serialize};
 
 /// One planned VM move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Migration {
     /// Which VM.
     pub vm: VmId,
@@ -22,7 +21,7 @@ pub struct Migration {
 }
 
 /// The ordered list of migrations for one scheduling round.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     /// Moves in execution order.
     pub moves: Vec<Migration>,

@@ -9,10 +9,9 @@
 use greencloud_energy::profile::EnergyProfile;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Prediction quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictionMode {
     /// Exact future values (the paper's validation setting).
     Perfect,

@@ -22,10 +22,9 @@ use greencloud_lp::revised::{Basis, SimplexOptions};
 use greencloud_lp::{
     BasisStatus, BranchAndBound, ConId, MilpOptions, Model, Sense, SolveError, VarId,
 };
-use serde::{Deserialize, Serialize};
 
 /// Scheduler tuning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// Look-ahead window, hours (the paper uses 48).
     pub window_hours: usize,
@@ -52,7 +51,7 @@ impl Default for SchedulerConfig {
 }
 
 /// Per-datacenter state handed to the scheduler each round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteState {
     /// Green power available per hour of the window, MW.
     pub green_forecast_mw: Vec<f64>,
@@ -65,7 +64,7 @@ pub struct SiteState {
 }
 
 /// The scheduler's decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulePlan {
     /// Target load per datacenter for the next hour, MW.
     pub target_mw: Vec<f64>,
@@ -82,7 +81,7 @@ pub struct SchedulePlan {
 /// Equality compares the deterministic pivot/solve counters only:
 /// `pricing_ns` is measured wall time and is excluded, so two replays of
 /// the same scenario compare equal even though their clocks differ.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RollingStats {
     /// Scheduling rounds solved.
     pub rounds: usize,

@@ -4,7 +4,7 @@
 //! is follow-the-renewables to forecast noise, what does a thin WAN cost —
 //! are answered by running many independent [`EmulationConfig`]s and
 //! comparing annual statistics. Scenarios are embarrassingly parallel, so
-//! the sweep fans them out over scoped crossbeam threads (the same pattern
+//! the sweep fans them out over `std::thread::scope` threads (the same pattern
 //! the siting search uses for its annealing chains) and returns results in
 //! input order regardless of completion order. Fault-injecting scenarios
 //! compose transparently: their resilience aggregates ride along in the
@@ -13,11 +13,10 @@
 use crate::emulation::{self, EmulationConfig, EmulationReport};
 use crate::error::NebulaError;
 use greencloud_climate::catalog::WorldCatalog;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// One named sweep entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Label carried into the result (e.g. "winter, 20 MWh, noisy σ=0.2").
     pub name: String,
@@ -38,7 +37,7 @@ impl Scenario {
 /// Outcome of one scenario: the aggregate statistics an annual comparison
 /// needs, without the per-hour trace (a year of [`crate::TraceRow`]s per
 /// scenario would dominate memory on wide sweeps).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Scenario label.
     pub name: String,
@@ -161,12 +160,12 @@ pub fn run_sweep_observed(
         let next = std::sync::atomic::AtomicUsize::new(0);
         let done = std::sync::atomic::AtomicUsize::new(0);
         let slots = Mutex::new(&mut slots);
-        let scope_out = crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
                 let next = &next;
                 let done = &done;
                 let slots = &slots;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if k >= scenarios.len() {
                         break;
@@ -191,9 +190,6 @@ pub fn run_sweep_observed(
                 });
             }
         });
-        if scope_out.is_err() {
-            return Err(NebulaError::Config("a sweep worker thread panicked".into()));
-        }
     }
     slots
         .into_iter()

@@ -1,16 +1,14 @@
 //! Virtual machines.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a VM within one GreenNebula deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 /// Static description of a VM.
 ///
 /// The default matches the paper's validation workload: 1 vCPU, 512 MB of
 /// memory, a 5 GB disk, ~110 MB of new disk data per hour, 30 W.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSpec {
     /// Virtual CPUs.
     pub vcpus: u32,
@@ -46,7 +44,7 @@ impl VmSpec {
 }
 
 /// A running VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identity.
     pub id: VmId,

@@ -7,10 +7,8 @@
 //! pre-copy live-migration duration: iterative memory copy rounds against
 //! the dirty rate, plus the unreplicated disk blocks GDFS must ship.
 
-use serde::{Deserialize, Serialize};
-
 /// A WAN model with uniform bandwidth between every datacenter pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WanModel {
     /// Effective migration bandwidth per link, Mbit/s.
     pub bandwidth_mbps: f64,
