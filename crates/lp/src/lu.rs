@@ -4,9 +4,13 @@
 //! matrices arising from the siting formulation are extremely sparse (3–6
 //! nonzeros per column), so a dense factorization would dominate solve time.
 //! [`SparseLu`] implements a left-looking column LU with partial pivoting:
-//! `P·B = L·U` with `L` unit lower triangular and `U` upper triangular, both
-//! stored column-wise in pivot-position space. Triangular solves use a dense
-//! workspace and run in `O(n + nnz(L+U))`.
+//! `P·B·Q = L·U` with `L` unit lower triangular and `U` upper triangular,
+//! both stored column-wise in pivot-position space. Each column is
+//! eliminated only over its symbolic reach — the earlier pivots its
+//! nonzeros can reach through `L` (Gilbert–Peierls) — so factorization costs
+//! `O(nnz(B) + flops)` plus a sort of each reach, not `O(n²)` probes of
+//! every earlier pivot. Triangular solves use a dense workspace and run in
+//! `O(n + nnz(L+U))`.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
@@ -204,12 +208,6 @@ pub enum FactorizeError {
     },
 }
 
-impl FactorizeError {
-    fn to_solve_error(&self) -> SolveError {
-        self.clone().into()
-    }
-}
-
 impl std::fmt::Display for FactorizeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -327,23 +325,14 @@ fn triangular_order(b: &ColMatrix) -> Vec<usize> {
 }
 
 impl SparseLu {
-    /// Factorizes the square matrix whose columns are given by `basis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Numerical`] if the matrix is (numerically)
-    /// singular or not square.
-    pub fn factorize(basis: &ColMatrix) -> Result<Self, SolveError> {
-        Self::factorize_detailed(basis).map_err(|e| e.to_solve_error())
-    }
-
-    /// Factorizes, reporting singularity with enough structure for the
-    /// caller to repair the basis (see [`FactorizeError`]).
+    /// Factorizes the square matrix whose columns are given by `basis`,
+    /// reporting singularity with enough structure for the caller to repair
+    /// the basis (see [`FactorizeError`]).
     ///
     /// # Errors
     ///
     /// [`FactorizeError::NotSquare`] / [`FactorizeError::Singular`].
-    pub fn factorize_detailed(basis: &ColMatrix) -> Result<Self, FactorizeError> {
+    pub fn factorize(basis: &ColMatrix) -> Result<Self, FactorizeError> {
         let n = basis.n_rows();
         if basis.n_cols() != n {
             return Err(FactorizeError::NotSquare {
@@ -374,22 +363,57 @@ impl SparseLu {
         let mut x = vec![0.0; n];
         let mut mark = vec![false; n];
         let mut touched: Vec<usize> = Vec::with_capacity(64);
+        // Symbolic reach of the current column: `seen[p] == k` stamps
+        // position p as reached for column k, so it never needs clearing.
+        let mut seen = vec![usize::MAX; n];
+        let mut reach: Vec<usize> = Vec::with_capacity(64);
 
         for k in 0..n {
-            // Scatter the column ordered at position k.
+            // Scatter the column ordered at position k, seeding the reach
+            // with the positions of its already-pivoted rows.
             for (r, v) in basis.col(lu.col_of[k]) {
                 if !mark[r] {
                     mark[r] = true;
                     touched.push(r);
                 }
                 x[r] += v;
+                let p = lu.pos_of[r];
+                if p != usize::MAX && seen[p] != k {
+                    seen[p] = k;
+                    reach.push(p);
+                }
             }
+            // Symbolic step (Gilbert–Peierls): pivot p can update the rows
+            // of L column p only, so the positions whose value can become
+            // nonzero are those reachable from the seeds through the L
+            // columns built so far. Every other position holds an exact
+            // 0.0, which the elimination below would skip anyway. `reach`
+            // doubles as the traversal's worklist.
+            let mut next = 0;
+            while next < reach.len() {
+                let p = reach[next];
+                next += 1;
+                for &r in &lu.l_idx[lu.l_ptr[p]..lu.l_ptr[p + 1]] {
+                    let q = lu.pos_of[r];
+                    if q != usize::MAX && seen[q] != k {
+                        seen[q] = k;
+                        reach.push(q);
+                    }
+                }
+            }
+            // L column p holds only rows pivoted after p, so ascending
+            // position order is a topological order of the reach. It is
+            // also the order a scan over every earlier pivot visits them
+            // in, so the factors are bit-identical to that scan's (the
+            // tests keep it as `factorize_dense_scan`).
+            reach.sort_unstable();
 
-            // Left-looking elimination: apply pivots 0..k in position order.
-            // A pivot p only updates rows that were not pivoted before p, so
+            // Left-looking elimination over the reach: a pivot p only
+            // updates rows that were not pivoted before p, so
             // increasing-order processing over original-row workspace is
-            // exact.
-            for p in 0..k {
+            // exact. The work grows with the reach and the flops, not with
+            // k.
+            for &p in &reach {
                 let pr = lu.row_of[p];
                 let xp = x[pr];
                 if xp == 0.0 {
@@ -410,6 +434,7 @@ impl SparseLu {
                 }
                 x[pr] = 0.0;
             }
+            reach.clear();
             lu.u_ptr.push(lu.u_idx.len());
 
             // Partial pivot among unpivoted rows.
@@ -563,12 +588,14 @@ impl SparseLu {
         }
     }
 
-    /// Solves `Bᵀ·y = c` in place like [`SparseLu::btran`], optimized for
-    /// a sparse right-hand side (e.g. the unit vector `eᵣ` of a dual
-    /// simplex row BTRAN): the forward `Uᵀ` sweep starts at the first
-    /// position the (column-permuted) input actually touches — everything
-    /// before it is provably zero because `Uᵀ` is lower triangular — and
-    /// inner elimination loops are value-skipped.
+    /// Solves `Bᵀ·y = c` in place like [`SparseLu::btran`], for a sparse
+    /// right-hand side (e.g. the unit vector `eᵣ` of a dual simplex row
+    /// BTRAN): the forward `Uᵀ` sweep starts at the first position the
+    /// (column-permuted) input actually touches — everything before it is
+    /// provably zero because `Uᵀ` is lower triangular. That prefix is the
+    /// only saving. Both sweeps are dot products, so no inner loop can skip
+    /// on a zero value: each `Uᵀ` row from `first` on and each `Lᵀ` row
+    /// over all positions runs in full.
     pub fn btran_sparse(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
         debug_assert_eq!(c.len(), self.n);
         scratch.resize(self.n, 0.0);
@@ -633,6 +660,8 @@ impl SparseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn dense_to_cols(a: &[&[f64]]) -> ColMatrix {
         let n = a.len();
@@ -749,7 +778,6 @@ mod tests {
         // Regression test: unit-coefficient matrices cancel exactly during
         // elimination; re-adding a row to the touched list on the 0→nonzero
         // transition used to duplicate L entries (applied twice in solves).
-        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
         for _ in 0..50 {
             let n = 12;
@@ -787,7 +815,6 @@ mod tests {
 
     #[test]
     fn sparse_solves_agree_with_dense_solves() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         for trial in 0..30 {
             let n = 5 + trial % 11;
@@ -842,7 +869,6 @@ mod tests {
 
     #[test]
     fn random_matrices_round_trip() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
         for trial in 0..20 {
             let n = 4 + trial % 13;
@@ -861,5 +887,225 @@ mod tests {
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
             assert_solves(&refs);
         }
+    }
+
+    /// [`SparseLu::factorize`] without the symbolic reach: every earlier
+    /// pivot is probed for every column (`for p in 0..k`), `O(n²)` probes
+    /// in all. The reference the reach must match bit for bit.
+    fn factorize_dense_scan(basis: &ColMatrix) -> Result<SparseLu, FactorizeError> {
+        let n = basis.n_rows();
+        if basis.n_cols() != n {
+            return Err(FactorizeError::NotSquare {
+                rows: n,
+                cols: basis.n_cols(),
+            });
+        }
+        let mut lu = SparseLu {
+            n,
+            l_ptr: vec![0],
+            l_idx: Vec::new(),
+            l_val: Vec::new(),
+            u_ptr: vec![0],
+            u_idx: Vec::new(),
+            u_val: Vec::new(),
+            u_diag: vec![0.0; n],
+            row_of: vec![usize::MAX; n],
+            pos_of: vec![usize::MAX; n],
+            col_of: triangular_order(basis),
+        };
+        let mut x = vec![0.0; n];
+        let mut mark = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for k in 0..n {
+            for (r, v) in basis.col(lu.col_of[k]) {
+                if !mark[r] {
+                    mark[r] = true;
+                    touched.push(r);
+                }
+                x[r] += v;
+            }
+            for p in 0..k {
+                let pr = lu.row_of[p];
+                let xp = x[pr];
+                if xp == 0.0 {
+                    continue;
+                }
+                lu.u_idx.push(p);
+                lu.u_val.push(xp);
+                for t in lu.l_ptr[p]..lu.l_ptr[p + 1] {
+                    let r = lu.l_idx[t];
+                    if !mark[r] {
+                        mark[r] = true;
+                        touched.push(r);
+                    }
+                    x[r] -= lu.l_val[t] * xp;
+                }
+                x[pr] = 0.0;
+            }
+            lu.u_ptr.push(lu.u_idx.len());
+            let mut piv_row = usize::MAX;
+            let mut piv_abs = PIVOT_TOL;
+            for &r in &touched {
+                if lu.pos_of[r] == usize::MAX && x[r].abs() > piv_abs {
+                    piv_abs = x[r].abs();
+                    piv_row = r;
+                }
+            }
+            if piv_row == usize::MAX {
+                return Err(FactorizeError::Singular {
+                    col: lu.col_of[k],
+                    pivoted: lu.pos_of.iter().map(|&p| p != usize::MAX).collect(),
+                });
+            }
+            let piv_val = x[piv_row];
+            lu.u_diag[k] = piv_val;
+            lu.row_of[k] = piv_row;
+            lu.pos_of[piv_row] = k;
+            for &r in &touched {
+                if r != piv_row && lu.pos_of[r] == usize::MAX && x[r] != 0.0 {
+                    lu.l_idx.push(r);
+                    lu.l_val.push(x[r] / piv_val);
+                }
+            }
+            lu.l_ptr.push(lu.l_idx.len());
+            for &r in &touched {
+                x[r] = 0.0;
+                mark[r] = false;
+            }
+            touched.clear();
+        }
+        for idx in &mut lu.l_idx {
+            *idx = lu.pos_of[*idx];
+        }
+        Ok(lu)
+    }
+
+    /// A basis shaped like the siting LP's: ±1 unit slack columns, runs of
+    /// bidiagonal battery-chain columns (level `t` in the balance rows of
+    /// hours `t` and `t+1`), and a bump of ±1 columns coupling the chain
+    /// and bump rows, whose eliminations fill in and cancel exactly. Every
+    /// column owns a distinct home row, so a draw is structurally
+    /// nonsingular; `dependent` copies one column over another to force an
+    /// exact dependency.
+    fn siting_shaped_basis(rng: &mut ChaCha8Rng, n: usize, dependent: bool) -> ColMatrix {
+        fn unit(rng: &mut ChaCha8Rng) -> f64 {
+            if rng.gen_bool(0.5) {
+                1.0
+            } else {
+                -1.0
+            }
+        }
+        let mut home: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            home.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+        let mut bump = Vec::new();
+        while cols.len() < n {
+            let j = cols.len();
+            match rng.gen_range(0..10) {
+                0..=4 => cols.push(vec![(home[j], unit(rng))]),
+                5..=7 => {
+                    let len = rng.gen_range(2..16).min(n - j);
+                    let decay = if rng.gen_bool(0.5) { -1.0 } else { -0.9 };
+                    for i in 0..len {
+                        let mut col = vec![(home[j + i], 1.0)];
+                        if i + 1 < len {
+                            col.push((home[j + i + 1], decay));
+                        }
+                        cols.push(col);
+                    }
+                }
+                _ => {
+                    bump.push(j);
+                    cols.push(vec![(home[j], unit(rng))]);
+                }
+            }
+        }
+        // Couple the bump columns mostly to each other's home rows, so a
+        // cyclic core survives the triangular preorder and fills L, and
+        // sometimes to a chain row.
+        let chain: Vec<usize> = (0..n).filter(|&j| cols[j].len() > 1).collect();
+        for &j in &bump {
+            for _ in 0..rng.gen_range(1..4) {
+                let owner = if chain.is_empty() || rng.gen_bool(0.75) {
+                    bump[rng.gen_range(0..bump.len())]
+                } else {
+                    chain[rng.gen_range(0..chain.len())]
+                };
+                cols[j].push((home[owner], unit(rng)));
+            }
+        }
+        if dependent && n > 1 {
+            let from = rng.gen_range(0..n);
+            let to = (from + rng.gen_range(1..n)) % n;
+            cols[to] = cols[from].clone();
+        }
+        let mut b = ColMatrix::new(n);
+        for col in cols {
+            b.push_col(col);
+        }
+        b
+    }
+
+    #[test]
+    fn symbolic_reach_is_bit_identical_to_dense_scan() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Miri interprets every probe of the quadratic reference, so it
+        // checks the same property on small bases only.
+        let sizes: &[usize] = if cfg!(miri) {
+            &[3, 8, 24]
+        } else {
+            &[3, 8, 24, 90, 400, 1500]
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let (mut factored, mut singular, mut filled) = (0, 0, 0);
+        for &n in sizes {
+            for trial in 0..8 {
+                let b = siting_shaped_basis(&mut rng, n, trial % 4 == 3);
+                match (SparseLu::factorize(&b), factorize_dense_scan(&b)) {
+                    (Ok(reach), Ok(scan)) => {
+                        assert_eq!(reach.l_ptr, scan.l_ptr, "n={n} trial={trial}");
+                        assert_eq!(reach.l_idx, scan.l_idx, "n={n} trial={trial}");
+                        assert_eq!(bits(&reach.l_val), bits(&scan.l_val), "n={n} trial={trial}");
+                        assert_eq!(reach.u_ptr, scan.u_ptr, "n={n} trial={trial}");
+                        assert_eq!(reach.u_idx, scan.u_idx, "n={n} trial={trial}");
+                        assert_eq!(bits(&reach.u_val), bits(&scan.u_val), "n={n} trial={trial}");
+                        assert_eq!(
+                            bits(&reach.u_diag),
+                            bits(&scan.u_diag),
+                            "n={n} trial={trial}"
+                        );
+                        assert_eq!(reach.row_of, scan.row_of, "n={n} trial={trial}");
+                        assert_eq!(reach.col_of, scan.col_of, "n={n} trial={trial}");
+                        factored += 1;
+                        if !reach.l_idx.is_empty() {
+                            filled += 1;
+                        }
+                    }
+                    (
+                        Err(FactorizeError::Singular { col, pivoted }),
+                        Err(FactorizeError::Singular {
+                            col: scan_col,
+                            pivoted: scan_pivoted,
+                        }),
+                    ) => {
+                        assert_eq!(col, scan_col, "n={n} trial={trial}");
+                        assert_eq!(pivoted, scan_pivoted, "n={n} trial={trial}");
+                        singular += 1;
+                    }
+                    (reach, scan) => panic!(
+                        "n={n} trial={trial}: reach gave {:?}, dense scan gave {:?}",
+                        reach.err().map(|e| e.to_string()),
+                        scan.err().map(|e| e.to_string())
+                    ),
+                }
+            }
+        }
+        // The draws must exercise elimination through L and both outcomes.
+        assert!(
+            factored > 0 && singular > 0 && filled > 0,
+            "factored {factored}, singular {singular}, with L entries {filled}"
+        );
     }
 }

@@ -568,9 +568,15 @@ impl<'a> Worker<'a> {
         // never create a new dependency on the repaired prefix). Bounded
         // retries: pathological snapshots fall back to the crash basis.
         let lu = {
+            // Basic-membership mark, kept in step with `basics`, so each
+            // replacement search is O(m).
+            let mut is_basic = vec![false; self.n_total];
+            for &j in &basics {
+                is_basic[j] = true;
+            }
             let mut attempt = 0usize;
             loop {
-                match factorize_basis_detailed(&self.cols, &basics, self.m) {
+                match factorize_basis(&self.cols, &basics, self.m) {
                     Ok(lu) => break lu,
                     Err(FactorizeError::NotSquare { .. }) => return Err(()),
                     Err(FactorizeError::Singular { col, pivoted }) => {
@@ -578,12 +584,14 @@ impl<'a> Worker<'a> {
                         if attempt > 16 {
                             return Err(());
                         }
-                        let replacement = (0..self.m)
-                            .find(|&r| !pivoted[r] && !basics.contains(&(self.n_struct + r)));
+                        let replacement =
+                            (0..self.m).find(|&r| !pivoted[r] && !is_basic[self.n_struct + r]);
                         let Some(r) = replacement else {
                             return Err(());
                         };
+                        is_basic[basics[col]] = false;
                         basics[col] = self.n_struct + r;
+                        is_basic[basics[col]] = true;
                     }
                 }
             }
@@ -1180,7 +1188,7 @@ impl<'a> Worker<'a> {
         let unrepairable = || SolveError::Numerical("unrepairable singular basis".into());
         let mut attempt = 0usize;
         let lu = loop {
-            match factorize_basis_detailed(&self.cols, &self.basis, self.m) {
+            match factorize_basis(&self.cols, &self.basis, self.m) {
                 Ok(lu) => break lu,
                 Err(FactorizeError::NotSquare { .. }) => return Err(unrepairable()),
                 Err(FactorizeError::Singular { col, pivoted }) => {
@@ -1664,15 +1672,10 @@ fn nonbasic_value(status: ColStatus, lb: f64, ub: f64) -> f64 {
     }
 }
 
-fn factorize_basis(cols: &ColMatrix, basis: &[usize], m: usize) -> Result<SparseLu, SolveError> {
-    let mut b = ColMatrix::new(m);
-    for &j in basis {
-        b.push_col(cols.col(j));
-    }
-    SparseLu::factorize(&b)
-}
-
-fn factorize_basis_detailed(
+/// Factorizes the basis whose slots hold the columns `basis` of `cols`.
+/// Callers that cannot repair a singular basis collapse the error into a
+/// [`SolveError`] with `?`.
+fn factorize_basis(
     cols: &ColMatrix,
     basis: &[usize],
     m: usize,
@@ -1681,7 +1684,7 @@ fn factorize_basis_detailed(
     for &j in basis {
         b.push_col(cols.col(j));
     }
-    SparseLu::factorize_detailed(&b)
+    SparseLu::factorize(&b)
 }
 
 #[cfg(test)]
