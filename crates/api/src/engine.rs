@@ -2,15 +2,17 @@
 //! parameters, builds candidate sites once, and runs [`ExperimentSpec`]s.
 //!
 //! The engine is the single front door for every caller — the `repro` CLI,
-//! benches, tests, examples, and (eventually) a service layer. It caches
-//! candidate sets per [`ProfileConfig`] so a batch of experiments over the
-//! same world pays the TMY synthesis cost once, and [`Engine::run_all`]
-//! fans independent specs out over `std::thread::scope` threads (the same
-//! worker-pool pattern the sweep and annealing layers use), so concurrent
-//! scenario queries share one engine.
+//! benches, tests, examples, and the `serve` layer. Every run goes through
+//! [`Engine::run_with`], whose [`RunCtx`] carries the optional cancellation
+//! token, progress sink and deadline; [`Engine::run`] is the all-defaults
+//! case. The engine caches candidate sets per [`ProfileConfig`] so a batch
+//! of experiments over the same world pays the TMY synthesis cost once,
+//! and [`Engine::run_all`] fans independent specs out over
+//! `std::thread::scope` threads (the same worker-pool pattern the sweep and
+//! annealing layers use), so concurrent scenario queries share one engine.
 
 use crate::error::ApiError;
-use crate::harness::{rolling_states, table3_profiles};
+use crate::harness::{rolling_states, table3_profiles, SiteProfile};
 use crate::report::{
     AnnualReport, Report, ReportBody, SitingReport, SweepReport, SweepRow, TimingRecord,
     TimingReport, WarmVsCold,
@@ -29,16 +31,17 @@ use greencloud_core::solution::PlacementSolution;
 use greencloud_core::tool::{default_threads, PlacementTool};
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{PricingMode, SimplexOptions};
-use greencloud_nebula::emulation::{self, EmulationConfig};
-use greencloud_nebula::scheduler::{RollingScheduler, Scheduler, SchedulerConfig};
-use greencloud_nebula::sweep::run_sweep_observed;
+use greencloud_nebula::emulation::{self, EmulationConfig, HourObserver};
+use greencloud_nebula::scheduler::{RollingScheduler, RollingStats, Scheduler, SchedulerConfig};
+use greencloud_nebula::sweep::{run_sweep_observed, ScenarioObserver};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
-use crate::wallclock::{self, Stopwatch};
+use crate::wallclock::Stopwatch;
 
 /// A progress event from a running experiment. Events carry loop counters
 /// only — never solver state — so observing a run cannot perturb its
@@ -83,60 +86,22 @@ impl Progress {
 /// once, so sinks must be `Sync`.
 pub type ProgressSink<'a> = &'a (dyn Fn(Progress) + Sync);
 
-/// Renders a captured panic payload for an [`ApiError::Engine`] message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Job-id-keyed cancellation tokens for experiments running under the
-/// durable job API. The serve layer registers a token when a worker picks
-/// a job up; `DELETE /v1/jobs/:id` fires it by id without needing a handle
-/// on the worker — the same cooperative-token mechanism the deadline
-/// watchdog and drain path use, addressed by job id instead of by
-/// connection.
-#[derive(Debug, Default)]
-pub struct CancelRegistry {
-    by_job: Mutex<HashMap<String, Arc<AtomicBool>>>,
-}
-
-impl CancelRegistry {
-    /// Associates `token` with `job_id` for the duration of a run.
-    pub fn register(&self, job_id: &str, token: Arc<AtomicBool>) {
-        lock_ok(&self.by_job).insert(job_id.to_string(), token);
-    }
-
-    /// Drops the association (the run finished, however it finished).
-    pub fn unregister(&self, job_id: &str) {
-        lock_ok(&self.by_job).remove(job_id);
-    }
-
-    /// Fires the token registered for `job_id`, if any. Returns whether a
-    /// running job was signalled.
-    pub fn fire(&self, job_id: &str) -> bool {
-        match lock_ok(&self.by_job).get(job_id) {
-            Some(t) => {
-                t.store(true, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// How many jobs are currently registered (running).
-    pub fn len(&self) -> usize {
-        lock_ok(&self.by_job).len()
-    }
-
-    /// True when no job is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// How [`Engine::run_with`] runs one experiment. Every option is off by
+/// default, so [`Engine::run`] is `run_with(spec, RunCtx::default())`.
+#[derive(Clone, Copy, Default)]
+pub struct RunCtx<'a> {
+    /// Cooperative cancellation token, polled hourly by the long-running
+    /// kinds (annual emulations, sweeps); once fired they stop and surface
+    /// [`ApiError::Cancelled`]. Short kinds (siting, timing) ignore it.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Receives loop counters from the long-running kinds: hourly for
+    /// annual runs, per scenario for sweeps.
+    pub progress: Option<ProgressSink<'a>>,
+    /// Wall-clock budget. When it passes, the run's token is fired (the
+    /// caller's, if given) and the result is [`ApiError::Deadline`]
+    /// whatever the run returned, unless the token had already been
+    /// fired: the first cause wins.
+    pub deadline: Option<Duration>,
 }
 
 /// The experiment engine (see the module docs).
@@ -146,7 +111,6 @@ pub struct Engine {
     params: CostParams,
     threads: usize,
     candidates: Mutex<HashMap<ProfileConfig, Arc<Vec<CandidateSite>>>>,
-    cancels: CancelRegistry,
 }
 
 impl Engine {
@@ -158,7 +122,6 @@ impl Engine {
             params: CostParams::default(),
             threads: default_threads(),
             candidates: Mutex::new(HashMap::new()),
-            cancels: CancelRegistry::default(),
         }
     }
 
@@ -228,227 +191,106 @@ impl Engine {
         )
     }
 
-    /// Runs one experiment.
+    /// Runs one experiment with every [`RunCtx`] option off.
     ///
     /// # Errors
     ///
-    /// Any [`ApiError`]: input validation, solver failures, or a spec the
-    /// engine's catalog cannot serve.
+    /// As [`Engine::run_with`].
     pub fn run(&self, spec: &ExperimentSpec) -> Result<Report, ApiError> {
-        let cancel = AtomicBool::new(false);
-        self.run_cancellable(spec, &cancel, None)
+        self.run_with(spec, RunCtx::default())
     }
 
-    /// Runs one experiment with a per-spec deadline: the long-running
-    /// experiment kinds (annual emulations, sweeps) are cancelled
-    /// cooperatively once the deadline passes, and the result is reported
-    /// as [`ApiError::Deadline`].
-    pub fn run_with_deadline(
-        &self,
-        spec: &ExperimentSpec,
-        deadline: Duration,
-    ) -> Result<Report, ApiError> {
-        self.run_all_with_deadline(std::slice::from_ref(spec), Some(deadline))
-            .pop()
-            .unwrap_or_else(|| Err(ApiError::Engine("spec did not run".into())))
-    }
-
-    /// [`Engine::run`] with a caller-owned cooperative cancellation token,
-    /// panics contained at this boundary. Setting `cancel` stops the
-    /// long-running experiment kinds (annual emulations, sweeps) at their
-    /// next hourly poll and surfaces [`ApiError::Cancelled`]; short
-    /// experiment kinds (siting, timing) run to completion regardless.
-    /// This is the entry point the `serve` layer drives: its deadline
-    /// watchdog, client-disconnect detection, and drain path all fire the
-    /// same token.
-    pub fn run_with_cancel(
-        &self,
-        spec: &ExperimentSpec,
-        cancel: &AtomicBool,
-    ) -> Result<Report, ApiError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.run_cancellable(spec, cancel, None)
-        }))
-        .unwrap_or_else(|p| {
-            Err(ApiError::Engine(format!(
-                "experiment panicked: {}",
-                panic_message(p.as_ref())
-            )))
-        })
-    }
-
-    /// [`Engine::run_with_cancel`] with a progress sink: the long-running
-    /// experiment kinds (annual emulations, sweeps) report loop counters
-    /// through `progress` as they advance — hourly for annual runs,
-    /// per-scenario for sweeps. Short kinds complete without reporting.
-    pub fn run_with_progress(
-        &self,
-        spec: &ExperimentSpec,
-        cancel: &AtomicBool,
-        progress: ProgressSink<'_>,
-    ) -> Result<Report, ApiError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.run_cancellable(spec, cancel, Some(progress))
-        }))
-        .unwrap_or_else(|p| {
-            Err(ApiError::Engine(format!(
-                "experiment panicked: {}",
-                panic_message(p.as_ref())
-            )))
-        })
-    }
-
-    /// The job-id-keyed cancellation registry (see [`CancelRegistry`]).
-    pub fn cancels(&self) -> &CancelRegistry {
-        &self.cancels
-    }
-
-    /// [`Engine::run_with_cancel`] for a durable job: the token is
-    /// registered under `job_id` in [`Engine::cancels`] for the duration
-    /// of the run, so `DELETE /v1/jobs/:id` can fire it by id.
-    pub fn run_job(
-        &self,
-        job_id: &str,
-        spec: &ExperimentSpec,
-        cancel: Arc<AtomicBool>,
-    ) -> Result<Report, ApiError> {
-        self.cancels.register(job_id, Arc::clone(&cancel));
-        let out = self.run_with_cancel(spec, &cancel);
-        self.cancels.unregister(job_id);
-        out
-    }
-
-    /// [`Engine::run`] with a cooperative cancellation flag threaded into
-    /// the experiment kinds that can run for a long time.
-    fn run_cancellable(
-        &self,
-        spec: &ExperimentSpec,
-        cancel: &AtomicBool,
-        progress: Option<ProgressSink<'_>>,
-    ) -> Result<Report, ApiError> {
-        let t0 = Stopwatch::start();
-        let body = match spec {
-            ExperimentSpec::Siting(s) => self.run_siting(s)?,
-            ExperimentSpec::ExactSiting(s) => self.run_exact(s)?,
-            ExperimentSpec::Annual(s) => self.run_annual(s, cancel, progress)?,
-            ExperimentSpec::Sweep(s) => self.run_sweep(s, cancel, progress)?,
-            ExperimentSpec::Timing(s) => self.run_timing(s)?,
-        };
-        Ok(Report {
-            experiment: spec.kind().to_string(),
-            wall_ms: t0.elapsed_ms(),
-            body,
+    /// Runs one experiment under `ctx`'s cancellation token, progress sink
+    /// and deadline. This is the engine's one panic boundary: a panicking
+    /// experiment surfaces as [`ApiError::Engine`] instead of unwinding
+    /// into the caller. A deadline arms one timer thread that lives no
+    /// longer than the run.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ApiError`]: input validation, solver failures, a spec the
+    /// engine's catalog cannot serve, a contained panic, cancellation, or
+    /// an expired deadline.
+    pub fn run_with(&self, spec: &ExperimentSpec, ctx: RunCtx<'_>) -> Result<Report, ApiError> {
+        let own = AtomicBool::new(false);
+        let cancel = ctx.cancel.unwrap_or(&own);
+        std::thread::scope(|scope| {
+            // Dropping `done` when the run returns wakes the timer early.
+            let (done, wait) = mpsc::channel::<()>();
+            let timer = ctx.deadline.map(|limit| {
+                let expired = scope.spawn(move || {
+                    // First cause wins: a token the caller already fired
+                    // stays a cancellation.
+                    wait.recv_timeout(limit) == Err(RecvTimeoutError::Timeout)
+                        && !cancel.swap(true, Ordering::SeqCst)
+                });
+                (limit, expired)
+            });
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let t0 = Stopwatch::start();
+                let body = match spec {
+                    ExperimentSpec::Siting(s) => self.run_siting(s)?,
+                    ExperimentSpec::ExactSiting(s) => self.run_exact(s)?,
+                    ExperimentSpec::Annual(s) => self.run_annual(s, cancel, ctx.progress)?,
+                    ExperimentSpec::Sweep(s) => self.run_sweep(s, cancel, ctx.progress)?,
+                    ExperimentSpec::Timing(s) => self.run_timing(s)?,
+                };
+                Ok(Report {
+                    experiment: spec.kind().to_string(),
+                    wall_ms: t0.elapsed_ms(),
+                    body,
+                })
+            }))
+            .unwrap_or_else(|p| {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                Err(ApiError::Engine(format!("experiment panicked: {msg}")))
+            });
+            drop(done);
+            if let Some((limit, expired)) = timer {
+                // A fired deadline dominates: even if the run limped to a
+                // result, the contract is Deadline.
+                if expired.join().unwrap_or(false) {
+                    return Err(ApiError::Deadline {
+                        limit_ms: limit.as_millis() as u64,
+                    });
+                }
+            }
+            out
         })
     }
 
     /// Runs many experiments concurrently (at most [`Engine::threads`] at
     /// a time) and returns results in spec order. Candidate sets are
     /// shared through the engine cache, so a batch over one world builds
-    /// its candidates once.
-    ///
-    /// A panicking experiment is captured at this boundary and reported as
-    /// [`ApiError::Engine`] for that spec alone; sibling specs still run
-    /// to completion and return their own results.
+    /// its candidates once. Each spec runs through [`Engine::run`], so a
+    /// panicking experiment fails that spec alone while its siblings still
+    /// return their own results.
     pub fn run_all(&self, specs: &[ExperimentSpec]) -> Vec<Result<Report, ApiError>> {
-        self.run_all_with_deadline(specs, None)
-    }
-
-    /// [`Engine::run_all`] with an optional per-spec deadline, measured
-    /// from the moment a worker picks the spec up. A watchdog fires the
-    /// spec's cancellation token once the deadline passes; the emulation
-    /// layers poll it hourly, and a fired token turns the outcome into
-    /// [`ApiError::Deadline`] regardless of what the run returned.
-    pub fn run_all_with_deadline(
-        &self,
-        specs: &[ExperimentSpec],
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Report, ApiError>> {
-        let limit_ms = deadline.map(|d| d.as_millis() as u64).unwrap_or(0);
-        let workers = self.threads.min(specs.len().max(1));
-        if workers <= 1 && deadline.is_none() {
-            // Serial fast path: no watchdog needed, but panics are still
-            // isolated per spec.
-            let cancel = AtomicBool::new(false);
-            return specs
-                .iter()
-                .map(|s| {
-                    catch_unwind(AssertUnwindSafe(|| self.run_cancellable(s, &cancel, None)))
-                        .unwrap_or_else(|p| {
-                            Err(ApiError::Engine(format!(
-                                "experiment panicked: {}",
-                                panic_message(p.as_ref())
-                            )))
-                        })
-                })
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<Report, ApiError>>> =
-            (0..specs.len()).map(|_| None).collect();
-        let tokens: Vec<AtomicBool> = specs.iter().map(|_| AtomicBool::new(false)).collect();
-        let started: Vec<Mutex<Option<Instant>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-        let completed = AtomicUsize::new(0);
-        let all_done = AtomicBool::new(false);
-        {
-            let next = AtomicUsize::new(0);
-            let slots = Mutex::new(&mut slots);
-            std::thread::scope(|scope| {
-                if let Some(dl) = deadline {
-                    // Watchdog: fires a spec's token once its deadline
-                    // passes; exits when every spec has completed.
-                    let tokens = &tokens;
-                    let started = &started;
-                    let all_done = &all_done;
-                    scope.spawn(move || {
-                        while !all_done.load(Ordering::Relaxed) {
-                            for (token, t0) in tokens.iter().zip(started) {
-                                if !token.load(Ordering::Relaxed)
-                                    && lock_ok(t0).is_some_and(|t| t.elapsed() >= dl)
-                                {
-                                    token.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                    });
-                }
-                for _ in 0..workers {
-                    let next = &next;
-                    let slots = &slots;
-                    let tokens = &tokens;
-                    let started = &started;
-                    let completed = &completed;
-                    let all_done = &all_done;
-                    scope.spawn(move || loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= specs.len() {
-                            break;
-                        }
-                        *lock_ok(&started[k]) = Some(wallclock::now());
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            self.run_cancellable(&specs[k], &tokens[k], None)
-                        }))
-                        .unwrap_or_else(|p| {
-                            Err(ApiError::Engine(format!(
-                                "experiment panicked: {}",
-                                panic_message(p.as_ref())
-                            )))
-                        });
-                        // A fired deadline dominates: even if the run
-                        // limped to a result, the contract is Deadline.
-                        let out = if tokens[k].load(Ordering::Relaxed) {
-                            Err(ApiError::Deadline { limit_ms })
-                        } else {
-                            out
-                        };
-                        lock_ok(slots)[k] = Some(out);
-                        if completed.fetch_add(1, Ordering::Relaxed) + 1 == specs.len() {
-                            all_done.store(true, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-        }
+        let workers = self.threads.min(specs.len());
+        let slots: Mutex<Vec<Option<Result<Report, ApiError>>>> =
+            Mutex::new(specs.iter().map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = specs.get(k) else {
+                        break;
+                    };
+                    let out = self.run(spec);
+                    if let Some(slot) = lock_ok(&slots).get_mut(k) {
+                        *slot = Some(out);
+                    }
+                });
+            }
+        });
         slots
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| {
@@ -493,13 +335,13 @@ impl Engine {
         cancel: &AtomicBool,
         progress: Option<ProgressSink<'_>>,
     ) -> Result<ReportBody, ApiError> {
-        let r = match progress {
-            Some(sink) => {
-                let observe = |done: usize, total: usize| sink(Progress::Hours { done, total });
-                emulation::run_observed(&self.catalog, &spec.config, cancel, Some(&observe))?
-            }
-            None => emulation::run_with_cancel(&self.catalog, &spec.config, cancel)?,
-        };
+        let observe = progress.map(|sink| move |done, total| sink(Progress::Hours { done, total }));
+        let r = emulation::run_observed(
+            &self.catalog,
+            &spec.config,
+            cancel,
+            observe.as_ref().map(|f| f as HourObserver<'_>),
+        )?;
         Ok(ReportBody::Annual(AnnualReport::from_emulation(
             spec.config.hours,
             &r,
@@ -514,19 +356,15 @@ impl Engine {
         progress: Option<ProgressSink<'_>>,
     ) -> Result<ReportBody, ApiError> {
         let scenarios = spec.scenarios();
-        let results = match progress {
-            Some(sink) => {
-                let observe = |done: usize, total: usize| sink(Progress::Scenarios { done, total });
-                run_sweep_observed(
-                    &self.catalog,
-                    &scenarios,
-                    self.threads,
-                    cancel,
-                    Some(&observe),
-                )?
-            }
-            None => run_sweep_observed(&self.catalog, &scenarios, self.threads, cancel, None)?,
-        };
+        let observe =
+            progress.map(|sink| move |done, total| sink(Progress::Scenarios { done, total }));
+        let results = run_sweep_observed(
+            &self.catalog,
+            &scenarios,
+            self.threads,
+            cancel,
+            observe.as_ref().map(|f| f as ScenarioObserver<'_>),
+        )?;
         Ok(ReportBody::Sweep(SweepReport {
             rows: results.iter().map(SweepRow::from).collect(),
         }))
@@ -630,39 +468,19 @@ impl Engine {
         // Rolling hourly re-solves, warm vs cold, on the Table III network
         // (skipped when the catalog lacks the anchors).
         if let Some(profiles) = table3_profiles(&self.catalog) {
-            let cfg = EmulationConfig::default();
-            let window = cfg.scheduler.window_hours;
             let rounds = if fast { 12 } else { 96 };
-            let start = 4080;
-
-            let mut rolling = RollingScheduler::new(cfg.scheduler.clone());
-            let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
-            let t0 = Stopwatch::start();
-            for t in start..start + rounds {
-                let states = rolling_states(&profiles, t, window, &loads);
-                loads = rolling.plan(&states)?.target_mw;
-            }
-            let warm_ms = t0.elapsed_ms();
-            let stats = rolling.stats();
+            let (warm_ms, stats, cold_ms) = rolling_warm_cold(&profiles, rounds)?;
             records.push(TimingRecord {
                 name: format!("hourly_resolve_{rounds}rounds/warm"),
                 wall_ms: warm_ms,
                 iterations: stats.iterations,
                 warm_rate: stats.warm_rate(),
             });
-
-            let cold = Scheduler::new(cfg.scheduler.clone());
-            let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
-            let t0 = Stopwatch::start();
-            for t in start..start + rounds {
-                let states = rolling_states(&profiles, t, window, &loads);
-                loads = cold.plan(&states)?.target_mw;
-            }
             // The one-shot scheduler exposes no iteration totals; the
             // record contract keeps the field 0 when not applicable.
             records.push(TimingRecord {
                 name: format!("hourly_resolve_{rounds}rounds/cold"),
-                wall_ms: t0.elapsed_ms(),
+                wall_ms: cold_ms,
                 iterations: 0,
                 warm_rate: 0.0,
             });
@@ -671,37 +489,49 @@ impl Engine {
     }
 
     /// Times `rounds` consecutive hourly re-solves of the Table III
-    /// network, warm (persistent rolling model) vs cold (rebuild +
-    /// two-phase solve).
+    /// network, warm vs cold (see [`rolling_warm_cold`]).
     fn warm_vs_cold(&self, rounds: usize) -> Result<WarmVsCold, ApiError> {
-        let cfg = EmulationConfig::default();
         let profiles = table3_profiles(&self.catalog).ok_or_else(|| {
             ApiError::Engine("catalog lacks the Table III anchor sites".to_string())
         })?;
-        let window = cfg.scheduler.window_hours;
-        let start = 4080;
-
-        let mut rolling = RollingScheduler::new(cfg.scheduler.clone());
-        let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
-        let t0 = Stopwatch::start();
-        for t in start..start + rounds {
-            let states = rolling_states(&profiles, t, window, &loads);
-            loads = rolling.plan(&states)?.target_mw;
-        }
-        let warm_ms = t0.elapsed_ms();
-
-        let cold = Scheduler::new(cfg.scheduler.clone());
-        let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
-        let t0 = Stopwatch::start();
-        for t in start..start + rounds {
-            let states = rolling_states(&profiles, t, window, &loads);
-            loads = cold.plan(&states)?.target_mw;
-        }
+        let (warm_ms, stats, cold_ms) = rolling_warm_cold(&profiles, rounds)?;
         Ok(WarmVsCold {
             rounds,
             warm_ms,
-            cold_ms: t0.elapsed_ms(),
-            warm_rate: rolling.stats().warm_rate(),
+            cold_ms,
+            warm_rate: stats.warm_rate(),
         })
     }
+}
+
+/// Runs `rounds` consecutive hourly re-solves of the Table III network
+/// from a fixed summer hour twice: warm through one persistent
+/// [`RollingScheduler`], then cold through a [`Scheduler`] that rebuilds
+/// and two-phase solves every round. Returns the warm wall time, the
+/// rolling scheduler's stats and the cold wall time (ms).
+fn rolling_warm_cold(
+    profiles: &[SiteProfile],
+    rounds: usize,
+) -> Result<(f64, RollingStats, f64), ApiError> {
+    let cfg = EmulationConfig::default();
+    let window = cfg.scheduler.window_hours;
+    let start = 4080;
+
+    let mut rolling = RollingScheduler::new(cfg.scheduler.clone());
+    let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
+    let t0 = Stopwatch::start();
+    for t in start..start + rounds {
+        let states = rolling_states(profiles, t, window, &loads);
+        loads = rolling.plan(&states)?.target_mw;
+    }
+    let warm_ms = t0.elapsed_ms();
+
+    let cold = Scheduler::new(cfg.scheduler.clone());
+    let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
+    let t0 = Stopwatch::start();
+    for t in start..start + rounds {
+        let states = rolling_states(profiles, t, window, &loads);
+        loads = cold.plan(&states)?.target_mw;
+    }
+    Ok((warm_ms, rolling.stats(), t0.elapsed_ms()))
 }

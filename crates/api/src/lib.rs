@@ -6,12 +6,13 @@
 //! `run_sweep`, a string-dispatching `repro` binary). This crate redesigns
 //! the public surface around three concepts:
 //!
-//! * [`ExperimentSpec`] — a serde-shaped, JSON-round-trippable description
+//! * [`ExperimentSpec`] — a JSON-round-trippable description
 //!   of one experiment (`Siting`, `ExactSiting`, `Annual`, `Sweep`,
 //!   `Timing`), versioned under [`spec::SPEC_SCHEMA`].
 //! * [`Engine`] — a handle owning the `WorldCatalog` and `CostParams` that
 //!   builds candidate sites once, caches them per profile clock, and runs
-//!   specs (concurrently via [`Engine::run_all`]).
+//!   specs through [`Engine::run_with`] (options in [`RunCtx`]), or
+//!   concurrently via [`Engine::run_all`].
 //! * [`Report`] — the structured result with uniform solver rollups and a
 //!   stable JSON serialization, versioned under [`report::REPORT_SCHEMA`].
 //!
@@ -52,7 +53,7 @@ pub mod spec;
 pub mod store;
 pub mod wallclock;
 
-pub use engine::{CancelRegistry, Engine, Progress};
+pub use engine::{Engine, Progress, RunCtx};
 pub use error::{ApiError, SpecError, ERROR_SCHEMA};
 pub use report::{
     AnnualReport, Report, ReportBody, SitingReport, SolverRollup, SweepReport, SweepRow,

@@ -37,8 +37,8 @@
 //!   content-derived job id *after* fsyncing an `Accepted` record to the
 //!   write-ahead journal ([`crate::store`]), so acknowledged work
 //!   survives `kill -9`. `GET /v1/jobs/:id` polls state or fetches the
-//!   finished report; `DELETE /v1/jobs/:id` cancels via the engine's
-//!   job-id cancel registry. On startup the journal is replayed:
+//!   finished report; `DELETE /v1/jobs/:id` fires the job's cancellation
+//!   token, queued or mid-solve. On startup the journal is replayed:
 //!   completed reports warm the LRU, and jobs that never reached a
 //!   terminal state are re-enqueued with exponential backoff, up to
 //!   `max_redeliveries` attempts before a terminal `retries_exhausted`.
@@ -47,7 +47,7 @@
 //! [`crate::error::ERROR_SCHEMA`]); `GET /v1/healthz`, `/v1/readyz`, and
 //! `/v1/stats` complete the operational surface.
 
-use crate::engine::{Engine, Progress};
+use crate::engine::{Engine, Progress, ProgressSink, RunCtx};
 use crate::error::ApiError;
 use crate::http::{
     self, error_body, finish_chunks, header, write_chunk, write_chunked_head, write_error,
@@ -144,10 +144,10 @@ impl Default for ServeConfig {
 /// Per-request lifecycle shared by the connection thread, the worker that
 /// solves it, and the deadline watchdog.
 struct JobState {
-    /// The engine-facing cancellation token (polled by annual/sweep runs).
-    /// `Arc`-shared so durable jobs can register it in the engine's
-    /// job-id cancel registry for `DELETE /v1/jobs/:id`.
-    cancel: Arc<AtomicBool>,
+    /// The engine-facing cancellation token (polled by annual/sweep runs),
+    /// set by [`JobState::fire`]. Durable jobs stay reachable by id in
+    /// `job_states` while they run, so `DELETE /v1/jobs/:id` fires it too.
+    cancel: AtomicBool,
     /// First cancellation cause (`REASON_*`); set once via CAS.
     reason: AtomicU8,
     /// True once `done` holds the result (watchdog prunes on this).
@@ -172,7 +172,7 @@ struct JobState {
 impl JobState {
     fn new(limit_ms: u64) -> Self {
         JobState {
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel: AtomicBool::new(false),
             reason: AtomicU8::new(REASON_NONE),
             finished: AtomicBool::new(false),
             limit_ms,
@@ -688,44 +688,53 @@ fn worker_loop(inner: &ServerInner) {
                 q = guard;
             }
         };
-        run_job(inner, job);
+        match job.job_id.clone() {
+            Some(id) => run_durable_job(inner, job, &id),
+            None => run_experiment(inner, job),
+        }
     }
 }
 
-fn run_job(inner: &ServerInner, job: Job) {
-    if let Some(id) = job.job_id.clone() {
-        run_durable_job(inner, job, &id);
-        return;
-    }
-    inner.inflight.fetch_add(1, Ordering::SeqCst);
-    let result = if job.state.reason_code() != REASON_NONE {
-        // Expired or cancelled while queued — skip the engine entirely.
-        Err(reason_error(job.state.reason_code(), job.state.limit_ms))
-    } else {
-        let sw = Stopwatch::start();
-        let run = if job.stream {
-            let state = Arc::clone(&job.state);
-            let sink = move |p: Progress| state.report_progress(p);
-            inner
-                .engine
-                .run_with_progress(&job.spec, &job.state.cancel, &sink)
-        } else {
-            inner.engine.run_with_cancel(&job.spec, &job.state.cancel)
-        };
-        update_ema(inner, (sw.elapsed_ms() as u64).max(1));
-        match (job.state.reason_code(), run) {
-            (REASON_NONE, Ok(report)) => {
-                let body = Arc::new(report.to_json_string());
-                if inner.cfg.cache_capacity > 0 {
-                    lock_ok(&inner.cache).insert(job.cache_key, Arc::clone(&body));
-                }
-                Ok(body)
+/// The engine call every path shares: the job's token, its progress sink
+/// when the client streams, and no engine deadline — the watchdog owns
+/// deadlines here because they count queue wait, which the engine never
+/// sees. A successful report is rendered and cached.
+fn solve(inner: &ServerInner, job: &Job) -> Result<Arc<String>, ApiError> {
+    let sink: ProgressSink<'_> = &|p| job.state.report_progress(p);
+    let sw = Stopwatch::start();
+    let run = inner.engine.run_with(
+        &job.spec,
+        RunCtx {
+            cancel: Some(&job.state.cancel),
+            progress: job.stream.then_some(sink),
+            deadline: None,
+        },
+    );
+    update_ema(inner, (sw.elapsed_ms() as u64).max(1));
+    match (job.state.reason_code(), run) {
+        (REASON_NONE, Ok(report)) => {
+            let body = Arc::new(report.to_json_string());
+            if inner.cfg.cache_capacity > 0 {
+                lock_ok(&inner.cache).insert(job.cache_key.clone(), Arc::clone(&body));
             }
-            (REASON_NONE, Err(e)) => Err(e),
-            // A fired token dominates whatever the run returned, even a
-            // limped-to-Ok report — mirrors `run_all_with_deadline`.
-            (reason, _) => Err(reason_error(reason, job.state.limit_ms)),
+            Ok(body)
         }
+        (REASON_NONE, Err(e)) => Err(e),
+        // A fired token dominates whatever the run returned, even a
+        // limped-to-Ok report — the same arbitration `Engine::run_with`
+        // applies to its own deadline.
+        (reason, _) => Err(reason_error(reason, job.state.limit_ms)),
+    }
+}
+
+/// Runs one synchronous `/v1/experiments` job and hands the outcome to the
+/// waiting connection thread.
+fn run_experiment(inner: &ServerInner, job: Job) {
+    inner.inflight.fetch_add(1, Ordering::SeqCst);
+    let result = match job.state.reason_code() {
+        REASON_NONE => solve(inner, &job),
+        // Expired or cancelled while queued — skip the engine entirely.
+        reason => Err(reason_error(reason, job.state.limit_ms)),
     };
     job.state.complete(result);
     inner.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -741,11 +750,7 @@ fn run_durable_job(inner: &ServerInner, job: Job, id: &str) {
         let started = lock_ok(&inner.store).start(id);
         match started {
             Ok(Some(_attempt)) => {
-                let sw = Stopwatch::start();
-                let run = inner
-                    .engine
-                    .run_job(id, &job.spec, Arc::clone(&job.state.cancel));
-                update_ema(inner, (sw.elapsed_ms() as u64).max(1));
+                let run = solve(inner, &job);
                 finish_durable_job(inner, &job, id, run);
             }
             // Already terminal (cancelled while queued): nothing to run.
@@ -777,16 +782,10 @@ fn finish_durable_job(
     inner: &ServerInner,
     job: &Job,
     id: &str,
-    run: Result<crate::report::Report, ApiError>,
+    run: Result<Arc<String>, ApiError>,
 ) {
     let outcome = match (job.state.reason_code(), run) {
-        (REASON_NONE, Ok(report)) => {
-            let body = Arc::new(report.to_json_string());
-            if inner.cfg.cache_capacity > 0 {
-                lock_ok(&inner.cache).insert(job.cache_key.clone(), Arc::clone(&body));
-            }
-            lock_ok(&inner.store).complete(id, &body)
-        }
+        (REASON_NONE, Ok(body)) => lock_ok(&inner.store).complete(id, &body),
         (REASON_NONE, Err(e)) => {
             if e.http_status() == 422 {
                 inner.stats.solve_errors.fetch_add(1, Ordering::SeqCst);
@@ -1343,16 +1342,14 @@ fn handle_job_get(stream: &mut TcpStream, inner: &ServerInner, id: &str, close: 
     }
 }
 
-/// `DELETE /v1/jobs/:id`: fires the job's cancel token (queued or
-/// mid-solve — the engine's job-id registry reaches a running solve) and
-/// records a terminal `Cancelled`. Terminal jobs answer `409`.
+/// `DELETE /v1/jobs/:id`: fires the job's cancel token and records a
+/// terminal `Cancelled`. `job_states` holds every durable job from submit
+/// or recovery until its run has returned, so the token reaches a queued
+/// job and a running solve alike. Terminal jobs answer `409`.
 fn handle_job_delete(stream: &mut TcpStream, inner: &ServerInner, id: &str, close: bool) -> bool {
     if let Some(state) = lock_ok(&inner.job_states).get(id).cloned() {
         state.fire(REASON_CANCEL_API);
     }
-    // Belt for a solve already registered with the engine: same token,
-    // addressed by job id.
-    inner.engine.cancels().fire(id);
     let res = lock_ok(&inner.store).cancel(id, "cancelled by client request");
     match res {
         Err(e) => store_failed(stream, inner, e.into(), close),

@@ -5,11 +5,12 @@
 //! caused them.
 
 use greencloud_api::spec::{AnnualSpec, ExperimentSpec, SweepAxes, SweepMode, SweepSpec};
-use greencloud_api::{ApiError, Engine, ReportBody};
+use greencloud_api::{ApiError, Engine, ReportBody, RunCtx};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::faults::{FaultKind, FaultSpec, ScheduledFault};
 use greencloud_nebula::scheduler::SchedulerConfig;
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 fn tiny_emulation(hours: usize) -> EmulationConfig {
@@ -142,11 +143,12 @@ fn a_panicking_spec_is_contained_while_siblings_still_run() {
     // A negative battery bank trips an assert deep inside the energy
     // crate — exactly the kind of panic the fan-out must not propagate.
     poisoned.sites[0].battery_kwh = -1.0;
+    let poisoned = ExperimentSpec::Annual(AnnualSpec {
+        config: poisoned,
+        include_trace: false,
+    });
     let specs = vec![
-        ExperimentSpec::Annual(AnnualSpec {
-            config: poisoned,
-            include_trace: false,
-        }),
+        poisoned.clone(),
         ExperimentSpec::Annual(AnnualSpec {
             config: tiny_emulation(6),
             include_trace: false,
@@ -160,27 +162,53 @@ fn a_panicking_spec_is_contained_while_siblings_still_run() {
         "{err}"
     );
     assert!(results[1].is_ok(), "the healthy sibling still ran");
+
+    // A single run is contained at the same boundary instead of unwinding
+    // into the caller.
+    let err = engine.run(&poisoned).expect_err("poisoned spec fails");
+    assert!(
+        matches!(&err, ApiError::Engine(msg) if msg.contains("panicked")),
+        "{err}"
+    );
 }
 
 #[test]
 fn a_spec_that_blows_its_deadline_reports_a_typed_error() {
     let engine = Engine::new(WorldCatalog::anchors_only(4));
-    // A multi-decade emulation cannot finish in 50 ms; the watchdog must
-    // cancel it cooperatively and surface the configured limit.
+    // A multi-decade emulation cannot finish in 50 ms; the deadline timer
+    // must cancel it cooperatively and surface the configured limit.
     let spec = ExperimentSpec::Annual(AnnualSpec {
         config: tiny_emulation(200_000),
         include_trace: false,
     });
-    let err = engine
-        .run_with_deadline(&spec, Duration::from_millis(50))
-        .expect_err("deadline fires");
-    assert_eq!(err, ApiError::Deadline { limit_ms: 50 });
+    let run = |spec, cancel, deadline_ms: Option<u64>| {
+        let deadline = deadline_ms.map(Duration::from_millis);
+        engine.run_with(
+            spec,
+            RunCtx {
+                cancel,
+                deadline,
+                ..RunCtx::default()
+            },
+        )
+    };
+    let deadline = Err(ApiError::Deadline { limit_ms: 50 });
+    assert_eq!(run(&spec, None, Some(50)).map(|_| ()), deadline);
+
+    // A caller token that never fires does not mask the deadline.
+    let idle = AtomicBool::new(false);
+    assert_eq!(run(&spec, Some(&idle), Some(50)).map(|_| ()), deadline);
+
+    // A token the caller already fired is a cancellation, not a deadline.
+    let fired = AtomicBool::new(true);
+    let err = run(&spec, Some(&fired), None).expect_err("cancelled");
+    assert!(matches!(err, ApiError::Cancelled(_)), "{err}");
 
     // A generous deadline leaves the result untouched.
     let quick = ExperimentSpec::Annual(AnnualSpec {
         config: tiny_emulation(4),
         include_trace: false,
     });
-    let ok = engine.run_with_deadline(&quick, Duration::from_secs(600));
+    let ok = run(&quick, None, Some(600_000));
     assert!(ok.is_ok(), "{:?}", ok.err());
 }

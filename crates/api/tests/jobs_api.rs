@@ -188,6 +188,45 @@ fn delete_cancels_a_queued_job() {
 }
 
 #[test]
+fn delete_cancels_a_running_job() {
+    // One worker, taken by a solve that would run for many seconds:
+    // DELETE must stop it mid-run, or the next job waits for the worker.
+    let (server, addr) = start(|cfg| cfg.max_inflight = 1);
+    let endless = annual_spec(200_000, 8, 0).to_json_string().into_bytes();
+    let (s, id, _) = submit(addr, &endless);
+    assert_eq!(s, 202);
+    for waited in (0..).step_by(20) {
+        let resp = http(addr, "GET", &format!("/v1/jobs/{id}"), &[], None);
+        if resp.header("X-Job-Status") == Some("started") {
+            break;
+        }
+        assert!(waited < 30_000, "job {id} never started: {}", resp.body);
+        thread::sleep(Duration::from_millis(20));
+    }
+
+    let del = http(addr, "DELETE", &format!("/v1/jobs/{id}"), &[], None);
+    assert_eq!(del.status, 200, "{}", del.body);
+    let done = wait_terminal(addr, &id, 30_000);
+    assert_eq!(done.header("X-Job-Status"), Some("cancelled"));
+
+    // A day's emulation takes tens of milliseconds; the abandoned solve
+    // would hold the only worker for many seconds more.
+    let next = annual_spec(24, 4, 0).to_json_string().into_bytes();
+    let (s, next_id, _) = submit(addr, &next);
+    assert_eq!(s, 202);
+    let done = wait_terminal(addr, &next_id, 5_000);
+    assert_eq!(
+        done.header("X-Job-Status"),
+        Some("completed"),
+        "{}",
+        done.body
+    );
+
+    server.trigger_shutdown();
+    server.join();
+}
+
+#[test]
 fn malformed_deadline_header_is_a_typed_400() {
     let (server, addr) = start(|_| {});
     let body = annual_spec(24, 4, 0).to_json_string().into_bytes();

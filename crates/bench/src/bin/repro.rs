@@ -47,8 +47,8 @@
 
 use greencloud_api::report::ReportBody;
 use greencloud_api::{
-    AnnualSpec, Engine, ExperimentSpec, Report, SitingSpec, SweepAxes, SweepMode, SweepSpec,
-    TimingSpec,
+    AnnualSpec, Engine, ExperimentSpec, Report, RunCtx, SitingSpec, SweepAxes, SweepMode,
+    SweepSpec, TimingSpec,
 };
 use greencloud_bench::bench_json::{parse_bench_json, render_bench_json, BenchRecord};
 use greencloud_bench::{siting_search, sweep_inputs, tech_label, world, REPRO_SEED};
@@ -350,8 +350,6 @@ fn header(title: &str) {
     println!("\n==== {title} ====");
 }
 
-/// Loads, runs, and prints one serialized spec. Returns `false` on any
-/// failure.
 /// `repro lint` — the gclint static-analysis pass over the workspace
 /// (determinism, panic-freedom, float-safety; see `cargo run -p gclint --
 /// --help` for the rule catalog). Returns the process exit code.
@@ -373,6 +371,8 @@ fn run_lint() -> i32 {
     }
 }
 
+/// Loads, runs, and prints one serialized spec. Returns `false` on any
+/// failure.
 fn run_spec_file(
     path: &str,
     world_kind: &str,
@@ -397,11 +397,11 @@ fn run_spec_file(
             }
         };
         let engine = Engine::new(catalog).with_threads(threads);
-        let report = if timeout_ms > 0 {
-            engine.run_with_deadline(&spec, std::time::Duration::from_millis(timeout_ms))?
-        } else {
-            engine.run(&spec)?
+        let ctx = RunCtx {
+            deadline: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
+            ..RunCtx::default()
         };
+        let report = engine.run_with(&spec, ctx)?;
         Ok((spec, report))
     })();
     match result {

@@ -406,22 +406,6 @@ impl Model {
         RevisedSimplex::new(options).solve(self)
     }
 
-    /// Solves with default options but an explicit entering-column pricing
-    /// rule (see [`crate::revised::PricingMode`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_with_pricing(
-        &self,
-        pricing: crate::revised::PricingMode,
-    ) -> Result<Solution, SolveError> {
-        self.solve_with(SimplexOptions {
-            pricing,
-            ..SimplexOptions::default()
-        })
-    }
-
     /// Solves with explicit simplex options, warm-starting from a basis
     /// previously exported in [`Solution::basis`] (from this model or a
     /// same-shape neighbour). An unusable basis silently falls back to a

@@ -515,30 +515,20 @@ pub fn run(
     catalog: &WorldCatalog,
     config: &EmulationConfig,
 ) -> Result<EmulationReport, NebulaError> {
-    let cancel = AtomicBool::new(false);
-    run_with_cancel(catalog, config, &cancel)
-}
-
-/// [`run`] with cooperative cancellation: the flag is polled once per
-/// emulated hour and aborts the run with [`NebulaError::Cancelled`]
-/// (deadline enforcement, user interrupts).
-pub fn run_with_cancel(
-    catalog: &WorldCatalog,
-    config: &EmulationConfig,
-    cancel: &AtomicBool,
-) -> Result<EmulationReport, NebulaError> {
-    run_observed(catalog, config, cancel, None)
+    run_observed(catalog, config, &AtomicBool::new(false), None)
 }
 
 /// Per-hour progress observer: called with `(done_hours, total_hours)`.
 /// `Sync` because sweep workers may share one sink across threads.
 pub type HourObserver<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-/// [`run_with_cancel`] with an optional per-hour progress observer. The
-/// observer fires once before the first scheduling round (`(0, total)`)
-/// and once after each emulated hour, ending at `(total, total)`; it sees
-/// only loop counters, never solver state, so observation cannot perturb
-/// the report.
+/// [`run`] with cooperative cancellation and an optional per-hour
+/// progress observer. The flag is polled once per emulated hour and aborts
+/// the run with [`NebulaError::Cancelled`] (deadline enforcement, user
+/// interrupts). The observer fires once before the first scheduling round
+/// (`(0, total)`) and once after each emulated hour, ending at
+/// `(total, total)`; it sees only loop counters, never solver state, so
+/// observation cannot perturb the report.
 pub fn run_observed(
     catalog: &WorldCatalog,
     config: &EmulationConfig,
@@ -1349,7 +1339,7 @@ mod tests {
     fn cancellation_aborts_between_hours() {
         let w = WorldCatalog::anchors_only(4);
         let cancel = AtomicBool::new(true);
-        let err = run_with_cancel(&w, &quick_config(), &cancel).unwrap_err();
+        let err = run_observed(&w, &quick_config(), &cancel, None).unwrap_err();
         assert_eq!(err, NebulaError::Cancelled);
     }
 

@@ -52,5 +52,5 @@ pub use error::NebulaError;
 pub use faults::{FaultKind, FaultSchedule, FaultSpec, ResilienceReport, ScheduledFault};
 pub use planner::{Migration, MigrationPlan};
 pub use scheduler::{RollingScheduler, RollingStats, Scheduler, SchedulerConfig};
-pub use sweep::{run_sweep, run_sweep_with_cancel, Scenario, ScenarioResult};
+pub use sweep::{run_sweep, Scenario, ScenarioResult};
 pub use vm::{Vm, VmId, VmSpec};

@@ -13,7 +13,8 @@
 use crate::emulation::{self, EmulationConfig, EmulationReport};
 use crate::error::NebulaError;
 use greencloud_climate::catalog::WorldCatalog;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// One named sweep entry.
 #[derive(Debug, Clone)]
@@ -97,9 +98,9 @@ impl ScenarioResult {
 }
 
 /// Runs every scenario against `catalog`, at most `threads` at a time
-/// (`0` = one per available core, clamped), and returns results in
-/// scenario order. Each scenario gets its own [`crate::RollingScheduler`],
-/// GDFS master, and storage ledgers, so runs never share mutable state.
+/// (at least one), and returns results in scenario order. Each scenario
+/// gets its own [`crate::RollingScheduler`], GDFS master, and storage
+/// ledgers, so runs never share mutable state.
 ///
 /// # Errors
 ///
@@ -110,88 +111,64 @@ pub fn run_sweep(
     scenarios: &[Scenario],
     threads: usize,
 ) -> Result<Vec<ScenarioResult>, NebulaError> {
-    let cancel = std::sync::atomic::AtomicBool::new(false);
-    run_sweep_with_cancel(catalog, scenarios, threads, &cancel)
-}
-
-/// [`run_sweep`] with cooperative cancellation: the flag propagates into
-/// every scenario's emulation (polled hourly) and also stops workers from
-/// claiming further scenarios.
-pub fn run_sweep_with_cancel(
-    catalog: &WorldCatalog,
-    scenarios: &[Scenario],
-    threads: usize,
-    cancel: &std::sync::atomic::AtomicBool,
-) -> Result<Vec<ScenarioResult>, NebulaError> {
-    run_sweep_observed(catalog, scenarios, threads, cancel, None)
+    run_sweep_observed(catalog, scenarios, threads, &AtomicBool::new(false), None)
 }
 
 /// Per-scenario progress observer: called with `(done, total)` from
 /// whichever worker finishes a scenario, so it must be `Sync`.
 pub type ScenarioObserver<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-/// [`run_sweep_with_cancel`] with an optional completion observer: fires
-/// `(0, total)` before any scenario runs, then `(done, total)` as each
-/// scenario finishes (in completion order, not input order).
+/// [`run_sweep`] with cooperative cancellation and an optional completion
+/// observer. The flag propagates into every scenario's emulation (polled
+/// hourly) and also stops workers from claiming further scenarios. The
+/// observer fires `(0, total)` before any scenario runs, then
+/// `(done, total)` as each scenario finishes (in completion order, not
+/// input order).
 pub fn run_sweep_observed(
     catalog: &WorldCatalog,
     scenarios: &[Scenario],
     threads: usize,
-    cancel: &std::sync::atomic::AtomicBool,
+    cancel: &AtomicBool,
     progress: Option<ScenarioObserver<'_>>,
 ) -> Result<Vec<ScenarioResult>, NebulaError> {
-    let threads = if threads == 0 {
-        // Mirrors `greencloud_core::tool::default_threads` (this crate
-        // sits below `core`, so the helper cannot be shared directly).
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(1, 16)
-    } else {
-        threads
-    };
-    let threads = threads.min(scenarios.len().max(1));
-    let mut slots: Vec<Option<Result<ScenarioResult, NebulaError>>> =
-        (0..scenarios.len()).map(|_| None).collect();
+    let threads = threads.max(1).min(scenarios.len().max(1));
     if let Some(observe) = progress {
         observe(0, scenarios.len());
     }
-    {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let slots = Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let next = &next;
-                let done = &done;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= scenarios.len() {
-                        break;
-                    }
-                    let s = &scenarios[k];
-                    let out = if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                        Err(NebulaError::Cancelled)
-                    } else {
-                        emulation::run_with_cancel(catalog, &s.config, cancel).map(|r| {
-                            ScenarioResult::from_report(s.name.clone(), s.config.hours, &r)
-                        })
-                    };
-                    // Tolerate a poisoned lock: a sibling panicking between
-                    // scenarios must not take this worker's result with it.
-                    let mut guard = slots.lock().unwrap_or_else(|p| p.into_inner());
-                    guard[k] = Some(out);
-                    drop(guard);
-                    let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    if let Some(observe) = progress {
-                        observe(finished, scenarios.len());
-                    }
-                });
-            }
-        });
-    }
+    let slots: Mutex<Vec<Option<Result<ScenarioResult, NebulaError>>>> =
+        Mutex::new(scenarios.iter().map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(s) = scenarios.get(k) else {
+                    break;
+                };
+                let out = if cancel.load(Ordering::Relaxed) {
+                    Err(NebulaError::Cancelled)
+                } else {
+                    emulation::run_observed(catalog, &s.config, cancel, None)
+                        .map(|r| ScenarioResult::from_report(s.name.clone(), s.config.hours, &r))
+                };
+                // Tolerate a poisoned lock: a sibling panicking between
+                // scenarios must not take this worker's result with it.
+                let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                if let Some(slot) = slots.get_mut(k) {
+                    *slot = Some(out);
+                }
+                drop(slots);
+                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if let Some(observe) = progress {
+                    observe(finished, scenarios.len());
+                }
+            });
+        }
+    });
     slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| {
             slot.unwrap_or_else(|| {
