@@ -66,7 +66,9 @@ impl Default for AnnealOptions {
 /// Counters describing how the search spent its LP budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// LP solves actually performed (eval-cache misses).
+    /// Sitings handed to the LP solver (eval-cache misses). This includes
+    /// sitings the solver proves infeasible by bound propagation before
+    /// any pivot.
     pub evaluations: usize,
     /// Sitings answered from the eval cache without solving.
     pub cache_hits: usize,

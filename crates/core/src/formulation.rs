@@ -426,11 +426,6 @@ impl NetworkLp {
             let mut demand_mwh = 0.0;
             let mut brown_mwh = 0.0;
             let mut drawn_mwh = 0.0;
-            let prof_pue = {
-                // PUE series is needed for demand accounting.
-                &sol.values // placeholder to satisfy borrow; replaced below
-            };
-            let _ = prof_pue;
             for t in 0..t_count {
                 let w = self.weights[t];
                 let mut g = green_used_mw[t];
@@ -724,6 +719,90 @@ mod tests {
             &[(&sites[0], SizeClass::Large)],
         );
         assert_eq!(lp.solve().unwrap_err(), SolveError::Infeasible);
+    }
+
+    #[test]
+    fn a_capped_site_proves_a_50_mw_siting_infeasible() {
+        // A small site holds at most 10/max_pue MW, and the redundancy rows
+        // give every site the same share, so 2 or 3 sites fall short of
+        // 50 MW whatever the large sites could hold.
+        let sites = candidates();
+        let input = PlacementInput::default();
+        assert_eq!(input.total_capacity_mw, 50.0);
+        let two = [(&sites[0], SizeClass::Small), (&sites[7], SizeClass::Large)];
+        let three = [
+            (&sites[0], SizeClass::Large),
+            (&sites[3], SizeClass::Large),
+            (&sites[7], SizeClass::Small),
+        ];
+        for siting in [&two[..], &three[..]] {
+            let lp = build_network_lp(&CostParams::default(), &input, siting);
+            assert_eq!(lp.solve().unwrap_err(), SolveError::Infeasible);
+        }
+    }
+
+    #[test]
+    fn a_capped_site_still_takes_its_share_of_10_mw() {
+        // Two sites need 5 MW each, under the small site's 10/max_pue cap.
+        let sites = candidates();
+        let lp = build_network_lp(
+            &CostParams::default(),
+            &brown_input(),
+            &[(&sites[0], SizeClass::Small), (&sites[7], SizeClass::Large)],
+        );
+        let sol = lp.model().solve().expect("5 MW fits a small site");
+        greencloud_lp::validate::assert_feasible(lp.model(), &sol.values, 1e-6);
+    }
+
+    #[test]
+    fn a_warm_restoration_that_would_cycle_falls_back_at_once() {
+        // Two Table III sitings a swap apart: the first one's optimal basis
+        // sends the second one's dual restoration into flipping one column
+        // back and forth. It must give up on that 2-cycle at once instead
+        // of running to its 2m + 64 step cap, then solve cold.
+        let w = WorldCatalog::anchors_only(17);
+        let sites = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let input = PlacementInput {
+            storage: StorageMode::None,
+            ..PlacementInput::default()
+        }
+        .with_green(1.0, TechMix::Both);
+        let params = CostParams::default();
+        let lp = |other: usize| {
+            build_network_lp(
+                &params,
+                &input,
+                &[
+                    (&sites[3], SizeClass::Large),
+                    (&sites[other], SizeClass::Large),
+                ],
+            )
+        };
+        let (_, basis) = lp(5)
+            .solve_warm(SimplexOptions::default(), None)
+            .expect("base siting");
+        let swapped = lp(6);
+        let (cold, _) = swapped
+            .solve_warm(SimplexOptions::default(), None)
+            .expect("cold");
+        let (warm, _) = swapped
+            .solve_warm(SimplexOptions::default(), basis.as_ref())
+            .expect("warm");
+        assert!(!warm.warm_started, "the restoration must fall back");
+        let rel = (warm.monthly_cost - cold.monthly_cost).abs() / cold.monthly_cost.abs();
+        assert!(
+            rel <= 1e-9,
+            "warm {} cold {}",
+            warm.monthly_cost,
+            cold.monthly_cost
+        );
+        let m = swapped.num_cons();
+        assert!(
+            warm.iterations <= cold.iterations + m / 4,
+            "warm {} iterations, cold {}, m {m}",
+            warm.iterations,
+            cold.iterations
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod dense;
 pub mod expr;
 pub mod lu;
 pub mod model;
+mod propagate;
 pub mod revised;
 pub mod validate;
 pub mod wallclock;

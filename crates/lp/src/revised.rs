@@ -26,6 +26,7 @@
 #![allow(clippy::needless_range_loop)]
 use crate::lu::{ColMatrix, FactorizeError, RowMatrix, SparseLu};
 use crate::model::{Model, Sense, Solution, SolveError};
+use crate::propagate;
 use crate::wallclock::Stopwatch;
 
 /// Status of one column in an exported [`Basis`].
@@ -258,11 +259,20 @@ impl RevisedSimplex {
     /// the solver silently rebuilds and runs the cold two-phase path, so
     /// the result is always identical (up to tolerances) to a cold solve.
     ///
+    /// Before any basis is built, row-activity bound propagation looks for
+    /// a proof that the model is infeasible; when it finds one the solve
+    /// returns [`SolveError::Infeasible`] without a single pivot. The proof
+    /// only reads the model and tolerates `10·feas_tol` per row, so it
+    /// never changes the answer to a model the simplex would solve.
+    ///
     /// # Errors
     ///
     /// See [`Model::solve`].
     pub fn solve_warm(&self, model: &Model, warm: Option<&Basis>) -> Result<Solution, SolveError> {
         model.validate()?;
+        if propagate::infeasible_at_pass(model, self.options.feas_tol).is_some() {
+            return Err(SolveError::Infeasible);
+        }
         let mut w = Worker::build(model, &self.options)?;
         let mut warm_installed = false;
         if let Some(basis) = warm {
@@ -671,14 +681,22 @@ impl<'a> Worker<'a> {
     /// entering column by the dual ratio test (smallest |reduced cost| per
     /// unit of pivot, largest pivot on ties). Reduced costs come from the
     /// maintained array; candidate pivots come from the sparse pivot row,
-    /// so only columns the row actually touches are examined. From a
-    /// near-optimal warm basis this takes a handful of pivots; a stall (no
-    /// usable pivot or too many steps) reports `Err` so the caller can
-    /// solve cold instead.
+    /// so only columns the row actually touches are examined. A warm basis
+    /// from a neighbouring siting takes from about a hundred to over a
+    /// thousand steps.
+    ///
+    /// A stall reports `Err` so the caller can solve cold instead: no
+    /// usable pivot, `2m + 64` steps, or a step about to bound-flip the
+    /// column the previous step flipped. A flip leaves the basis alone, so
+    /// two flips of one column in a row restore the basis and statuses of
+    /// two steps earlier, and the restoration would repeat that 2-cycle
+    /// until the step cap.
     fn restore_primal_feasibility(&mut self, phase1: bool) -> Result<(), ()> {
         const PIV_TOL: f64 = 1e-9;
         let tol = self.opts.feas_tol;
         let max_steps = 2 * self.m + 64;
+        // The column the previous step bound-flipped; a pivot clears it.
+        let mut last_flip = None;
         for _ in 0..max_steps {
             // Leaving row: most violated basic. In phase 1 the artificials
             // keep their relaxed sign bounds — their infeasibility is the
@@ -792,6 +810,10 @@ impl<'a> Worker<'a> {
             // picks up the remainder.
             let span = self.ub[q] - self.lb[q];
             if span.is_finite() && t > span {
+                if last_flip == Some(q) {
+                    return Err(()); // flipping back undoes the last step
+                }
+                last_flip = Some(q);
                 for s in 0..self.m {
                     self.xb[s] -= span * dir * self.work_w[s];
                 }
@@ -804,6 +826,7 @@ impl<'a> Worker<'a> {
                 continue;
             }
 
+            last_flip = None;
             let leaving = self.basis[r];
             // Maintain reduced costs across the pivot while the pivot row
             // is still valid (before the eta push).
@@ -1487,7 +1510,8 @@ impl<'a> Worker<'a> {
     }
 
     /// `GC_LP_PARANOID` cross-check: the eta-file FTRAN of the entering
-    /// column must match a fresh factorization's answer.
+    /// column must match a fresh factorization's answer to 1e-6 relative
+    /// (`|fresh − eta| / (1 + |fresh|)`) in every slot.
     fn paranoid_check(&mut self, q: usize) {
         if let Ok(lu) = factorize_basis(&self.cols, &self.basis, self.m) {
             let mut check = vec![0.0; self.m];
@@ -1496,31 +1520,22 @@ impl<'a> Worker<'a> {
             }
             let mut scratch = Vec::new();
             lu.ftran(&mut check, &mut scratch);
-            let diff = check
-                .iter()
-                .zip(self.work_w.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            if diff > 1e-6 {
-                let worst = check
-                    .iter()
-                    .zip(self.work_w.iter())
-                    .enumerate()
-                    .max_by(|a, b| {
-                        let da = (a.1 .0 - a.1 .1).abs();
-                        let db = (b.1 .0 - b.1 .1).abs();
-                        da.total_cmp(&db)
-                    });
-                if let Some(worst) = worst {
-                    eprintln!(
-                        "PARANOID iter {}: ftran drift {diff:.3e} q={q} (etas {}) worst slot {} fresh={} eta={}",
-                        self.iterations,
-                        self.etas.len(),
-                        worst.0,
-                        worst.1 .0,
-                        worst.1 .1,
-                    );
+            // Relative drift, the form `update_reduced_costs` uses for its
+            // pivot cross-check: siting basics reach 1e8–1e9, where an
+            // absolute 1e-6 is a few ulps. The worst slot past 1e-6 wins.
+            let mut worst: Option<(usize, f64, f64, f64)> = None;
+            for (slot, (&fresh, &eta)) in check.iter().zip(&self.work_w).enumerate() {
+                let drift = (fresh - eta).abs() / (1.0 + fresh.abs());
+                if drift > worst.map_or(1e-6, |w| w.3) {
+                    worst = Some((slot, fresh, eta, drift));
                 }
+            }
+            if let Some((slot, fresh, eta, drift)) = worst {
+                eprintln!(
+                    "PARANOID iter {}: ftran drift {drift:.3e} q={q} (etas {}) worst slot {slot} fresh={fresh} eta={eta}",
+                    self.iterations,
+                    self.etas.len(),
+                );
                 for (k, e) in self.etas.iter().enumerate() {
                     eprintln!(
                         "  eta {k}: slot {} pivot {:.6e} nnz {}",
