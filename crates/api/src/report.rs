@@ -67,7 +67,8 @@ pub struct SolverRollup {
     pub btrans: usize,
     /// Warm-start success rate, in `[0, 1]`.
     pub warm_rate: f64,
-    /// Wall time spent pricing, milliseconds (zeroed by
+    /// Wall time of pricing and the pivot-row work around it
+    /// ([`greencloud_lp::SolveStats::pricing_ns`]), milliseconds (zeroed by
     /// [`Report::normalized`]).
     pub pricing_ms: f64,
 }

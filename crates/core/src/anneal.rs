@@ -72,7 +72,9 @@ pub struct SearchStats {
     pub evaluations: usize,
     /// Sitings answered from the eval cache without solving.
     pub cache_hits: usize,
-    /// Solves given a warm basis to try.
+    /// Solves that were given a warm basis to try and returned an optimum.
+    /// A siting proved infeasible never installs a basis, so it does not
+    /// count.
     pub warm_attempts: usize,
     /// Solves that actually started from the warm basis (skipped phase 1).
     pub warm_hits: usize,
@@ -88,7 +90,9 @@ pub struct SearchStats {
     pub ftrans: usize,
     /// BTRAN solves across all LP solves.
     pub btrans: usize,
-    /// Wall time the LP solver spent pricing, nanoseconds.
+    /// The LP solver's [`SolveStats::pricing_ns`](greencloud_lp::SolveStats::pricing_ns)
+    /// summed over all solves, nanoseconds: pricing plus the pivot-row
+    /// BTRAN, gather and reduced-cost upkeep.
     pub pricing_ns: u64,
 }
 
@@ -112,7 +116,7 @@ impl SearchStats {
         }
     }
 
-    /// Wall time the LP solver spent pricing, in milliseconds.
+    /// [`SearchStats::pricing_ns`] in milliseconds.
     pub fn pricing_ms(&self) -> f64 {
         self.pricing_ns as f64 / 1e6
     }
@@ -206,6 +210,25 @@ struct Shared {
     pricing_ns: AtomicU64,
 }
 
+impl Shared {
+    fn new() -> Self {
+        Self {
+            best: RwLock::new(None),
+            cache: EvalCache::new(16),
+            blocks: SiteBlockCache::new(),
+            evals: AtomicUsize::new(0),
+            cache_hits: AtomicUsize::new(0),
+            warm_attempts: AtomicUsize::new(0),
+            warm_hits: AtomicUsize::new(0),
+            simplex_iterations: AtomicUsize::new(0),
+            refactorizations: AtomicUsize::new(0),
+            ftrans: AtomicUsize::new(0),
+            btrans: AtomicUsize::new(0),
+            pricing_ns: AtomicU64::new(0),
+        }
+    }
+}
+
 /// Runs the search. `candidates` should already be pre-filtered (cheapest
 /// first — the first `n_min` seed the initial siting).
 ///
@@ -228,20 +251,7 @@ pub fn anneal(
             "need at least {n_min} candidates for the availability target"
         )));
     }
-    let shared = Shared {
-        best: RwLock::new(None),
-        cache: EvalCache::new(16),
-        blocks: SiteBlockCache::new(),
-        evals: AtomicUsize::new(0),
-        cache_hits: AtomicUsize::new(0),
-        warm_attempts: AtomicUsize::new(0),
-        warm_hits: AtomicUsize::new(0),
-        simplex_iterations: AtomicUsize::new(0),
-        refactorizations: AtomicUsize::new(0),
-        ftrans: AtomicUsize::new(0),
-        btrans: AtomicUsize::new(0),
-        pricing_ns: AtomicU64::new(0),
-    };
+    let shared = Shared::new();
 
     let class_for = |count: usize| -> SizeClass {
         // A network split across `count` sites: large class whenever the
@@ -466,11 +476,11 @@ fn evaluate(
     }
     let lp = build_network_lp_cached(params, input, candidates, siting, &shared.blocks);
     shared.evals.fetch_add(1, Ordering::Relaxed);
-    if warm.is_some() {
-        shared.warm_attempts.fetch_add(1, Ordering::Relaxed);
-    }
     let outcome = match lp.solve_warm(options.lp.clone(), warm) {
         Ok((dispatch, basis)) => {
+            if warm.is_some() {
+                shared.warm_attempts.fetch_add(1, Ordering::Relaxed);
+            }
             if dispatch.warm_started {
                 shared.warm_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -620,6 +630,52 @@ mod tests {
         assert!(st.simplex_iterations > 0, "stats: {st:?}");
         assert!(st.ftrans > 0 && st.btrans > 0, "stats: {st:?}");
         assert!(st.refactorizations > 0, "stats: {st:?}");
+    }
+
+    #[test]
+    fn warm_attempts_count_only_solved_sitings() {
+        let w = WorldCatalog::anchors_only(5);
+        let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let input = PlacementInput {
+            total_capacity_mw: 20.0,
+            min_green_fraction: 0.0,
+            tech: TechMix::BrownOnly,
+            ..PlacementInput::default()
+        };
+        let params = CostParams::default();
+        let opts = quick_options();
+        let shared = Shared::new();
+        let attempts = || shared.warm_attempts.load(Ordering::Relaxed);
+        let large = vec![(0, SizeClass::Large), (1, SizeClass::Large)];
+        let (_, basis) = evaluate(&params, &input, &cands, &large, &opts, &shared, None)
+            .expect("two large sites reach 20 MW");
+        let basis = basis.expect("an optimal solve exports its basis");
+        // Two small sites hold at most 2 × 10 MW / PUE: a same-shape
+        // neighbour that is infeasible, so no basis is ever installed.
+        let small = vec![(0, SizeClass::Small), (1, SizeClass::Small)];
+        let infeasible = evaluate(
+            &params,
+            &input,
+            &cands,
+            &small,
+            &opts,
+            &shared,
+            Some(&basis),
+        );
+        assert!(infeasible.is_none());
+        assert_eq!(attempts(), 0);
+        let moved = vec![(0, SizeClass::Large), (2, SizeClass::Large)];
+        let solved = evaluate(
+            &params,
+            &input,
+            &cands,
+            &moved,
+            &opts,
+            &shared,
+            Some(&basis),
+        );
+        assert!(solved.is_some());
+        assert_eq!(attempts(), 1);
     }
 
     #[test]

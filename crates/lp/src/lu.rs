@@ -9,8 +9,12 @@
 //! eliminated only over its symbolic reach — the earlier pivots its
 //! nonzeros can reach through `L` (Gilbert–Peierls) — so factorization costs
 //! `O(nnz(B) + flops)` plus a sort of each reach, not `O(n²)` probes of
-//! every earlier pivot. Triangular solves use a dense workspace and run in
-//! `O(n + nnz(L+U))`.
+//! every earlier pivot. Triangular solves use a dense workspace. FTRAN
+//! costs `O(n)` index arithmetic plus the `L` and `U` columns of the
+//! positions whose value is nonzero. BTRAN solves `Uᵀ` row-wise over a row
+//! copy of `U` built once per factorization, so it costs `O(n)` plus the
+//! `U` rows of the nonzero positions, and then `Lᵀ` by dot products in
+//! `O(n + nnz(L))`.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
@@ -172,6 +176,11 @@ pub struct SparseLu {
     u_idx: Vec<usize>,
     u_val: Vec<f64>,
     u_diag: Vec<f64>,
+    /// The same entries of U by row, for the `Uᵀ` sweep of BTRAN: row `p`
+    /// holds `(k, U[p, k])` for `k > p`, in ascending `k`.
+    ur_ptr: Vec<usize>,
+    ur_idx: Vec<usize>,
+    ur_val: Vec<f64>,
     /// `row_of[p]` = original row pivoted at position `p`.
     row_of: Vec<usize>,
     /// `pos_of[r]` = pivot position of original row `r`.
@@ -349,6 +358,9 @@ impl SparseLu {
             u_idx: Vec::new(),
             u_val: Vec::new(),
             u_diag: vec![0.0; n],
+            ur_ptr: Vec::new(),
+            ur_idx: Vec::new(),
+            ur_val: Vec::new(),
             row_of: vec![usize::MAX; n],
             pos_of: vec![usize::MAX; n],
             col_of: triangular_order(basis),
@@ -482,7 +494,37 @@ impl SparseLu {
         for idx in &mut lu.l_idx {
             *idx = lu.pos_of[*idx];
         }
+        lu.index_u_rows();
         Ok(lu)
+    }
+
+    /// Builds the row copy of `U` from its columns (a counting transpose,
+    /// `O(n + nnz(U))`). Columns are visited in ascending `k`, so each row
+    /// lists its entries in ascending `k`.
+    fn index_u_rows(&mut self) {
+        let n = self.n;
+        let mut ptr = vec![0usize; n + 1];
+        for &p in &self.u_idx {
+            ptr[p + 1] += 1;
+        }
+        for p in 0..n {
+            ptr[p + 1] += ptr[p];
+        }
+        let nnz = self.u_idx.len();
+        let mut idx = vec![0usize; nnz];
+        let mut val = vec![0.0f64; nnz];
+        let mut cursor = ptr.clone();
+        for k in 0..n {
+            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
+                let p = self.u_idx[t];
+                idx[cursor[p]] = k;
+                val[cursor[p]] = self.u_val[t];
+                cursor[p] += 1;
+            }
+        }
+        self.ur_ptr = ptr;
+        self.ur_idx = idx;
+        self.ur_val = val;
     }
 
     /// Matrix dimension.
@@ -588,61 +630,44 @@ impl SparseLu {
         }
     }
 
-    /// Solves `Bᵀ·y = c` in place like [`SparseLu::btran`], for a sparse
-    /// right-hand side (e.g. the unit vector `eᵣ` of a dual simplex row
-    /// BTRAN): the forward `Uᵀ` sweep starts at the first position the
-    /// (column-permuted) input actually touches — everything before it is
-    /// provably zero because `Uᵀ` is lower triangular. That prefix is the
-    /// only saving. Both sweeps are dot products, so no inner loop can skip
-    /// on a zero value: each `Uᵀ` row from `first` on and each `Lᵀ` row
-    /// over all positions runs in full.
-    pub fn btran_sparse(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
-        debug_assert_eq!(c.len(), self.n);
-        scratch.resize(self.n, 0.0);
-        let mut first = self.n;
-        for k in 0..self.n {
-            if c[self.col_of[k]] != 0.0 {
-                first = k;
-                break;
-            }
-        }
-        scratch[..first].fill(0.0);
-        // Uᵀ·w = Qᵀ·c (forward, skipping the provably-zero prefix).
-        for k in first..self.n {
-            let mut s = c[self.col_of[k]];
-            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                s -= self.u_val[t] * scratch[self.u_idx[t]];
-            }
-            scratch[k] = if s != 0.0 { s / self.u_diag[k] } else { 0.0 };
-        }
-        // Lᵀ·v = w (backward, unit diagonal).
-        for k in (0..self.n).rev() {
-            let mut s = scratch[k];
-            for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                s -= self.l_val[t] * scratch[self.l_idx[t]];
-            }
-            scratch[k] = s;
-        }
-        // y = Pᵀ·v
-        for p in 0..self.n {
-            c[self.row_of[p]] = scratch[p];
-        }
-    }
-
     /// Solves `Bᵀ·y = c` in place: `c` enters in basis-column space and
     /// leaves as `y` in original-row space.
+    ///
+    /// The forward `Uᵀ` sweep runs row-wise: once position `k` is final,
+    /// its term leaves for every later position of `U` row `k`, and a
+    /// position whose value is zero is skipped. So it costs `O(n)` plus the
+    /// `U` rows of the nonzero positions, not every `U` entry from the
+    /// first nonzero position on — the saving on a hyper-sparse right-hand
+    /// side such as a pivot row's `eᵣ`. The backward `Lᵀ` sweep is a dot
+    /// product per position, `O(n + nnz(L))`; `L` is small on simplex
+    /// bases, and its columns are not stored in position order, so a
+    /// row-wise `Lᵀ` would reorder its sums.
+    ///
+    /// `U`'s columns hold their entries in ascending position, so each
+    /// position receives the same nonzero terms in the same order as a dot
+    /// product over its `U` column would subtract them: the result is
+    /// bit-identical to that dot product up to the sign of a zero.
     pub fn btran(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
         debug_assert_eq!(c.len(), self.n);
         scratch.resize(self.n, 0.0);
-        // Uᵀ·w = Qᵀ·c (forward)
+        // w = Qᵀ·c
         for k in 0..self.n {
-            let mut s = c[self.col_of[k]];
-            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                s -= self.u_val[t] * scratch[self.u_idx[t]];
-            }
-            scratch[k] = s / self.u_diag[k];
+            scratch[k] = c[self.col_of[k]];
         }
-        // Lᵀ·v = w (backward, unit diagonal)
+        // Uᵀ·w = Qᵀ·c (forward, row-wise).
+        for k in 0..self.n {
+            let s = scratch[k];
+            if s == 0.0 {
+                scratch[k] = 0.0;
+                continue;
+            }
+            let wk = s / self.u_diag[k];
+            scratch[k] = wk;
+            for t in self.ur_ptr[k]..self.ur_ptr[k + 1] {
+                scratch[self.ur_idx[t]] -= self.ur_val[t] * wk;
+            }
+        }
+        // Lᵀ·v = w (backward, unit diagonal).
         for k in (0..self.n).rev() {
             let mut s = scratch[k];
             for t in self.l_ptr[k]..self.l_ptr[k + 1] {
@@ -850,18 +875,18 @@ mod tests {
                 );
             }
 
-            // Unit BTRAN via btran_sparse == dense btran.
+            // Unit BTRAN, row-wise == dot products.
             let r = rng.gen_range(0..n);
-            let mut dense = vec![0.0; n];
-            dense[r] = 1.0;
-            lu.btran(&mut dense, &mut scratch);
-            let mut sparse = vec![0.0; n];
-            sparse[r] = 1.0;
-            lu.btran_sparse(&mut sparse, &mut scratch);
+            let mut rows = vec![0.0; n];
+            rows[r] = 1.0;
+            lu.btran(&mut rows, &mut scratch);
+            let mut dots = vec![0.0; n];
+            dots[r] = 1.0;
+            btran_dot_products(&lu, &mut dots, &mut scratch);
             for i in 0..n {
                 assert!(
-                    (dense[i] - sparse[i]).abs() < 1e-12,
-                    "btran_sparse mismatch at {i}"
+                    (rows[i] - dots[i]).abs() < 1e-12,
+                    "row-wise btran mismatch at {i}"
                 );
             }
         }
@@ -909,6 +934,9 @@ mod tests {
             u_idx: Vec::new(),
             u_val: Vec::new(),
             u_diag: vec![0.0; n],
+            ur_ptr: Vec::new(),
+            ur_idx: Vec::new(),
+            ur_val: Vec::new(),
             row_of: vec![usize::MAX; n],
             pos_of: vec![usize::MAX; n],
             col_of: triangular_order(basis),
@@ -977,7 +1005,44 @@ mod tests {
         for idx in &mut lu.l_idx {
             *idx = lu.pos_of[*idx];
         }
+        lu.index_u_rows();
         Ok(lu)
+    }
+
+    /// [`SparseLu::btran`] with a dot product per position in the `Uᵀ`
+    /// sweep, as it ran before the row copy of `U`: every `U` entry from
+    /// the first nonzero position on is read. The reference the row-wise
+    /// sweep must match bit for bit.
+    fn btran_dot_products(lu: &SparseLu, c: &mut [f64], scratch: &mut Vec<f64>) {
+        let n = lu.n;
+        scratch.resize(n, 0.0);
+        let first = (0..n).find(|&k| c[lu.col_of[k]] != 0.0).unwrap_or(n);
+        scratch[..first].fill(0.0);
+        for k in first..n {
+            let mut s = c[lu.col_of[k]];
+            for t in lu.u_ptr[k]..lu.u_ptr[k + 1] {
+                s -= lu.u_val[t] * scratch[lu.u_idx[t]];
+            }
+            scratch[k] = if s != 0.0 { s / lu.u_diag[k] } else { 0.0 };
+        }
+        for k in (0..n).rev() {
+            let mut s = scratch[k];
+            for t in lu.l_ptr[k]..lu.l_ptr[k + 1] {
+                s -= lu.l_val[t] * scratch[lu.l_idx[t]];
+            }
+            scratch[k] = s;
+        }
+        for p in 0..n {
+            c[lu.row_of[p]] = scratch[p];
+        }
+    }
+
+    /// Bit patterns with both zeros mapped to `+0`: the row-wise sweep may
+    /// differ from the dot products in the sign of a zero only.
+    fn bits_up_to_zero_sign(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|&x| if x == 0.0 { 0 } else { x.to_bits() })
+            .collect()
     }
 
     /// A basis shaped like the siting LP's: ±1 unit slack columns, runs of
@@ -1106,6 +1171,58 @@ mod tests {
         assert!(
             factored > 0 && singular > 0 && filled > 0,
             "factored {factored}, singular {singular}, with L entries {filled}"
+        );
+    }
+
+    #[test]
+    fn row_wise_btran_is_bit_identical_to_dot_products() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[3, 8, 24]
+        } else {
+            &[3, 8, 24, 90, 400, 1500]
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut scratch = Vec::new();
+        let (mut solves, mut multi_term) = (0, 0);
+        for &n in sizes {
+            for trial in 0..8 {
+                let Ok(lu) = SparseLu::factorize(&siting_shaped_basis(&mut rng, n, false)) else {
+                    continue;
+                };
+                multi_term += (0..n)
+                    .filter(|&k| lu.u_ptr[k + 1] - lu.u_ptr[k] >= 2)
+                    .count();
+                // A unit vector (a pivot row's eᵣ), 3–6 nonzeros, and a
+                // dense right-hand side (a dual BTRAN of basic costs).
+                for kind in 0..3 {
+                    let mut c = vec![0.0; n];
+                    match kind {
+                        0 => c[rng.gen_range(0..n)] = 1.0,
+                        1 => {
+                            for _ in 0..rng.gen_range(3..7) {
+                                c[rng.gen_range(0..n)] = rng.gen_range(-2.0..2.0);
+                            }
+                        }
+                        _ => c.iter_mut().for_each(|x| *x = rng.gen_range(-2.0..2.0)),
+                    }
+                    let mut rows = c.clone();
+                    lu.btran(&mut rows, &mut scratch);
+                    let mut dots = c;
+                    btran_dot_products(&lu, &mut dots, &mut scratch);
+                    assert_eq!(
+                        bits_up_to_zero_sign(&rows),
+                        bits_up_to_zero_sign(&dots),
+                        "n={n} trial={trial} kind={kind}"
+                    );
+                    solves += 1;
+                }
+            }
+        }
+        // Positions that sum two or more U terms are where an order change
+        // would show.
+        assert!(
+            solves > 0 && multi_term > 0,
+            "solves {solves}, multi-term columns {multi_term}"
         );
     }
 }

@@ -154,8 +154,10 @@ pub struct SolveStats {
     pub ftrans: usize,
     /// BTRAN solves (`B⁻ᵀ·y`) performed, dense and unit-vector alike.
     pub btrans: usize,
-    /// Wall time spent pricing: maintaining reduced costs/devex weights and
-    /// selecting entering columns.
+    /// Wall time of pricing and the pivot-row work around it: selecting
+    /// entering columns, the dense reduced-cost recomputes, the pivot-row
+    /// BTRAN and gather, and the reduced-cost and devex-weight updates, in
+    /// the primal iterations and in the warm start's dual restoration.
     pub pricing_ns: u64,
 }
 
@@ -170,7 +172,7 @@ impl SolveStats {
         self.pricing_ns += other.pricing_ns;
     }
 
-    /// Pricing time in milliseconds.
+    /// [`SolveStats::pricing_ns`] in milliseconds.
     pub fn pricing_ms(&self) -> f64 {
         self.pricing_ns as f64 / 1e6
     }
@@ -314,12 +316,87 @@ enum ColStatus {
     FreeAtZero,
 }
 
+/// What pricing needs to know of a column, in one byte beside `d`: the
+/// scan then reads neither the 16-byte [`ColStatus`] nor the bounds.
+/// Written only by [`Worker::set_status`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum PriceState {
+    /// Basic, or nonbasic with `lb == ub`: never an entering candidate.
+    Off,
+    AtLower,
+    AtUpper,
+    /// A free column parked at zero.
+    Free,
+}
+
+fn price_state(st: ColStatus, lb: f64, ub: f64) -> PriceState {
+    match st {
+        ColStatus::Basic(_) => PriceState::Off,
+        _ if lb == ub => PriceState::Off,
+        ColStatus::AtLower => PriceState::AtLower,
+        ColStatus::AtUpper => PriceState::AtUpper,
+        ColStatus::FreeAtZero => PriceState::Free,
+    }
+}
+
 #[derive(Debug)]
 struct Eta {
     slot: usize,
     pivot: f64,
-    /// Off-pivot entries `(slot, value)` of the transformed entering column.
+    /// Off-pivot entries `(slot, value)` of the transformed entering column,
+    /// in ascending slot.
     entries: Vec<(usize, f64)>,
+}
+
+/// An eta whose entries outnumber the listed nonzeros of `y` by this
+/// factor or more is applied by binary searches for those nonzeros; a
+/// shorter one by a dot product over all its entries.
+const ETA_HYPER_RATIO: usize = 16;
+
+/// Applies the eta file transposed, newest eta first: the eta half of a
+/// BTRAN, `y ← E₁⁻ᵀ⋯Eₖ⁻ᵀ·y`. Each eta sets `y[slot] ← (y[slot] − Σᵢ
+/// vᵢ·y[i]) / pivot` over its entries in ascending slot.
+///
+/// `nz`, when given, lists in ascending order every slot where `y` may be
+/// nonzero, and is kept so. An eta then costs what it touches: its entries
+/// at listed slots are found by binary search and subtracted in ascending
+/// slot, and an eta that touches no nonzero is skipped. The dense path
+/// subtracts the same nonzero terms in the same order, so the two agree
+/// bit for bit up to the sign of a zero. `None` (a dense `y`) takes the dot
+/// product for every eta.
+fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
+    for eta in etas.iter().rev() {
+        let mut s = y[eta.slot];
+        match nz.as_deref() {
+            Some(list) if list.len() * ETA_HYPER_RATIO <= eta.entries.len() => {
+                let mut hit = s != 0.0;
+                for &i in list {
+                    if let Ok(t) = eta.entries.binary_search_by_key(&i, |&(slot, _)| slot) {
+                        s -= eta.entries[t].1 * y[i];
+                        hit = true;
+                    }
+                }
+                if !hit {
+                    continue;
+                }
+            }
+            _ => {
+                for &(i, v) in &eta.entries {
+                    s -= v * y[i];
+                }
+            }
+        }
+        let v = s / eta.pivot;
+        y[eta.slot] = v;
+        if let Some(list) = nz.as_deref_mut() {
+            if v != 0.0 {
+                if let Err(at) = list.binary_search(&eta.slot) {
+                    list.insert(at, eta.slot);
+                }
+            }
+        }
+    }
 }
 
 /// Partial pricing scans at least this many columns per section.
@@ -341,6 +418,8 @@ struct Worker<'a> {
     cost_phase1: Vec<f64>,
     rhs: Vec<f64>,
     status: Vec<ColStatus>,
+    /// Pricing state of every column, in step with `status` and the bounds.
+    state: Vec<PriceState>,
     basis: Vec<usize>,
     xb: Vec<f64>,
     lu: SparseLu,
@@ -350,6 +429,10 @@ struct Worker<'a> {
     work_w: Vec<f64>,
     /// Unit-BTRAN output `ρ = B⁻ᵀ·eᵣ` (row `r` of the basis inverse).
     work_rho: Vec<f64>,
+    /// Ascending slots where `work_rho` may be nonzero during the eta pass.
+    rho_nz: Vec<usize>,
+    /// Ratio-test survivors `(slot, δ, bound)` of pass 1, in slot order.
+    ratio_cands: Vec<(usize, f64, f64)>,
     /// Dense pivot-row workspace, reset sparsely via `alpha_touched`.
     work_alpha: Vec<f64>,
     alpha_mark: Vec<bool>,
@@ -487,7 +570,7 @@ impl<'a> Worker<'a> {
 
         let rows = RowMatrix::from_cols(&cols);
 
-        Ok(Worker {
+        let mut w = Worker {
             opts,
             m,
             n_struct,
@@ -501,6 +584,7 @@ impl<'a> Worker<'a> {
             cost_phase1,
             rhs,
             status,
+            state: vec![PriceState::Off; n_total],
             basis,
             xb,
             lu,
@@ -509,6 +593,8 @@ impl<'a> Worker<'a> {
             work_y: vec![0.0; m],
             work_w: vec![0.0; m],
             work_rho: vec![0.0; m],
+            rho_nz: Vec::new(),
+            ratio_cands: Vec::new(),
             work_alpha: vec![0.0; n_total],
             alpha_mark: vec![false; n_total],
             alpha_touched: Vec::new(),
@@ -526,7 +612,18 @@ impl<'a> Worker<'a> {
             n_ftran: 0,
             n_btran: 0,
             pricing_ns: 0,
-        })
+        };
+        for j in 0..n_total {
+            w.set_status(j, w.status[j]);
+        }
+        Ok(w)
+    }
+
+    /// Sets column `j`'s status and its pricing state, the one place the
+    /// state is written. A change to `j`'s bounds calls it too.
+    fn set_status(&mut self, j: usize, st: ColStatus) {
+        self.status[j] = st;
+        self.state[j] = price_state(st, self.lb[j], self.ub[j]);
     }
 
     fn stats(&self) -> SolveStats {
@@ -651,7 +748,9 @@ impl<'a> Worker<'a> {
             self.ub[aj] = 0.0;
             self.cost_phase1[aj] = 0.0;
         }
-        self.status = status;
+        for (j, &st) in status.iter().enumerate() {
+            self.set_status(j, st);
+        }
         self.basis = basics;
         self.lu = lu;
         self.etas.clear();
@@ -752,27 +851,23 @@ impl<'a> Worker<'a> {
                 if q >= self.art_offset {
                     continue;
                 }
-                let st = self.status[q];
-                if matches!(st, ColStatus::Basic(_)) || self.lb[q] == self.ub[q] {
-                    continue;
-                }
                 let alpha = self.work_alpha[q];
                 if alpha.abs() <= PIV_TOL {
                     continue;
                 }
-                let d = self.d[q];
-                let dir = match st {
-                    ColStatus::AtLower => 1.0,
-                    ColStatus::AtUpper => -1.0,
-                    ColStatus::FreeAtZero => {
+                let dir = match self.state[q] {
+                    PriceState::Off => continue,
+                    PriceState::AtLower => 1.0,
+                    PriceState::AtUpper => -1.0,
+                    PriceState::Free => {
                         if alpha * delta_r < 0.0 {
                             1.0
                         } else {
                             -1.0
                         }
                     }
-                    ColStatus::Basic(_) => unreachable!(),
                 };
+                let d = self.d[q];
                 if dir * alpha * delta_r >= 0.0 {
                     continue; // moves xb[r] the wrong way
                 }
@@ -817,11 +912,12 @@ impl<'a> Worker<'a> {
                 for s in 0..self.m {
                     self.xb[s] -= span * dir * self.work_w[s];
                 }
-                self.status[q] = match self.status[q] {
+                let flipped = match self.status[q] {
                     ColStatus::AtLower => ColStatus::AtUpper,
                     ColStatus::AtUpper => ColStatus::AtLower,
                     other => other,
                 };
+                self.set_status(q, flipped);
                 debug_assert!(alpha_abs * span > 0.0);
                 continue;
             }
@@ -845,7 +941,7 @@ impl<'a> Worker<'a> {
             } else {
                 self.basic_bounds(leaving)
             };
-            self.status[leaving] = if target == lo {
+            let leaving_status = if target == lo {
                 if lo.is_finite() {
                     ColStatus::AtLower
                 } else {
@@ -854,7 +950,8 @@ impl<'a> Worker<'a> {
             } else {
                 ColStatus::AtUpper
             };
-            self.status[q] = ColStatus::Basic(r);
+            self.set_status(leaving, leaving_status);
+            self.set_status(q, ColStatus::Basic(r));
             self.basis[r] = q;
             self.push_eta(r);
             if self.etas.len() >= self.opts.refactor_every {
@@ -885,9 +982,11 @@ impl<'a> Worker<'a> {
                 let aj = self.art_offset + i;
                 self.lb[aj] = 0.0;
                 self.ub[aj] = 0.0;
-                if !matches!(self.status[aj], ColStatus::Basic(_)) {
-                    self.status[aj] = ColStatus::AtLower;
-                }
+                let st = match self.status[aj] {
+                    ColStatus::Basic(slot) => ColStatus::Basic(slot),
+                    _ => ColStatus::AtLower,
+                };
+                self.set_status(aj, st);
             }
         }
         // Phase 2: optimize the real objective.
@@ -944,7 +1043,7 @@ impl<'a> Worker<'a> {
             self.ftran_col(q);
 
             if self.paranoid {
-                self.paranoid_check(q);
+                self.paranoid_check(Kernel::Ftran(q));
             }
 
             // Anchor the candidate's maintained reduced cost to the exact
@@ -1012,11 +1111,12 @@ impl<'a> Worker<'a> {
                     for slot in 0..self.m {
                         self.xb[slot] -= t * dir * w[slot];
                     }
-                    self.status[q] = match self.status[q] {
+                    let flipped = match self.status[q] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
                         s => s,
                     };
+                    self.set_status(q, flipped);
                     if t <= self.opts.feas_tol {
                         degen_streak += 1;
                     } else {
@@ -1045,14 +1145,15 @@ impl<'a> Worker<'a> {
                     let entering_value =
                         nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
                     self.xb[slot] = entering_value;
-                    self.status[leaving] = if to_upper {
+                    let leaving_status = if to_upper {
                         ColStatus::AtUpper
                     } else if self.lb[leaving].is_finite() {
                         ColStatus::AtLower
                     } else {
                         ColStatus::FreeAtZero
                     };
-                    self.status[q] = ColStatus::Basic(slot);
+                    self.set_status(leaving, leaving_status);
+                    self.set_status(q, ColStatus::Basic(slot));
                     self.basis[slot] = q;
                     self.push_eta(slot);
                     if t <= self.opts.feas_tol {
@@ -1111,22 +1212,21 @@ impl<'a> Worker<'a> {
     }
 
     /// Computes `ρ = B⁻ᵀ·eᵣ` into `work_rho` (hyper-sparse unit BTRAN:
-    /// reverse eta pass on the unit vector, then a first-position-bounded
+    /// an eta pass that tracks the few nonzeros of `ρ`, then the row-wise
     /// LU BTRAN) and gathers the pivot row `αᵣ = ρᵀ·A` into
     /// `work_alpha`/`alpha_touched` by sparse row access over the CSR
     /// mirror — `O(Σ_{ρᵢ≠0} nnz(rowᵢ))` instead of scanning every column.
     fn pivot_row(&mut self, r: usize) {
         self.work_rho.fill(0.0);
         self.work_rho[r] = 1.0;
-        for eta in self.etas.iter().rev() {
-            let mut s = self.work_rho[eta.slot];
-            for &(i, v) in &eta.entries {
-                s -= v * self.work_rho[i];
-            }
-            self.work_rho[eta.slot] = s / eta.pivot;
-        }
-        self.lu.btran_sparse(&mut self.work_rho, &mut self.scratch);
+        self.rho_nz.clear();
+        self.rho_nz.push(r);
+        eta_btran(&self.etas, &mut self.work_rho, Some(&mut self.rho_nz));
+        self.lu.btran(&mut self.work_rho, &mut self.scratch);
         self.n_btran += 1;
+        if self.paranoid {
+            self.paranoid_check(Kernel::PivotRow(r));
+        }
 
         // Sparse reset of the previous pivot row, then the gather. The
         // mark array (not a zero test) guards `alpha_touched` against
@@ -1170,10 +1270,7 @@ impl<'a> Worker<'a> {
         let aq2 = wr * wr;
         for idx in 0..self.alpha_touched.len() {
             let j = self.alpha_touched[idx];
-            if j == q || j >= self.n_priced {
-                continue;
-            }
-            if matches!(self.status[j], ColStatus::Basic(_)) || self.lb[j] == self.ub[j] {
+            if j == q || j >= self.n_priced || self.state[j] == PriceState::Off {
                 continue;
             }
             let aj = self.work_alpha[j];
@@ -1228,8 +1325,8 @@ impl<'a> Worker<'a> {
                     };
                     let evicted = self.basis[col];
                     let sj = self.n_struct + r;
-                    self.status[evicted] = initial_status(self.lb[evicted], self.ub[evicted]);
-                    self.status[sj] = ColStatus::Basic(col);
+                    self.set_status(evicted, initial_status(self.lb[evicted], self.ub[evicted]));
+                    self.set_status(sj, ColStatus::Basic(col));
                     self.basis[col] = sj;
                 }
             }
@@ -1253,33 +1350,11 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Eligibility of column `j` as an entering candidate: `Some((dir,
-    /// viol))` when its maintained reduced cost violates dual feasibility
-    /// by more than the optimality tolerance.
+    /// Eligibility of column `j` as an entering candidate (see
+    /// [`eligibility`]).
     #[inline]
     fn eligible(&self, j: usize) -> Option<(f64, f64)> {
-        let st = self.status[j];
-        if matches!(st, ColStatus::Basic(_)) || self.lb[j] == self.ub[j] {
-            return None;
-        }
-        let d = self.d[j];
-        let (dir, viol) = match st {
-            ColStatus::AtLower => (1.0, -d),
-            ColStatus::AtUpper => (-1.0, d),
-            ColStatus::FreeAtZero => {
-                if d > 0.0 {
-                    (-1.0, d)
-                } else {
-                    (1.0, -d)
-                }
-            }
-            ColStatus::Basic(_) => unreachable!(),
-        };
-        if viol > self.opts.opt_tol {
-            Some((dir, viol))
-        } else {
-            None
-        }
+        eligibility(self.state[j], self.d[j], self.opts.opt_tol)
     }
 
     /// Chooses an entering column from the maintained reduced costs;
@@ -1290,37 +1365,43 @@ impl<'a> Worker<'a> {
         if self.d_stale || self.d_phase1 != phase1 {
             self.compute_reduced_costs(phase1);
         }
+        debug_assert!(
+            (0..self.n_total)
+                .all(|j| self.state[j] == price_state(self.status[j], self.lb[j], self.ub[j])),
+            "pricing state out of step with status and bounds"
+        );
         let limit = self.n_priced;
+        let tol = self.opts.opt_tol;
+        // Each column's state and reduced cost, in column order.
+        let mut scan = self.state[..limit]
+            .iter()
+            .zip(&self.d[..limit])
+            .enumerate()
+            .filter_map(|(j, (&st, &d))| eligibility(st, d, tol).map(|(dir, viol)| (j, dir, viol)));
         if bland {
             // Anti-cycling escape: first eligible column by index.
-            return (0..limit).find_map(|j| self.eligible(j).map(|(dir, _)| (j, dir)));
+            return scan.next().map(|(j, dir, _)| (j, dir));
         }
+        let mut best: Option<(usize, f64, f64)> = None;
         match self.opts.pricing {
             PricingMode::Dantzig => {
-                let mut best: Option<(usize, f64, f64)> = None;
-                for j in 0..limit {
-                    if let Some((dir, viol)) = self.eligible(j) {
-                        if best.is_none_or(|(_, _, s)| viol > s) {
-                            best = Some((j, dir, viol));
-                        }
+                for (j, dir, viol) in scan {
+                    if best.is_none_or(|(_, _, s)| viol > s) {
+                        best = Some((j, dir, viol));
                     }
                 }
-                best.map(|(j, dir, _)| (j, dir))
             }
             PricingMode::Devex => {
-                let mut best: Option<(usize, f64, f64)> = None;
-                for j in 0..limit {
-                    if let Some((dir, viol)) = self.eligible(j) {
-                        let score = viol * viol / self.devex_w[j];
-                        if best.is_none_or(|(_, _, s)| score > s) {
-                            best = Some((j, dir, score));
-                        }
+                for (j, dir, viol) in scan {
+                    let score = viol * viol / self.devex_w[j];
+                    if best.is_none_or(|(_, _, s)| score > s) {
+                        best = Some((j, dir, score));
                     }
                 }
-                best.map(|(j, dir, _)| (j, dir))
             }
-            PricingMode::Partial => self.price_partial(limit),
+            PricingMode::Partial => return self.price_partial(limit),
         }
+        best.map(|(j, dir, _)| (j, dir))
     }
 
     /// Candidate-section partial pricing: best Dantzig-scored candidate in
@@ -1375,10 +1456,15 @@ impl<'a> Worker<'a> {
     /// tolerance) instead of corrupting the eta file and, eventually, the
     /// basis. Under Bland's rule the strict smallest-ratio/smallest-index
     /// pairing is kept, as the anti-cycling proof requires.
-    fn ratio_test(&self, q: usize, dir: f64, bland: bool) -> RatioOutcome {
+    ///
+    /// Pass 1 records the slots that can limit the step in `ratio_cands`,
+    /// so pass 2 walks only those.
+    fn ratio_test(&mut self, q: usize, dir: f64, bland: bool) -> RatioOutcome {
         const PIV_TOL: f64 = 1e-9;
         const BLAND_TIE: f64 = 1e-12;
         let tol = self.opts.feas_tol;
+        let mut cands = std::mem::take(&mut self.ratio_cands);
+        cands.clear();
         // Pass 1: the largest step no basic bound rejects by more than the
         // feasibility tolerance (Bland: the strict minimum ratio).
         let mut t_lim = f64::INFINITY;
@@ -1392,6 +1478,7 @@ impl<'a> Worker<'a> {
             if !limit.is_finite() {
                 continue;
             }
+            cands.push((slot, delta, limit));
             let relaxed = if bland {
                 limit
             } else if delta > 0.0 {
@@ -1413,20 +1500,7 @@ impl<'a> Worker<'a> {
             // fp round-off) and the step is the strict minimum itself, as
             // the anti-cycling proof requires.
             let window = if bland { t_lim + BLAND_TIE } else { t_lim };
-            for slot in 0..self.m {
-                let delta = -dir * self.work_w[slot];
-                if delta.abs() <= PIV_TOL {
-                    continue;
-                }
-                let b = self.basis[slot];
-                let (limit, to_upper) = if delta > 0.0 {
-                    (self.ub[b], true)
-                } else {
-                    (self.lb[b], false)
-                };
-                if !limit.is_finite() {
-                    continue;
-                }
+            for &(slot, delta, limit) in &cands {
                 let t = ((limit - self.xb[slot]) / delta).max(0.0);
                 if t <= window {
                     let piv = self.work_w[slot].abs();
@@ -1434,7 +1508,7 @@ impl<'a> Worker<'a> {
                         None => true,
                         Some((ls, _)) => {
                             if bland {
-                                b < self.basis[ls]
+                                self.basis[slot] < self.basis[ls]
                             } else {
                                 piv > best_piv
                             }
@@ -1443,11 +1517,12 @@ impl<'a> Worker<'a> {
                     if better {
                         best_piv = piv;
                         t_chosen = t;
-                        leave = Some((slot, to_upper));
+                        leave = Some((slot, delta > 0.0));
                     }
                 }
             }
         }
+        self.ratio_cands = cands;
         // Step by the chosen slot's own ratio so the leaving variable lands
         // exactly on its bound; every bypassed basic overshoots its own
         // bound by at most the feasibility tolerance (pass-1 guarantee).
@@ -1498,56 +1573,17 @@ impl<'a> Worker<'a> {
 
     /// BTRAN `work_y ← B⁻ᵀ·work_y` (etas in reverse, then the factors).
     fn btran(&mut self) {
-        for eta in self.etas.iter().rev() {
-            let mut s = self.work_y[eta.slot];
-            for &(i, v) in &eta.entries {
-                s -= v * self.work_y[i];
-            }
-            self.work_y[eta.slot] = s / eta.pivot;
-        }
+        eta_btran(&self.etas, &mut self.work_y, None);
         self.lu.btran(&mut self.work_y, &mut self.scratch);
         self.n_btran += 1;
     }
 
     /// `GC_LP_PARANOID` cross-check: the eta-file FTRAN of the entering
-    /// column must match a fresh factorization's answer to 1e-6 relative
-    /// (`|fresh − eta| / (1 + |fresh|)`) in every slot.
-    fn paranoid_check(&mut self, q: usize) {
-        if let Ok(lu) = factorize_basis(&self.cols, &self.basis, self.m) {
-            let mut check = vec![0.0; self.m];
-            for (r, a) in self.cols.col(q) {
-                check[r] = a;
-            }
-            let mut scratch = Vec::new();
-            lu.ftran(&mut check, &mut scratch);
-            // Relative drift, the form `update_reduced_costs` uses for its
-            // pivot cross-check: siting basics reach 1e8–1e9, where an
-            // absolute 1e-6 is a few ulps. The worst slot past 1e-6 wins.
-            let mut worst: Option<(usize, f64, f64, f64)> = None;
-            for (slot, (&fresh, &eta)) in check.iter().zip(&self.work_w).enumerate() {
-                let drift = (fresh - eta).abs() / (1.0 + fresh.abs());
-                if drift > worst.map_or(1e-6, |w| w.3) {
-                    worst = Some((slot, fresh, eta, drift));
-                }
-            }
-            if let Some((slot, fresh, eta, drift)) = worst {
-                eprintln!(
-                    "PARANOID iter {}: ftran drift {drift:.3e} q={q} (etas {}) worst slot {slot} fresh={fresh} eta={eta}",
-                    self.iterations,
-                    self.etas.len(),
-                );
-                for (k, e) in self.etas.iter().enumerate() {
-                    eprintln!(
-                        "  eta {k}: slot {} pivot {:.6e} nnz {}",
-                        e.slot,
-                        e.pivot,
-                        e.entries.len()
-                    );
-                }
-                // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
-                panic!("paranoid drift");
-            }
-        } else {
+    /// column (`work_w`) or the pivot row's BTRAN of `eᵣ` (`work_rho`) must
+    /// match a fresh factorization's answer to 1e-6 relative (`|fresh −
+    /// eta| / (1 + |fresh|)`) in every entry.
+    fn paranoid_check(&self, kernel: Kernel) {
+        let Ok(lu) = factorize_basis(&self.cols, &self.basis, self.m) else {
             eprintln!(
                 "PARANOID iter {}: current basis SINGULAR (etas {})",
                 self.iterations,
@@ -1555,6 +1591,49 @@ impl<'a> Worker<'a> {
             );
             // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
             panic!("paranoid singular");
+        };
+        let mut fresh = vec![0.0; self.m];
+        let mut scratch = Vec::new();
+        let got = match kernel {
+            Kernel::Ftran(q) => {
+                for (r, a) in self.cols.col(q) {
+                    fresh[r] = a;
+                }
+                lu.ftran(&mut fresh, &mut scratch);
+                &self.work_w
+            }
+            Kernel::PivotRow(r) => {
+                fresh[r] = 1.0;
+                lu.btran(&mut fresh, &mut scratch);
+                &self.work_rho
+            }
+        };
+        // Relative drift, the form `update_reduced_costs` uses for its
+        // pivot cross-check: siting basics reach 1e8–1e9, where an
+        // absolute 1e-6 is a few ulps. The worst entry past 1e-6 wins.
+        let mut worst: Option<(usize, f64, f64, f64)> = None;
+        for (i, (&fresh, &eta)) in fresh.iter().zip(got).enumerate() {
+            let drift = (fresh - eta).abs() / (1.0 + fresh.abs());
+            if drift > worst.map_or(1e-6, |w| w.3) {
+                worst = Some((i, fresh, eta, drift));
+            }
+        }
+        if let Some((i, fresh, eta, drift)) = worst {
+            eprintln!(
+                "PARANOID iter {}: {kernel:?} drift {drift:.3e} (etas {}) worst entry {i} fresh={fresh} eta={eta}",
+                self.iterations,
+                self.etas.len(),
+            );
+            for (k, e) in self.etas.iter().enumerate() {
+                eprintln!(
+                    "  eta {k}: slot {} pivot {:.6e} nnz {}",
+                    e.slot,
+                    e.pivot,
+                    e.entries.len()
+                );
+            }
+            // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
+            panic!("paranoid drift");
         }
     }
 
@@ -1657,6 +1736,40 @@ impl<'a> Worker<'a> {
     }
 }
 
+/// The eta-file solve a `GC_LP_PARANOID` check compares with a fresh
+/// factorization.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    /// The entering FTRAN of column `q`: `B⁻¹·A_q`.
+    Ftran(usize),
+    /// The pivot row's BTRAN of slot `r`: `B⁻ᵀ·eᵣ`.
+    PivotRow(usize),
+}
+
+/// Whether a nonbasic column in pricing state `st` with reduced cost `d`
+/// may enter: `Some((dir, viol))` when `d` violates dual feasibility by
+/// more than `opt_tol`.
+#[inline]
+fn eligibility(st: PriceState, d: f64, opt_tol: f64) -> Option<(f64, f64)> {
+    let (dir, viol) = match st {
+        PriceState::Off => return None,
+        PriceState::AtLower => (1.0, -d),
+        PriceState::AtUpper => (-1.0, d),
+        PriceState::Free => {
+            if d > 0.0 {
+                (-1.0, d)
+            } else {
+                (1.0, -d)
+            }
+        }
+    };
+    if viol > opt_tol {
+        Some((dir, viol))
+    } else {
+        None
+    }
+}
+
 enum RatioOutcome {
     Unbounded,
     BoundFlip(f64),
@@ -1706,6 +1819,8 @@ fn factorize_basis(
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn solve(m: &Model) -> Solution {
         RevisedSimplex::new(SimplexOptions::default())
@@ -1942,5 +2057,109 @@ mod tests {
         assert!(s.objective.is_finite());
         crate::validate::assert_feasible(&m, &s.values, 1e-6);
         assert!(s.stats.refactorizations > 1, "stats: {:?}", s.stats);
+    }
+
+    /// The eta pass as it ran before the nonzero list: a dot product over
+    /// every entry of every eta. The reference [`eta_btran`] must match.
+    fn eta_btran_dot_products(etas: &[Eta], y: &mut [f64]) {
+        for eta in etas.iter().rev() {
+            let mut s = y[eta.slot];
+            for &(i, v) in &eta.entries {
+                s -= v * y[i];
+            }
+            y[eta.slot] = s / eta.pivot;
+        }
+    }
+
+    /// A seeded eta file over `m` slots: short etas (always a dot product)
+    /// mixed with long ones (binary searches while the list is short).
+    fn random_etas(rng: &mut ChaCha8Rng, m: usize, count: usize) -> Vec<Eta> {
+        (0..count)
+            .map(|_| {
+                let slot = rng.gen_range(0..m);
+                let density = [0.01, 0.05, 0.3, 0.8][rng.gen_range(0..4)];
+                let mut entries = Vec::new();
+                for i in 0..m {
+                    if i != slot && rng.gen_bool(density) {
+                        entries.push((i, rng.gen_range(-2.0..2.0)));
+                    }
+                }
+                let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                Eta {
+                    slot,
+                    pivot: sign * rng.gen_range(0.25..4.0),
+                    entries,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eta_btran_is_bit_identical_to_dot_products() {
+        let bits = |v: &[f64]| -> Vec<u64> {
+            v.iter()
+                .map(|&x| if x == 0.0 { 0 } else { x.to_bits() })
+                .collect()
+        };
+        let (sizes, files, count): (&[usize], usize, usize) = if cfg!(miri) {
+            (&[40], 2, 16)
+        } else {
+            (&[40, 300, 1700], 6, 64)
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let (mut hyper, mut dense, mut multi_term) = (0, 0, 0);
+        for &m in sizes {
+            for file in 0..files {
+                let etas = random_etas(&mut rng, m, count);
+                for _ in 0..4 {
+                    // A pivot row's eᵣ with its nonzero list, one eta at a
+                    // time, recording which side of the switch each took.
+                    let r = rng.gen_range(0..m);
+                    let mut y = vec![0.0; m];
+                    y[r] = 1.0;
+                    let mut nz = vec![r];
+                    for k in (0..etas.len()).rev() {
+                        let eta = &etas[k];
+                        if nz.len() * ETA_HYPER_RATIO <= eta.entries.len() {
+                            hyper += 1;
+                            let hits = nz
+                                .iter()
+                                .filter(|&&i| y[i] != 0.0 && eta.entries.iter().any(|e| e.0 == i))
+                                .count();
+                            if hits >= 2 {
+                                multi_term += 1;
+                            }
+                        } else if nz.len() > 1 {
+                            dense += 1;
+                        }
+                        eta_btran(&etas[k..=k], &mut y, Some(&mut nz));
+                    }
+                    let mut reference = vec![0.0; m];
+                    reference[r] = 1.0;
+                    eta_btran_dot_products(&etas, &mut reference);
+                    assert_eq!(bits(&y), bits(&reference), "m={m} file={file} r={r}");
+                    // The whole file in one call agrees, and the list covers
+                    // every nonzero in ascending order.
+                    let mut whole = vec![0.0; m];
+                    whole[r] = 1.0;
+                    let mut whole_nz = vec![r];
+                    eta_btran(&etas, &mut whole, Some(&mut whole_nz));
+                    assert_eq!(bits(&whole), bits(&reference), "m={m} file={file} r={r}");
+                    assert!(whole_nz.windows(2).all(|w| w[0] < w[1]));
+                    assert!((0..m).all(|i| whole[i] == 0.0 || whole_nz.contains(&i)));
+                }
+                // A dense vector takes the dot product for every eta.
+                let start: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let mut y = start.clone();
+                eta_btran(&etas, &mut y, None);
+                let mut reference = start;
+                eta_btran_dot_products(&etas, &mut reference);
+                assert_eq!(bits(&y), bits(&reference), "m={m} file={file} dense");
+            }
+        }
+        assert!(
+            hyper > 0 && dense > 0 && multi_term > 0,
+            "hyper {hyper}, dense with a list {dense}, hyper with 2+ terms {multi_term}"
+        );
     }
 }

@@ -101,7 +101,9 @@ pub struct RollingStats {
     pub ftrans: usize,
     /// BTRAN solves across all rounds.
     pub btrans: usize,
-    /// Wall time the LP solver spent pricing across all rounds, ns.
+    /// The LP solver's [`SolveStats::pricing_ns`](greencloud_lp::SolveStats::pricing_ns)
+    /// summed over all rounds, ns: pricing plus the pivot-row BTRAN,
+    /// gather and reduced-cost upkeep.
     pub pricing_ns: u64,
 }
 
@@ -115,7 +117,7 @@ impl RollingStats {
         }
     }
 
-    /// Wall time the LP solver spent pricing, in milliseconds.
+    /// [`RollingStats::pricing_ns`] in milliseconds.
     pub fn pricing_ms(&self) -> f64 {
         self.pricing_ns as f64 / 1e6
     }
