@@ -24,13 +24,14 @@ use greencloud_climate::catalog::WorldCatalog;
 use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::candidate::CandidateSite;
 use greencloud_core::filter::filter_candidates;
+use greencloud_core::formulation::{build_network_lp, NetworkLp};
 use greencloud_core::framework::SizeClass;
 use greencloud_core::lock_ok;
 use greencloud_core::milp::{solve_exact, ExactOptions};
 use greencloud_core::solution::PlacementSolution;
 use greencloud_core::tool::{default_threads, PlacementTool};
 use greencloud_cost::params::CostParams;
-use greencloud_lp::{PricingMode, SimplexOptions};
+use greencloud_lp::{Basis, PricingMode, SimplexOptions};
 use greencloud_nebula::emulation::{self, EmulationConfig, HourObserver};
 use greencloud_nebula::scheduler::{RollingScheduler, RollingStats, Scheduler, SchedulerConfig};
 use greencloud_nebula::sweep::{run_sweep_observed, ScenarioObserver};
@@ -417,11 +418,14 @@ impl Engine {
     }
 
     /// The LP-substrate benchmark records: the single-site siting LP cold
-    /// under each pricing mode, plus rolling hourly re-solves warm vs cold.
+    /// under each pricing mode and warm from its own optimal basis, the
+    /// three-site network LP cold and warm, plus rolling hourly re-solves
+    /// warm vs cold.
     fn lp_records(&self, fast: bool) -> Result<Vec<TimingRecord>, ApiError> {
-        use greencloud_core::formulation::build_network_lp;
         use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
+        use PricingMode::{Dantzig, Devex, Partial};
 
+        let reps = if fast { 1 } else { 3 };
         let mut records = Vec::new();
         let cands = self.candidates(&ProfileConfig::coarse());
         if cands.is_empty() {
@@ -437,32 +441,31 @@ impl Engine {
         };
         let site = &cands[3.min(cands.len() - 1)];
         let lp = build_network_lp(&self.params, &single, &[(site, SizeClass::Large)]);
+        let (cold, basis) = time_solve("single_site_cold/devex", &lp, Devex, None, reps)?;
+        records.push(cold);
         for (label, pricing) in [
-            ("single_site_cold/devex", PricingMode::Devex),
-            ("single_site_cold/dantzig", PricingMode::Dantzig),
-            ("single_site_cold/partial", PricingMode::Partial),
+            ("single_site_cold/dantzig", Dantzig),
+            ("single_site_cold/partial", Partial),
         ] {
-            let reps = if fast { 1 } else { 3 };
-            let mut best_ms = f64::INFINITY;
-            let mut iterations = 0;
-            for _ in 0..reps {
-                let t0 = Stopwatch::start();
-                let (d, _) = lp.solve_warm(
-                    SimplexOptions {
-                        pricing,
-                        ..SimplexOptions::default()
-                    },
-                    None,
-                )?;
-                best_ms = best_ms.min(t0.elapsed_ms());
-                iterations = d.iterations;
-            }
-            records.push(TimingRecord {
-                name: label.to_string(),
-                wall_ms: best_ms,
-                iterations,
-                warm_rate: 0.0,
-            });
+            records.push(time_solve(label, &lp, pricing, None, reps)?.0);
+        }
+        records.push(time_solve("single_site_warm/devex", &lp, Devex, basis.as_ref(), reps)?.0);
+
+        // The three-site network LP on candidates 3, 4 and 7 (skipped when
+        // the catalog has fewer than 8 candidates).
+        if let [_, _, _, a, b, _, _, c, ..] = cands.as_slice() {
+            let network = PlacementInput {
+                total_capacity_mw: 50.0,
+                min_green_fraction: 0.5,
+                tech: TechMix::Both,
+                storage: StorageMode::NetMetering,
+                ..PlacementInput::default()
+            };
+            let sites = [a, b, c].map(|site| (site, SizeClass::Large));
+            let lp = build_network_lp(&self.params, &network, &sites);
+            let (cold, basis) = time_solve("three_site_cold/devex", &lp, Devex, None, reps)?;
+            records.push(cold);
+            records.push(time_solve("three_site_warm/devex", &lp, Devex, basis.as_ref(), reps)?.0);
         }
 
         // Rolling hourly re-solves, warm vs cold, on the Table III network
@@ -502,6 +505,38 @@ impl Engine {
             warm_rate: stats.warm_rate(),
         })
     }
+}
+
+/// Solves `lp` `reps` times under `pricing`, from `warm` when given, and
+/// records the fastest solve (model build excluded) as `name`. Every
+/// repetition takes the same pivots; the first one's optimal basis is
+/// returned with the record.
+fn time_solve(
+    name: &str,
+    lp: &NetworkLp,
+    pricing: PricingMode,
+    warm: Option<&Basis>,
+    reps: usize,
+) -> Result<(TimingRecord, Option<Basis>), ApiError> {
+    let options = SimplexOptions {
+        pricing,
+        ..SimplexOptions::default()
+    };
+    let t0 = Stopwatch::start();
+    let (dispatch, basis) = lp.solve_warm(options.clone(), warm)?;
+    let mut best_ms = t0.elapsed_ms();
+    for _ in 1..reps {
+        let t0 = Stopwatch::start();
+        lp.solve_warm(options.clone(), warm)?;
+        best_ms = best_ms.min(t0.elapsed_ms());
+    }
+    let record = TimingRecord {
+        name: name.to_string(),
+        wall_ms: best_ms,
+        iterations: dispatch.iterations,
+        warm_rate: if dispatch.warm_started { 1.0 } else { 0.0 },
+    };
+    Ok((record, basis))
 }
 
 /// Runs `rounds` consecutive hourly re-solves of the Table III network

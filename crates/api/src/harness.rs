@@ -1,11 +1,10 @@
-//! Shared fixtures for reproduction runs, benches, and the timing
-//! experiment (moved here from `greencloud-bench` so the engine and the
-//! harness agree on seeds and worlds).
+//! Shared fixtures for reproduction runs, perfbench, and the timing
+//! experiment (kept here so the engine and the harness agree on seeds and
+//! worlds).
 
 use crate::spec::SearchSpec;
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_climate::profiles::ProfileConfig;
-use greencloud_core::candidate::CandidateSite;
 
 /// The workspace-wide deterministic seed for reproduction runs.
 pub const REPRO_SEED: u64 = 20140701;
@@ -33,20 +32,13 @@ pub fn repro_search(fast: bool) -> SearchSpec {
     }
 }
 
-/// Builds the candidates of the anchors-only world on the coarse clock
-/// (used by benches).
-pub fn anchor_candidates() -> Vec<CandidateSite> {
-    let w = WorldCatalog::anchors_only(REPRO_SEED);
-    CandidateSite::build_all(&w, &ProfileConfig::coarse())
-}
-
 /// One Table III site's hourly energy profile plus its plant/IT sizes:
 /// `(profile, solar_mw, wind_mw, capacity_mw)`.
 pub type SiteProfile = (greencloud_energy::profile::EnergyProfile, f64, f64, f64);
 
 /// Hourly energy profiles of the Table III network in `catalog`, for the
-/// rolling-scheduler benches and the timing experiment's warm-vs-cold
-/// comparison. `None` when the catalog lacks one of the anchor sites.
+/// timing experiment and perfbench's `operate` workload. `None` when the
+/// catalog lacks one of the anchor sites.
 pub fn table3_profiles(catalog: &WorldCatalog) -> Option<Vec<SiteProfile>> {
     let cfg = greencloud_nebula::emulation::EmulationConfig::default();
     cfg.sites

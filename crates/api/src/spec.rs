@@ -116,8 +116,8 @@ impl ExperimentSpec {
     }
 }
 
-/// Tuning of the heuristic siting search (the serializable subset of
-/// [`AnnealOptions`] plus the pre-filter and profile clock).
+/// Tuning of the heuristic siting search (every [`AnnealOptions`] field
+/// plus the pre-filter and profile clock).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
     /// Representative-day profile shared by all candidates.
@@ -161,7 +161,6 @@ impl SearchSpec {
             patience: self.patience,
             max_sites: self.max_sites,
             seed: self.seed,
-            ..AnnealOptions::default()
         }
     }
 
@@ -573,7 +572,10 @@ pub struct TimingSpec {
     pub fast: bool,
     /// Measure the paper's §V-C 48-hour schedule computation time.
     pub schedule_timing: bool,
-    /// Run the single-site LP pricing suite and rolling-resolve records.
+    /// Record the LP timing rows `repro timing` writes to `BENCH_lp.json`:
+    /// the single-site LP cold under each pricing rule and warm, the
+    /// three-site network LP cold and warm, and the rolling hourly
+    /// re-solves warm and cold.
     pub lp_records: bool,
     /// Rounds for the warm-vs-cold hourly re-solve comparison (`0` skips
     /// it).

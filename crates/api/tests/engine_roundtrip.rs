@@ -130,6 +130,41 @@ fn timing_spec_replays_identically() {
 }
 
 #[test]
+fn lp_timing_rows_are_named_in_order_and_warm_rows_reuse_their_basis() {
+    let engine = Engine::new(WorldCatalog::anchors_only(
+        greencloud_api::harness::REPRO_SEED,
+    ));
+    let spec = ExperimentSpec::Timing(TimingSpec {
+        fast: true,
+        schedule_timing: false,
+        lp_records: true,
+        warm_cold_rounds: 0,
+    });
+    let report = engine.run(&spec).expect("timing runs");
+    let ReportBody::Timing(t) = &report.body else {
+        panic!("timing spec yields a timing report");
+    };
+    let names: Vec<&str> = t.records.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "single_site_cold/devex",
+            "single_site_cold/dantzig",
+            "single_site_cold/partial",
+            "single_site_warm/devex",
+            "three_site_cold/devex",
+            "three_site_warm/devex",
+            "hourly_resolve_12rounds/warm",
+            "hourly_resolve_12rounds/cold",
+        ]
+    );
+    for r in t.records.iter().filter(|r| r.name.contains("_warm/")) {
+        assert_eq!(r.warm_rate, 1.0, "{r:?}");
+        assert!(r.iterations <= 1, "{r:?}");
+    }
+}
+
+#[test]
 fn invalid_input_surfaces_as_typed_validation_error() {
     let engine = Engine::new(WorldCatalog::synthetic(12, 3));
     let spec = ExperimentSpec::Siting(SitingSpec {

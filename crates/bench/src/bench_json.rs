@@ -1,45 +1,20 @@
 //! Machine-readable benchmark records (`BENCH_lp.json`).
 //!
 //! `repro timing` (and the `quick` CI smoke, on a reduced workload) write
-//! the LP-substrate benchmark numbers to `BENCH_lp.json` so the perf
+//! the engine's LP timing records to `BENCH_lp.json` so the perf
 //! trajectory is tracked across PRs instead of living only in stdout logs.
-//! The document model comes from [`greencloud_api::json`] (the vendored
-//! dependency set has no `serde_json`); this module keeps the fixed
-//! `greencloud-bench-lp/1` schema on top of it.
+//! The document model comes from [`greencloud_api::json`]; this module
+//! keeps the fixed `greencloud-bench-lp/1` schema on top of it.
 
 use greencloud_api::json::Json;
 use greencloud_api::report::TimingRecord;
 use std::fmt::Write as _;
 
-/// One benchmark row of `BENCH_lp.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Bench name, e.g. `"hourly_resolve_96rounds/warm"`.
-    pub name: String,
-    /// Wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Simplex iterations spent (0 when not applicable).
-    pub iterations: usize,
-    /// Warm-start rate in `[0, 1]` (0 when not applicable).
-    pub warm_rate: f64,
-}
-
-impl From<&TimingRecord> for BenchRecord {
-    fn from(r: &TimingRecord) -> Self {
-        Self {
-            name: r.name.clone(),
-            wall_ms: r.wall_ms,
-            iterations: r.iterations,
-            warm_rate: r.warm_rate,
-        }
-    }
-}
-
 /// Schema identifier written to (and required from) `BENCH_lp.json`.
 pub const BENCH_SCHEMA: &str = "greencloud-bench-lp/1";
 
 /// Renders the records as the `BENCH_lp.json` document.
-pub fn render_bench_json(records: &[BenchRecord]) -> String {
+pub fn render_bench_json(records: &[TimingRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
@@ -66,7 +41,7 @@ pub fn render_bench_json(records: &[BenchRecord]) -> String {
 /// # Errors
 ///
 /// A human-readable description of the first structural problem found.
-pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
+pub fn parse_bench_json(text: &str) -> Result<Vec<TimingRecord>, String> {
     let doc = Json::parse(text)?;
     if !matches!(&doc, Json::Object(_)) {
         return Err("top level is not an object".into());
@@ -98,7 +73,7 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
             .get("warm_rate")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("bench #{i}: missing number \"warm_rate\""))?;
-        records.push(BenchRecord {
+        records.push(TimingRecord {
             name,
             wall_ms,
             iterations,
@@ -108,34 +83,81 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
     Ok(records)
 }
 
+/// Checks that `text` parses back into exactly the `written` records:
+/// names and iteration counts equal, `wall_ms` and `warm_rate` equal to
+/// the precision [`render_bench_json`] writes (3 and 4 decimals).
+///
+/// # Errors
+///
+/// The parse error, or the first row that differs from the one written.
+pub fn check_bench_json(written: &[TimingRecord], text: &str) -> Result<(), String> {
+    let parsed = parse_bench_json(text)?;
+    if parsed.len() != written.len() {
+        return Err(format!(
+            "{} records in, {} out",
+            written.len(),
+            parsed.len()
+        ));
+    }
+    for (i, (w, p)) in written.iter().zip(&parsed).enumerate() {
+        let same = w.name == p.name
+            && w.iterations == p.iterations
+            && format!("{:.3}", w.wall_ms) == format!("{:.3}", p.wall_ms)
+            && format!("{:.4}", w.warm_rate) == format!("{:.4}", p.warm_rate);
+        if !same {
+            return Err(format!("bench #{i}: wrote {w:?}, read back {p:?}"));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trips() {
-        let records = vec![
-            BenchRecord {
-                name: "warm_vs_cold/single_site_cold".into(),
+    fn records() -> Vec<TimingRecord> {
+        vec![
+            TimingRecord {
+                name: "single_site_cold/devex".into(),
                 wall_ms: 17.25,
-                iterations: 591,
+                iterations: 565,
                 warm_rate: 0.0,
             },
-            BenchRecord {
+            TimingRecord {
                 name: "hourly \"quoted\"".into(),
                 wall_ms: 0.5,
                 iterations: 0,
                 warm_rate: 0.9896,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn round_trips() {
+        let records = records();
         let text = render_bench_json(&records);
         let back = parse_bench_json(&text).expect("parses");
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].name, records[0].name);
-        assert_eq!(back[0].iterations, 591);
+        assert_eq!(back[0].iterations, 565);
         assert!((back[0].wall_ms - 17.25).abs() < 1e-9);
         assert_eq!(back[1].name, records[1].name);
         assert!((back[1].warm_rate - 0.9896).abs() < 1e-9);
+        assert_eq!(check_bench_json(&records, &text), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_a_renamed_row_or_a_changed_iteration_count() {
+        let records = records();
+        let text = render_bench_json(&records);
+        let renamed = text.replace("single_site_cold/devex", "single_site_cold/dev");
+        assert!(check_bench_json(&records, &renamed).is_err());
+        let recounted = text.replace("\"iterations\": 565", "\"iterations\": 566");
+        assert!(check_bench_json(&records, &recounted).is_err());
+        // Sub-precision noise in the written value is not a mismatch.
+        let mut noisy = records.clone();
+        noisy[0].wall_ms += 1e-6;
+        assert_eq!(check_bench_json(&noisy, &text), Ok(()));
     }
 
     #[test]
@@ -149,18 +171,5 @@ mod tests {
         .is_err());
         let ok = parse_bench_json("{\"schema\": \"greencloud-bench-lp/1\", \"benches\": []}");
         assert_eq!(ok.expect("valid"), vec![]);
-    }
-
-    #[test]
-    fn converts_timing_records() {
-        let t = greencloud_api::report::TimingRecord {
-            name: "single_site_cold/devex".into(),
-            wall_ms: 3.5,
-            iterations: 120,
-            warm_rate: 0.25,
-        };
-        let b = BenchRecord::from(&t);
-        assert_eq!(b.name, "single_site_cold/devex");
-        assert_eq!(b.iterations, 120);
     }
 }

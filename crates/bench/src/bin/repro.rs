@@ -15,8 +15,10 @@
 //!
 //! Experiments: `tab1 fig3 fig4 fig5 fig6 tab2 fig7 fig8 fig9 fig10 fig11
 //! fig12 fig13 tab3 fig15 annual timing quick`. Output is plain text shaped
-//! like the paper's tables/series; `EXPERIMENTS.md` records a reference
-//! run. `annual` goes beyond the paper — a year-long storage-aware
+//! like the paper's tables/series. `timing` also writes the LP timing
+//! records to `BENCH_lp.json`, whose committed snapshots in
+//! `bench/trajectory/` form the LP perf curve. `annual` goes beyond the
+//! paper — a year-long storage-aware
 //! operational simulation plus a parallel scenario sweep — and, like
 //! `quick` (the CI smoke, exits nonzero on failure), must be requested by
 //! name: neither runs under `all`, which regenerates exactly the paper's
@@ -45,13 +47,13 @@
 //! progress streams relay without buffering. Same signal discipline as
 //! `serve`: SIGTERM/SIGINT drains in-flight relays and exits 0.
 
-use greencloud_api::report::ReportBody;
+use greencloud_api::report::{ReportBody, TimingRecord};
 use greencloud_api::{
     AnnualSpec, Engine, ExperimentSpec, Report, RunCtx, SitingSpec, SweepAxes, SweepMode,
     SweepSpec, TimingSpec,
 };
-use greencloud_bench::bench_json::{parse_bench_json, render_bench_json, BenchRecord};
-use greencloud_bench::{siting_search, sweep_inputs, tech_label, world, REPRO_SEED};
+use greencloud_bench::bench_json::{check_bench_json, render_bench_json};
+use greencloud_bench::{repro_search, sweep_inputs, tech_label, world, REPRO_SEED};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
 use greencloud_cost::params::CostParams;
@@ -333,7 +335,7 @@ impl Ctx {
     fn siting(&self, input: PlacementInput) -> ExperimentSpec {
         ExperimentSpec::Siting(SitingSpec {
             input,
-            search: siting_search(self.fast),
+            search: repro_search(self.fast),
         })
     }
 }
@@ -552,49 +554,38 @@ fn run_router(cfg: greencloud_api::RouterConfig) -> i32 {
     0
 }
 
-/// Writes the benchmark records to `BENCH_lp.json` in the working
-/// directory and validates the artifact by re-parsing what actually landed
-/// on disk; returns `false` on any failure.
-fn write_bench_lp_json(records: &[BenchRecord]) -> bool {
+/// Writes the timing records to `BENCH_lp.json` in the working directory
+/// and checks that what actually landed on disk parses back into the same
+/// rows; returns `false` on any failure.
+fn write_bench_lp_json(records: &[TimingRecord]) -> bool {
     let text = render_bench_json(records);
     if let Err(e) = std::fs::write("BENCH_lp.json", &text) {
         println!("BENCH_lp.json write FAILED: {e}");
         return false;
     }
-    match std::fs::read_to_string("BENCH_lp.json").map_err(|e| e.to_string()) {
-        Ok(back) => match parse_bench_json(&back) {
-            Ok(parsed) if parsed.len() == records.len() => {
-                println!(
-                    "BENCH_lp.json: {} records written and validated",
-                    parsed.len()
-                );
-                true
-            }
-            Ok(parsed) => {
-                println!(
-                    "BENCH_lp.json VALIDATION FAILED: {} records in, {} out",
-                    records.len(),
-                    parsed.len()
-                );
-                false
-            }
-            Err(e) => {
-                println!("BENCH_lp.json PARSE FAILED: {e}");
-                false
-            }
-        },
+    let checked = std::fs::read_to_string("BENCH_lp.json")
+        .map_err(|e| format!("readback: {e}"))
+        .and_then(|back| check_bench_json(records, &back));
+    match checked {
+        Ok(()) => {
+            println!(
+                "BENCH_lp.json: {} records written and validated",
+                records.len()
+            );
+            true
+        }
         Err(e) => {
-            println!("BENCH_lp.json readback FAILED: {e}");
+            println!("BENCH_lp.json VALIDATION FAILED: {e}");
             false
         }
     }
 }
 
-/// The timing records of a report, converted for `BENCH_lp.json`.
-fn bench_records(report: &Report) -> Vec<BenchRecord> {
+/// The timing records of a report (none for other report kinds).
+fn timing_records(report: &Report) -> &[TimingRecord] {
     match &report.body {
-        ReportBody::Timing(t) => t.records.iter().map(BenchRecord::from).collect(),
-        _ => Vec::new(),
+        ReportBody::Timing(t) => &t.records,
+        _ => &[],
     }
 }
 
@@ -738,7 +729,7 @@ fn fig6(ctx: &Ctx, n: usize) {
         "Fig. 6 — 25 MW single-DC monthly cost CDF ({n} locations, net metering)"
     ));
     let engine = ctx.synthetic_engine(n);
-    let t = engine.placement_tool(&siting_search(true));
+    let t = engine.placement_tool(&repro_search(true));
     let configs: [(&str, PlacementInput); 3] = [
         (
             "brown",
@@ -1066,8 +1057,8 @@ fn annual(ctx: &Ctx) {
         Err(e) => println!("scenario sweep failed: {e}"),
     }
 
-    // Warm-vs-cold hourly re-solve ratio (the Criterion bench tracks the
-    // same quantity; this is the repro-visible number).
+    // Warm-vs-cold hourly re-solve ratio (`repro timing` records the same
+    // quantity in `BENCH_lp.json`'s `hourly_resolve_*` rows).
     let timing = ExperimentSpec::Timing(TimingSpec {
         fast: ctx.fast,
         schedule_timing: false,
@@ -1134,7 +1125,7 @@ fn quick(ctx: &Ctx) -> bool {
     // The machine-readable bench artifact must round-trip: emit a reduced
     // run of the LP suite and re-parse what lands on disk.
     match results.next().expect("timing result") {
-        Ok(report) => ok &= write_bench_lp_json(&bench_records(&report)),
+        Ok(report) => ok &= write_bench_lp_json(timing_records(&report)),
         Err(e) => {
             println!("LP bench suite FAILED: {e}");
             ok = false;
@@ -1173,7 +1164,7 @@ fn timing(ctx: &Ctx) {
     match engine.run(&spec) {
         Ok(report) => {
             print!("{}", report.render_text());
-            write_bench_lp_json(&bench_records(&report));
+            write_bench_lp_json(timing_records(&report));
         }
         Err(e) => println!("timing failed: {e}"),
     }

@@ -1,39 +1,19 @@
-//! Shared helpers for the reproduction harness and the Criterion benches.
+//! Shared helpers for the reproduction harness.
 //!
-//! The experiment fixtures (seeds, worlds, Table III profiles, rolling
-//! states) live in [`greencloud_api::harness`] so the engine's timing
-//! experiment and the benches agree on them; this crate re-exports the lot
-//! and keeps only the presentation-side helpers the paper-figure
-//! experiments in `repro` use.
+//! The experiment fixtures (seeds, worlds, search tuning) live in
+//! [`greencloud_api::harness`] so the engine's timing experiment and
+//! perfbench agree on them; this crate re-exports the ones `repro` uses
+//! and keeps only the presentation-side helpers of the paper-figure
+//! experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench_json;
 
-pub use greencloud_api::harness::{
-    anchor_candidates, repro_search, rolling_states, table3_profiles, world, SiteProfile,
-    REPRO_SEED,
-};
+pub use greencloud_api::harness::{repro_search, world, REPRO_SEED};
 
-use greencloud_api::spec::SearchSpec;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
-use greencloud_core::tool::{default_threads, PlacementTool, ToolOptions};
-use greencloud_cost::params::CostParams;
-
-/// Standard tool options for reproduction runs (coarse but deterministic),
-/// derived from the shared [`repro_search`] tuning.
-pub fn tool_options(fast: bool) -> ToolOptions {
-    repro_search(fast).tool_options(default_threads())
-}
-
-/// Builds a ready placement tool over `locations` synthetic sites.
-///
-/// Figure experiments that need per-location solves use this; whole-siting
-/// experiments go through [`greencloud_api::Engine`] instead.
-pub fn tool(locations: usize, fast: bool) -> PlacementTool {
-    PlacementTool::new(&world(locations), CostParams::default(), tool_options(fast))
-}
 
 /// The siting specs used by Figs. 8–12: green fractions × technology.
 pub fn sweep_inputs(storage: StorageMode) -> Vec<(f64, TechMix, PlacementInput)> {
@@ -49,12 +29,6 @@ pub fn sweep_inputs(storage: StorageMode) -> Vec<(f64, TechMix, PlacementInput)>
         }
     }
     out
-}
-
-/// The search spec for a reproduction siting experiment (re-export helper
-/// so `repro` can build [`greencloud_api::SitingSpec`]s in one line).
-pub fn siting_search(fast: bool) -> SearchSpec {
-    repro_search(fast)
 }
 
 /// Pretty technology label.

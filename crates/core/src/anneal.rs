@@ -15,13 +15,12 @@ use crate::framework::{PlacementInput, SizeClass};
 use crate::lock_ok;
 use crate::siteblock::SiteBlockCache;
 use greencloud_cost::params::CostParams;
-use greencloud_lp::{Basis, SimplexOptions, SolveError};
+use greencloud_lp::{Basis, SimplexOptions, SolveError, SolveStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One siting: sorted, de-duplicated `(candidate index, size class)` pairs.
@@ -34,18 +33,13 @@ pub struct AnnealOptions {
     pub iterations: usize,
     /// Number of parallel chains.
     pub chains: usize,
-    /// Initial temperature as a fraction of the initial cost.
-    pub initial_temp_frac: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Stop a chain after this many iterations without global improvement.
+    /// Stop a chain after this many evaluated neighbours in a row without
+    /// the global best dropping.
     pub patience: usize,
     /// Largest number of datacenters to consider.
     pub max_sites: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Options for the LP subproblems.
-    pub lp: SimplexOptions,
 }
 
 impl Default for AnnealOptions {
@@ -53,12 +47,9 @@ impl Default for AnnealOptions {
         Self {
             iterations: 120,
             chains: 4,
-            initial_temp_frac: 0.05,
-            cooling: 0.96,
             patience: 50,
             max_sites: 16,
             seed: 0xA11EA1,
-            lp: SimplexOptions::default(),
         }
     }
 }
@@ -119,6 +110,15 @@ impl SearchStats {
     /// [`SearchStats::pricing_ns`] in milliseconds.
     pub fn pricing_ms(&self) -> f64 {
         self.pricing_ns as f64 / 1e6
+    }
+
+    /// Adds one LP solve's solver counters.
+    fn absorb_solve(&mut self, st: &SolveStats) {
+        self.simplex_iterations += st.iterations;
+        self.refactorizations += st.refactorizations;
+        self.ftrans += st.ftrans;
+        self.btrans += st.btrans;
+        self.pricing_ns += st.pricing_ns;
     }
 }
 
@@ -195,19 +195,12 @@ impl EvalCache {
     }
 }
 
+/// What the chains share: the incumbent and the two caches. Each chain
+/// counts its own [`SearchStats`].
 struct Shared {
     best: RwLock<Option<(f64, Siting, NetworkDispatch)>>,
     cache: EvalCache,
     blocks: SiteBlockCache,
-    evals: AtomicUsize,
-    cache_hits: AtomicUsize,
-    warm_attempts: AtomicUsize,
-    warm_hits: AtomicUsize,
-    simplex_iterations: AtomicUsize,
-    refactorizations: AtomicUsize,
-    ftrans: AtomicUsize,
-    btrans: AtomicUsize,
-    pricing_ns: AtomicU64,
 }
 
 impl Shared {
@@ -216,16 +209,16 @@ impl Shared {
             best: RwLock::new(None),
             cache: EvalCache::new(16),
             blocks: SiteBlockCache::new(),
-            evals: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
-            warm_attempts: AtomicUsize::new(0),
-            warm_hits: AtomicUsize::new(0),
-            simplex_iterations: AtomicUsize::new(0),
-            refactorizations: AtomicUsize::new(0),
-            ftrans: AtomicUsize::new(0),
-            btrans: AtomicUsize::new(0),
-            pricing_ns: AtomicU64::new(0),
         }
+    }
+
+    /// The incumbent's cost (infinite before any feasible siting).
+    fn best_cost(&self) -> f64 {
+        self.best
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map_or(f64::INFINITY, |(bc, _, _)| *bc)
     }
 }
 
@@ -266,31 +259,37 @@ pub fn anneal(
     let initial: Siting = (0..n_min).map(|i| (i, class_for(n_min))).collect();
 
     let chains = options.chains.max(1);
+    // Integer sums do not depend on the order the chains finish in.
+    let mut stats = SearchStats::default();
     std::thread::scope(|scope| {
-        for chain in 0..chains {
-            let shared = &shared;
-            let initial = initial.clone();
-            scope.spawn(move || {
-                run_chain(
-                    params, input, candidates, options, chain, initial, shared, n_min,
-                );
-            });
+        let handles: Vec<_> = (0..chains)
+            .map(|chain| {
+                let shared = &shared;
+                let initial = initial.clone();
+                scope.spawn(move || {
+                    run_chain(
+                        params, input, candidates, options, chain, initial, shared, n_min,
+                    )
+                })
+            })
+            .collect();
+        for handle in handles {
+            let chain = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            stats.evaluations += chain.evaluations;
+            stats.cache_hits += chain.cache_hits;
+            stats.warm_attempts += chain.warm_attempts;
+            stats.warm_hits += chain.warm_hits;
+            stats.simplex_iterations += chain.simplex_iterations;
+            stats.refactorizations += chain.refactorizations;
+            stats.ftrans += chain.ftrans;
+            stats.btrans += chain.btrans;
+            stats.pricing_ns += chain.pricing_ns;
         }
     });
-
-    let stats = SearchStats {
-        evaluations: shared.evals.load(Ordering::Relaxed),
-        cache_hits: shared.cache_hits.load(Ordering::Relaxed),
-        warm_attempts: shared.warm_attempts.load(Ordering::Relaxed),
-        warm_hits: shared.warm_hits.load(Ordering::Relaxed),
-        block_hits: shared.blocks.hits(),
-        block_misses: shared.blocks.misses(),
-        simplex_iterations: shared.simplex_iterations.load(Ordering::Relaxed),
-        refactorizations: shared.refactorizations.load(Ordering::Relaxed),
-        ftrans: shared.ftrans.load(Ordering::Relaxed),
-        btrans: shared.btrans.load(Ordering::Relaxed),
-        pricing_ns: shared.pricing_ns.load(Ordering::Relaxed),
-    };
+    stats.block_hits = shared.blocks.hits();
+    stats.block_misses = shared.blocks.misses();
     let best = shared
         .best
         .into_inner()
@@ -306,6 +305,13 @@ pub fn anneal(
     }
 }
 
+/// Initial temperature as a fraction of the initial cost.
+const INITIAL_TEMP_FRAC: f64 = 0.05;
+
+/// Geometric cooling factor per iteration.
+const COOLING: f64 = 0.96;
+
+/// Runs one annealing chain and returns what it counted.
 #[allow(clippy::too_many_arguments)]
 fn run_chain(
     params: &CostParams,
@@ -316,27 +322,32 @@ fn run_chain(
     initial: Siting,
     shared: &Shared,
     n_min: usize,
-) {
+) -> SearchStats {
+    let mut stats = SearchStats::default();
     let mut rng = ChaCha8Rng::seed_from_u64(options.seed.wrapping_add(chain as u64 * 0x9E37));
     let mut current = initial;
     // The basis of the chain's current siting; neighbour evaluations of the
     // same shape warm-start from it (the LP layer falls back to a cold
     // solve whenever the transfer is unusable).
     let mut current_basis: Option<Arc<Basis>> = None;
-    let mut current_cost =
-        match evaluate(params, input, candidates, &current, options, shared, None) {
-            Some((c, basis)) => {
-                current_basis = basis;
-                c
-            }
-            None => f64::INFINITY,
-        };
+    let mut current_cost = match evaluate(
+        params, input, candidates, &current, shared, &mut stats, None,
+    ) {
+        Some((c, basis)) => {
+            current_basis = basis;
+            c
+        }
+        None => f64::INFINITY,
+    };
     let mut temp = if current_cost.is_finite() {
-        current_cost * options.initial_temp_frac
+        current_cost * INITIAL_TEMP_FRAC
     } else {
         1e6
     };
     let max_sites = options.max_sites.min(candidates.len());
+    // Patience counts evaluated neighbours since the global best (any
+    // chain's) last dropped below `last_best`.
+    let mut last_best = shared.best_cost();
     let mut since_improvement = 0usize;
 
     // Chains differ in how eagerly they add/remove/swap (the paper's
@@ -414,11 +425,12 @@ fn run_chain(
         } else {
             None
         };
-        let (cost, basis) =
-            match evaluate(params, input, candidates, &neighbour, options, shared, warm) {
-                Some(r) => r,
-                None => continue,
-            };
+        let (cost, basis) = match evaluate(
+            params, input, candidates, &neighbour, shared, &mut stats, warm,
+        ) {
+            Some(r) => r,
+            None => continue,
+        };
         let accept = cost < current_cost || {
             let delta = cost - current_cost;
             temp > 0.0 && rng.gen::<f64>() < (-delta / temp).exp()
@@ -428,15 +440,11 @@ fn run_chain(
             current_cost = cost;
             current_basis = basis;
         }
-        temp *= options.cooling;
+        temp *= COOLING;
 
-        let improved = shared
-            .best
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .is_some_and(|(bc, _, _)| cost < *bc);
-        if improved {
+        let best = shared.best_cost();
+        if best < last_best {
+            last_best = best;
             since_improvement = 0;
         } else {
             since_improvement += 1;
@@ -445,6 +453,7 @@ fn run_chain(
             }
         }
     }
+    stats
 }
 
 fn pick_random<'a, R: Rng>(rng: &mut R, xs: &'a [usize]) -> Option<&'a usize> {
@@ -455,7 +464,8 @@ fn pick_random<'a, R: Rng>(rng: &mut R, xs: &'a [usize]) -> Option<&'a usize> {
     }
 }
 
-/// Evaluates a siting (memoized); updates the shared best on improvement.
+/// Evaluates a siting (memoized); updates the shared best on improvement
+/// and counts the request into the chain's `stats`.
 ///
 /// Returns the siting's cost together with its optimal basis (for the
 /// chain to warm-start neighbour evaluations), or `None` for infeasible
@@ -466,36 +476,25 @@ fn evaluate(
     input: &PlacementInput,
     candidates: &[CandidateSite],
     siting: &Siting,
-    options: &AnnealOptions,
     shared: &Shared,
+    stats: &mut SearchStats,
     warm: Option<&Basis>,
 ) -> Option<(f64, Option<Arc<Basis>>)> {
     if let Some(hit) = shared.cache.get(siting) {
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        stats.cache_hits += 1;
         return hit.cost.map(|c| (c, hit.basis));
     }
     let lp = build_network_lp_cached(params, input, candidates, siting, &shared.blocks);
-    shared.evals.fetch_add(1, Ordering::Relaxed);
-    let outcome = match lp.solve_warm(options.lp.clone(), warm) {
+    stats.evaluations += 1;
+    let outcome = match lp.solve_warm(SimplexOptions::default(), warm) {
         Ok((dispatch, basis)) => {
             if warm.is_some() {
-                shared.warm_attempts.fetch_add(1, Ordering::Relaxed);
+                stats.warm_attempts += 1;
             }
             if dispatch.warm_started {
-                shared.warm_hits.fetch_add(1, Ordering::Relaxed);
+                stats.warm_hits += 1;
             }
-            let st = &dispatch.lp_stats;
-            shared
-                .simplex_iterations
-                .fetch_add(st.iterations, Ordering::Relaxed);
-            shared
-                .refactorizations
-                .fetch_add(st.refactorizations, Ordering::Relaxed);
-            shared.ftrans.fetch_add(st.ftrans, Ordering::Relaxed);
-            shared.btrans.fetch_add(st.btrans, Ordering::Relaxed);
-            shared
-                .pricing_ns
-                .fetch_add(st.pricing_ns, Ordering::Relaxed);
+            stats.absorb_solve(&dispatch.lp_stats);
             let cost = dispatch.monthly_cost;
             let basis = basis.map(Arc::new);
             let better = shared
@@ -643,11 +642,10 @@ mod tests {
             ..PlacementInput::default()
         };
         let params = CostParams::default();
-        let opts = quick_options();
         let shared = Shared::new();
-        let attempts = || shared.warm_attempts.load(Ordering::Relaxed);
+        let mut stats = SearchStats::default();
         let large = vec![(0, SizeClass::Large), (1, SizeClass::Large)];
-        let (_, basis) = evaluate(&params, &input, &cands, &large, &opts, &shared, None)
+        let (_, basis) = evaluate(&params, &input, &cands, &large, &shared, &mut stats, None)
             .expect("two large sites reach 20 MW");
         let basis = basis.expect("an optimal solve exports its basis");
         // Two small sites hold at most 2 × 10 MW / PUE: a same-shape
@@ -658,24 +656,57 @@ mod tests {
             &input,
             &cands,
             &small,
-            &opts,
             &shared,
+            &mut stats,
             Some(&basis),
         );
         assert!(infeasible.is_none());
-        assert_eq!(attempts(), 0);
+        assert_eq!(stats.warm_attempts, 0);
         let moved = vec![(0, SizeClass::Large), (2, SizeClass::Large)];
         let solved = evaluate(
             &params,
             &input,
             &cands,
             &moved,
-            &opts,
             &shared,
+            &mut stats,
             Some(&basis),
         );
         assert!(solved.is_some());
-        assert_eq!(attempts(), 1);
+        assert_eq!(stats.warm_attempts, 1);
+    }
+
+    #[test]
+    fn patience_counts_from_the_last_global_improvement() {
+        let w = WorldCatalog::anchors_only(5);
+        let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let input = PlacementInput {
+            total_capacity_mw: 20.0,
+            min_green_fraction: 0.0,
+            tech: TechMix::BrownOnly,
+            ..PlacementInput::default()
+        };
+        let run = |iterations, patience| {
+            let opts = AnnealOptions {
+                iterations,
+                chains: 1,
+                patience,
+                seed: 7,
+                ..AnnealOptions::default()
+            };
+            anneal(&CostParams::default(), &input, &cands, &opts).expect("feasible")
+        };
+        let requests = |r: &AnnealResult| r.stats.evaluations + r.stats.cache_hits;
+        // Premise: the first neighbour is feasible and beats the initial
+        // siting, so it lowers the global best.
+        let initial = run(0, 0);
+        let first = run(1, 0);
+        assert!(first.dispatch.monthly_cost < initial.dispatch.monthly_cost);
+        assert_eq!(requests(&first), 2);
+        // With no patience the chain stops at the first neighbour that
+        // leaves the global best where it was, which is not the first one.
+        let r = run(30, 0);
+        assert!(requests(&r) > 2, "stats: {:?}", r.stats);
     }
 
     #[test]

@@ -8,37 +8,20 @@
 //! adequate — and is exactly what the paper's formulation needs.
 
 use crate::model::{Model, Solution, SolveError, VarId};
-use crate::revised::{RevisedSimplex, SimplexOptions};
+use crate::revised::RevisedSimplex;
 
-/// Options for [`BranchAndBound`].
-#[derive(Debug, Clone)]
-pub struct MilpOptions {
-    /// Tolerance under which a fractional value counts as integral.
-    pub int_tol: f64,
-    /// Give up (returning the incumbent if any) after this many nodes.
-    pub max_nodes: usize,
-    /// Relative optimality gap at which search stops.
-    pub rel_gap: f64,
-    /// Options for the underlying LP solves.
-    pub lp: SimplexOptions,
-}
+/// Tolerance under which a fractional value counts as integral.
+const INT_TOL: f64 = 1e-6;
 
-impl Default for MilpOptions {
-    fn default() -> Self {
-        Self {
-            int_tol: 1e-6,
-            max_nodes: 50_000,
-            rel_gap: 1e-9,
-            lp: SimplexOptions::default(),
-        }
-    }
-}
+/// Give up (returning the incumbent if any) after this many nodes.
+const MAX_NODES: usize = 50_000;
+
+/// Relative optimality gap at which search stops.
+const REL_GAP: f64 = 1e-9;
 
 /// Mixed-integer solver; see the module docs.
-#[derive(Debug, Clone, Default)]
-pub struct BranchAndBound {
-    options: MilpOptions,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BranchAndBound;
 
 #[derive(Debug)]
 struct Node {
@@ -49,11 +32,6 @@ struct Node {
 }
 
 impl BranchAndBound {
-    /// Creates a solver with the given options.
-    pub fn new(options: MilpOptions) -> Self {
-        Self { options }
-    }
-
     /// Solves `model` enforcing integrality of its [`VarId`]s declared
     /// integer.
     ///
@@ -61,14 +39,14 @@ impl BranchAndBound {
     ///
     /// [`SolveError::Infeasible`] when no integral point exists,
     /// [`SolveError::Unbounded`] when the relaxation is unbounded,
-    /// [`SolveError::IterationLimit`] when `max_nodes` is exhausted without
-    /// an incumbent, plus any LP-level error.
+    /// [`SolveError::IterationLimit`] when the node budget (50,000) is
+    /// exhausted without an incumbent, plus any LP-level error.
     pub fn solve(&self, model: &Model) -> Result<Solution, SolveError> {
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            return model.solve_with(self.options.lp.clone());
+            return model.solve();
         }
-        let lp = RevisedSimplex::new(self.options.lp.clone());
+        let lp = RevisedSimplex::default();
 
         let mut incumbent: Option<Solution> = None;
         // Solver work accumulated across every explored node, so the
@@ -85,7 +63,7 @@ impl BranchAndBound {
 
         while let Some(node) = open.pop() {
             nodes_explored += 1;
-            if nodes_explored > self.options.max_nodes {
+            if nodes_explored > MAX_NODES {
                 return match incumbent {
                     Some(mut sol) => {
                         sol.iterations = total_stats.iterations;
@@ -97,7 +75,7 @@ impl BranchAndBound {
             }
             // Prune against the incumbent before solving.
             if let Some(inc) = &incumbent {
-                if node.parent_bound >= inc.objective - self.options.rel_gap * inc.objective.abs() {
+                if node.parent_bound >= inc.objective - REL_GAP * inc.objective.abs() {
                     continue;
                 }
             }
@@ -129,7 +107,7 @@ impl BranchAndBound {
             };
             total_stats.absorb(&relax.stats);
             if let Some(inc) = &incumbent {
-                if relax.objective >= inc.objective - self.options.rel_gap * inc.objective.abs() {
+                if relax.objective >= inc.objective - REL_GAP * inc.objective.abs() {
                     continue;
                 }
             }
@@ -139,7 +117,7 @@ impl BranchAndBound {
             for &v in &int_vars {
                 let x = relax.values[v.index()];
                 let frac = (x - x.round()).abs();
-                if frac > self.options.int_tol {
+                if frac > INT_TOL {
                     let dist = (x - x.floor() - 0.5).abs(); // 0 = most fractional
                     if branch.is_none_or(|(_, _, d)| dist < d) {
                         branch = Some((v, x, dist));
@@ -200,9 +178,7 @@ mod tests {
     use crate::model::{Model, Sense};
 
     fn milp(m: &Model) -> Solution {
-        BranchAndBound::new(MilpOptions::default())
-            .solve(m)
-            .expect("milp solve")
+        BranchAndBound.solve(m).expect("milp solve")
     }
 
     #[test]
@@ -261,7 +237,7 @@ mod tests {
         let x = m.add_int_var("x", 0.0, 10.0, 0.0);
         m.add_con("eq", [(x, 2.0)], Sense::Eq, 1.0);
         assert_eq!(
-            BranchAndBound::default().solve(&m).unwrap_err(),
+            BranchAndBound.solve(&m).unwrap_err(),
             SolveError::Infeasible
         );
     }

@@ -53,7 +53,7 @@ pub mod revised;
 pub mod validate;
 pub mod wallclock;
 
-pub use branch::{BranchAndBound, MilpOptions};
+pub use branch::BranchAndBound;
 pub use expr::LinExpr;
 pub use lu::FactorizeError;
 pub use model::{ConId, Model, Sense, Solution, SolveError, VarId, VarKind};

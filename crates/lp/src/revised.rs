@@ -192,18 +192,11 @@ impl Eq for SolveStats {}
 /// Tuning knobs for [`RevisedSimplex`].
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Hard cap on simplex iterations across both phases. `0` means
-    /// auto-scale with problem size.
-    pub max_iterations: usize,
     /// Primal feasibility tolerance (bound violations up to this are
     /// tolerated).
     pub feas_tol: f64,
     /// Dual feasibility (optimality) tolerance on reduced costs.
     pub opt_tol: f64,
-    /// Refactorize the basis after this many eta updates.
-    pub refactor_every: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub bland_after: usize,
     /// Entering-column selection rule (see [`PricingMode`]).
     pub pricing: PricingMode,
 }
@@ -211,16 +204,8 @@ pub struct SimplexOptions {
 impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
-            max_iterations: 0,
             feas_tol: 1e-7,
             opt_tol: 1e-7,
-            refactor_every: 64,
-            // Bland's rule is the last-resort anti-cycling escape, not a
-            // degeneracy strategy: devex pricing walks degenerate plateaus
-            // productively (the battery-chain LPs take hundreds of zero-step
-            // pivots on the way to the optimum), while Bland crawls. Engage
-            // it only after a pathological streak.
-            bland_after: 1000,
             pricing: PricingMode::default(),
         }
     }
@@ -402,6 +387,16 @@ fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
 /// Partial pricing scans at least this many columns per section.
 const PARTIAL_SECTION_MIN: usize = 256;
 
+/// Refactorize the basis after this many eta updates.
+const REFACTOR_EVERY: usize = 64;
+
+/// Consecutive degenerate pivots before switching to Bland's rule. Bland's
+/// rule is the last-resort anti-cycling escape, not a degeneracy strategy:
+/// devex pricing walks degenerate plateaus productively (the battery-chain
+/// LPs take hundreds of zero-step pivots on the way to the optimum), while
+/// Bland crawls. Engage it only after a pathological streak.
+const BLAND_AFTER: usize = 1000;
+
 struct Worker<'a> {
     opts: &'a SimplexOptions,
     m: usize,
@@ -562,11 +557,9 @@ impl<'a> Worker<'a> {
 
         let lu = factorize_basis(&cols, &basis, m)?;
 
-        let max_iterations = if opts.max_iterations == 0 {
-            (20 * (m + n_struct)).max(2_000)
-        } else {
-            opts.max_iterations
-        };
+        // Hard cap on simplex iterations across both phases, scaled with
+        // the problem size.
+        let max_iterations = (20 * (m + n_struct)).max(2_000);
 
         let rows = RowMatrix::from_cols(&cols);
 
@@ -954,7 +947,7 @@ impl<'a> Worker<'a> {
             self.set_status(q, ColStatus::Basic(r));
             self.basis[r] = q;
             self.push_eta(r);
-            if self.etas.len() >= self.opts.refactor_every {
+            if self.etas.len() >= REFACTOR_EVERY {
                 self.refactorize().map_err(|_| ())?;
             }
         }
@@ -1018,7 +1011,7 @@ impl<'a> Worker<'a> {
             }
             self.iterations += 1;
 
-            let bland = degen_streak >= self.opts.bland_after;
+            let bland = degen_streak >= BLAND_AFTER;
             if bland && !prev_bland {
                 // (Re-)entering the anti-cycling regime: Bland's rule must
                 // see exact reduced-cost signs, not incrementally drifted
@@ -1161,7 +1154,7 @@ impl<'a> Worker<'a> {
                     } else {
                         degen_streak = 0;
                     }
-                    if self.etas.len() >= self.opts.refactor_every {
+                    if self.etas.len() >= REFACTOR_EVERY {
                         self.refactorize_or_repair(phase1)?;
                     }
                 }

@@ -208,7 +208,7 @@ fn warm_start_agrees_with_cold_solve() {
 
 #[test]
 fn milp_relaxation_bound_holds() {
-    use greencloud_lp::{BranchAndBound, MilpOptions};
+    use greencloud_lp::BranchAndBound;
     // On a deterministic family of knapsacks, the MILP optimum is never
     // better than the LP relaxation and matches brute force.
     for seed in 0..20u64 {
@@ -226,9 +226,7 @@ fn milp_relaxation_bound_holds() {
             cap,
         );
         let relax = m.solve().unwrap();
-        let milp = BranchAndBound::new(MilpOptions::default())
-            .solve(&m)
-            .unwrap();
+        let milp = BranchAndBound.solve(&m).unwrap();
         assert!(milp.objective >= relax.objective - 1e-9);
         // Brute force.
         let mut best = 0.0f64;

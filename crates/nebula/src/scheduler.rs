@@ -19,9 +19,7 @@
 //!   the same machinery the siting search uses (see `DESIGN.md`).
 
 use greencloud_lp::revised::{Basis, SimplexOptions};
-use greencloud_lp::{
-    BasisStatus, BranchAndBound, ConId, MilpOptions, Model, Sense, SolveError, VarId,
-};
+use greencloud_lp::{BasisStatus, BranchAndBound, ConId, Model, Sense, SolveError, VarId};
 
 /// Scheduler tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -523,7 +521,7 @@ impl RollingScheduler {
             // rebuild the (quantized) MILP from scratch.
             let window = build_window_model(&self.config, sites);
             self.stats.rebuilds += 1;
-            let sol = BranchAndBound::new(MilpOptions::default()).solve(&window.model)?;
+            let sol = BranchAndBound.solve(&window.model)?;
             self.stats.rounds += 1;
             self.stats.absorb_solve(&sol.stats);
             return Ok(window.extract(&sol, h_total));
