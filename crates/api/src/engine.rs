@@ -2,7 +2,10 @@
 //! parameters, builds candidate sites once, and runs [`ExperimentSpec`]s.
 //!
 //! The engine is the single front door for every caller — the `repro` CLI,
-//! benches, tests, examples, and the `serve` layer. Every run goes through
+//! tests, examples, and the `serve` layer. Both siting kinds share one
+//! path: filter the cached candidates, run the annealing search or the
+//! exact enumeration, and build the [`SitingReport`] from the winning LP
+//! in one step. Every run goes through
 //! [`Engine::run_with`], whose [`RunCtx`] carries the optional cancellation
 //! token, progress sink and deadline; [`Engine::run`] is the all-defaults
 //! case. The engine caches candidate sets per [`ProfileConfig`] so a batch
@@ -17,23 +20,20 @@ use crate::report::{
     AnnualReport, Report, ReportBody, SitingReport, SweepReport, SweepRow, TimingRecord,
     TimingReport, WarmVsCold,
 };
-use crate::spec::{
-    AnnualSpec, ExactSitingSpec, ExperimentSpec, SearchSpec, SitingSpec, SweepSpec, TimingSpec,
-};
+use crate::spec::{AnnualSpec, ExactSitingSpec, ExperimentSpec, SitingSpec, SweepSpec, TimingSpec};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_climate::profiles::ProfileConfig;
+use greencloud_core::anneal::{anneal, SearchStats, Siting};
 use greencloud_core::candidate::CandidateSite;
 use greencloud_core::filter::filter_candidates;
-use greencloud_core::formulation::{build_network_lp, NetworkLp};
-use greencloud_core::framework::SizeClass;
+use greencloud_core::formulation::{build_network_lp, NetworkDispatch, NetworkLp};
+use greencloud_core::framework::{PlacementInput, SizeClass};
 use greencloud_core::lock_ok;
 use greencloud_core::milp::{solve_exact, ExactOptions};
-use greencloud_core::solution::PlacementSolution;
-use greencloud_core::tool::{default_threads, PlacementTool};
 use greencloud_cost::params::CostParams;
-use greencloud_lp::{Basis, PricingMode, SimplexOptions};
+use greencloud_lp::{Basis, PricingMode, SimplexOptions, SolveError};
 use greencloud_nebula::emulation::{self, EmulationConfig, HourObserver};
-use greencloud_nebula::scheduler::{RollingScheduler, RollingStats, Scheduler, SchedulerConfig};
+use greencloud_nebula::scheduler::{RollingScheduler, RollingStats, SchedulerConfig};
 use greencloud_nebula::sweep::{run_sweep_observed, ScenarioObserver};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -93,7 +93,8 @@ pub type ProgressSink<'a> = &'a (dyn Fn(Progress) + Sync);
 pub struct RunCtx<'a> {
     /// Cooperative cancellation token, polled hourly by the long-running
     /// kinds (annual emulations, sweeps); once fired they stop and surface
-    /// [`ApiError::Cancelled`]. Short kinds (siting, timing) ignore it.
+    /// [`ApiError::Cancelled`]. Siting (heuristic and exact) and timing
+    /// ignore it.
     pub cancel: Option<&'a AtomicBool>,
     /// Receives loop counters from the long-running kinds: hourly for
     /// annual runs, per scenario for sweeps.
@@ -104,6 +105,22 @@ pub struct RunCtx<'a> {
     /// fired: the first cause wins.
     pub deadline: Option<Duration>,
 }
+
+/// The machine-derived default thread count for candidate building, sweep
+/// fan-out, and concurrent experiment execution:
+/// [`std::thread::available_parallelism`], clamped to `[1, 16]` (the
+/// workloads stop scaling well before that, and unclamped values would
+/// oversubscribe CI runners).
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .clamp(1, 16)
+}
+
+/// A siting search's result over the kept candidates: the best siting, its
+/// LP optimum, and the annealing counters (none on the exact path).
+type Found = (Siting, NetworkDispatch, Option<SearchStats>);
 
 /// The experiment engine (see the module docs).
 #[derive(Debug)]
@@ -136,7 +153,8 @@ impl Engine {
     }
 
     /// Sets the thread knob used for candidate building, sweeps, and
-    /// [`Engine::run_all`] (`0` = [`default_threads`]).
+    /// [`Engine::run_all`] (`0` = the machine's available parallelism,
+    /// clamped to `[1, 16]`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             default_threads()
@@ -179,17 +197,6 @@ impl Engine {
             .entry(*profile)
             .or_insert_with(|| Arc::clone(&built))
             .clone()
-    }
-
-    /// A placement tool over this engine's cached candidates — the escape
-    /// hatch for callers that need per-location solves (e.g. the Fig. 6
-    /// cost-CDF study) rather than a whole experiment.
-    pub fn placement_tool(&self, search: &SearchSpec) -> PlacementTool {
-        PlacementTool::with_candidates(
-            self.params.clone(),
-            self.candidates(&search.profile),
-            search.tool_options(self.threads),
-        )
     }
 
     /// Runs one experiment with every [`RunCtx`] option off.
@@ -304,30 +311,50 @@ impl Engine {
     }
 
     fn run_siting(&self, spec: &SitingSpec) -> Result<ReportBody, ApiError> {
-        spec.input.validate()?;
-        let tool = self.placement_tool(&spec.search);
-        let sol = tool.solve(&spec.input)?;
-        Ok(ReportBody::Siting(SitingReport::from_solution(&sol)))
+        let search = &spec.search;
+        self.siting_report(&spec.input, &search.profile, search.filter_keep, |kept| {
+            let r = anneal(&self.params, &spec.input, kept, &search.anneal_options())?;
+            Ok((r.siting, r.dispatch, Some(r.stats)))
+        })
     }
 
     fn run_exact(&self, spec: &ExactSitingSpec) -> Result<ReportBody, ApiError> {
-        spec.input.validate()?;
-        let candidates = self.candidates(&spec.profile);
-        let kept = filter_candidates(&self.params, &spec.input, &candidates, spec.filter_keep);
-        let filtered: Vec<CandidateSite> = kept.iter().map(|&i| candidates[i].clone()).collect();
         let options = ExactOptions {
             max_candidates: spec.max_candidates,
             max_sites: spec.max_sites,
         };
-        let (siting, dispatch) = solve_exact(&self.params, &spec.input, &filtered, &options)?;
-        // Map filtered indices back to catalog candidates for reporting.
-        let siting: Vec<(usize, SizeClass)> = siting
+        self.siting_report(&spec.input, &spec.profile, spec.filter_keep, |kept| {
+            let (siting, dispatch) = solve_exact(&self.params, &spec.input, kept, &options)?;
+            Ok((siting, dispatch, None))
+        })
+    }
+
+    /// The path both siting kinds share: pre-filter the cached candidates
+    /// for `profile`, `search` the kept ones, and report the best siting
+    /// under its catalog indices.
+    fn siting_report(
+        &self,
+        input: &PlacementInput,
+        profile: &ProfileConfig,
+        filter_keep: usize,
+        search: impl FnOnce(&[CandidateSite]) -> Result<Found, SolveError>,
+    ) -> Result<ReportBody, ApiError> {
+        input.validate()?;
+        let candidates = self.candidates(profile);
+        let kept = filter_candidates(&self.params, input, &candidates, filter_keep);
+        let filtered: Vec<CandidateSite> = kept.iter().map(|&i| candidates[i].clone()).collect();
+        let (siting, dispatch, stats) = search(&filtered)?;
+        let siting: Siting = siting
             .iter()
             .map(|&(fi, class)| (kept[fi], class))
             .collect();
-        let sol =
-            PlacementSolution::from_dispatch(&self.params, &candidates, &siting, &dispatch, 0);
-        Ok(ReportBody::Siting(SitingReport::from_solution(&sol)))
+        Ok(ReportBody::Siting(SitingReport::from_dispatch(
+            &self.params,
+            &candidates,
+            &siting,
+            &dispatch,
+            stats.as_ref(),
+        )))
     }
 
     fn run_annual(
@@ -405,12 +432,13 @@ impl Engine {
                         s
                     })
                     .collect();
-            let sched = Scheduler::new(SchedulerConfig::default());
-            sched.plan(&states)?; // warm-up
+            // Each plan is a fresh scheduler's cold solve.
+            let plan = || RollingScheduler::new(SchedulerConfig::default()).plan(&states);
+            plan()?; // warm-up
             let t0 = Stopwatch::start();
             let reps = 10;
             for _ in 0..reps {
-                sched.plan(&states)?;
+                plan()?;
             }
             out.push((label.to_string(), t0.elapsed_ms() / reps as f64));
         }
@@ -479,8 +507,9 @@ impl Engine {
                 iterations: stats.iterations,
                 warm_rate: stats.warm_rate(),
             });
-            // The one-shot scheduler exposes no iteration totals; the
-            // record contract keeps the field 0 when not applicable.
+            // The cold rounds' fresh schedulers are not summed into an
+            // iteration total; the record contract keeps the field 0 when
+            // not applicable.
             records.push(TimingRecord {
                 name: format!("hourly_resolve_{rounds}rounds/cold"),
                 wall_ms: cold_ms,
@@ -541,9 +570,9 @@ fn time_solve(
 
 /// Runs `rounds` consecutive hourly re-solves of the Table III network
 /// from a fixed summer hour twice: warm through one persistent
-/// [`RollingScheduler`], then cold through a [`Scheduler`] that rebuilds
-/// and two-phase solves every round. Returns the warm wall time, the
-/// rolling scheduler's stats and the cold wall time (ms).
+/// [`RollingScheduler`], then cold through a fresh one per round, which
+/// builds and two-phase solves the window model. Returns the warm wall
+/// time, the rolling scheduler's stats and the cold wall time (ms).
 fn rolling_warm_cold(
     profiles: &[SiteProfile],
     rounds: usize,
@@ -561,12 +590,13 @@ fn rolling_warm_cold(
     }
     let warm_ms = t0.elapsed_ms();
 
-    let cold = Scheduler::new(cfg.scheduler.clone());
     let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
     let t0 = Stopwatch::start();
     for t in start..start + rounds {
         let states = rolling_states(profiles, t, window, &loads);
-        loads = cold.plan(&states)?.target_mw;
+        loads = RollingScheduler::new(cfg.scheduler.clone())
+            .plan(&states)?
+            .target_mw;
     }
     Ok((warm_ms, rolling.stats(), t0.elapsed_ms()))
 }

@@ -1,10 +1,12 @@
 //! The unified experiment API for the `greencloud` workspace: one typed,
 //! serializable front door for siting, operation, and sweeps.
 //!
-//! Every stage of the paper's pipeline used to have its own ad-hoc entry
-//! point (`PlacementTool`, `anneal`, `milp::solve_exact`, `emulation::run`,
-//! `run_sweep`, a string-dispatching `repro` binary). This crate redesigns
-//! the public surface around three concepts:
+//! The paper's pipeline stages (`anneal`, `milp::solve_exact`,
+//! `emulation::run`, `run_sweep`) are composed here and nowhere else:
+//! siting, for one, has no other entry point than the [`Engine`], which
+//! filters its cached candidates, runs the search and builds the
+//! [`SitingReport`] from the winning LP. The public surface rests on three
+//! concepts:
 //!
 //! * [`ExperimentSpec`] — a JSON-round-trippable description
 //!   of one experiment (`Siting`, `ExactSiting`, `Annual`, `Sweep`,

@@ -12,7 +12,11 @@
 
 use crate::json::Json;
 use greencloud_core::anneal::SearchStats;
-use greencloud_core::solution::PlacementSolution;
+use greencloud_core::candidate::CandidateSite;
+use greencloud_core::formulation::NetworkDispatch;
+use greencloud_core::framework::SizeClass;
+use greencloud_cost::breakdown::{CostBreakdown, Provisioning};
+use greencloud_cost::params::CostParams;
 use greencloud_nebula::emulation::{EmulationReport, TraceRow};
 use greencloud_nebula::faults::ResilienceReport;
 use greencloud_nebula::scheduler::RollingStats;
@@ -163,41 +167,67 @@ pub struct SitingReport {
 }
 
 impl SitingReport {
-    /// Distills a [`PlacementSolution`].
-    pub fn from_solution(sol: &PlacementSolution) -> Self {
-        Self {
-            monthly_cost_usd: sol.monthly_cost,
-            green_fraction: sol.green_fraction,
-            total_capacity_mw: sol.total_capacity_mw,
-            evaluations: sol.evaluations,
-            sites: sol
-                .datacenters
-                .iter()
-                .map(|dc| SiteReport {
-                    name: dc.name.clone(),
-                    size_class: match dc.size_class {
-                        greencloud_core::SizeClass::Small => "small".to_string(),
-                        greencloud_core::SizeClass::Large => "large".to_string(),
+    /// Reports the LP optimum `dispatch` of `siting` (catalog indices into
+    /// `candidates`, in the LP's site order). Each site's Table I breakdown
+    /// is recomputed from its sizes; `stats` is the annealing search's
+    /// accounting, absent on the exact path.
+    pub(crate) fn from_dispatch(
+        params: &CostParams,
+        candidates: &[CandidateSite],
+        siting: &[(usize, SizeClass)],
+        dispatch: &NetworkDispatch,
+        stats: Option<&SearchStats>,
+    ) -> Self {
+        let sites = siting
+            .iter()
+            .zip(&dispatch.sites)
+            .map(|(&(ci, class), d)| {
+                let site = &candidates[ci];
+                let prov = Provisioning {
+                    capacity_kw: d.capacity_mw * 1000.0,
+                    max_pue: site.max_pue(),
+                    solar_kw: d.solar_mw * 1000.0,
+                    wind_kw: d.wind_mw * 1000.0,
+                    batt_kwh: d.batt_mwh * 1000.0,
+                };
+                let b = CostBreakdown::capex(params, &site.econ, &prov)
+                    .with_energy(d.energy_cost_month);
+                SiteReport {
+                    name: site.name.clone(),
+                    size_class: match class {
+                        SizeClass::Small => "small".to_string(),
+                        SizeClass::Large => "large".to_string(),
                     },
-                    capacity_mw: dc.capacity_mw,
-                    solar_mw: dc.solar_mw,
-                    wind_mw: dc.wind_mw,
-                    batt_mwh: dc.batt_mwh,
-                    monthly_cost_usd: dc.breakdown.total(),
-                    green_fraction: dc.green_fraction,
+                    capacity_mw: d.capacity_mw,
+                    solar_mw: d.solar_mw,
+                    wind_mw: d.wind_mw,
+                    batt_mwh: d.batt_mwh,
+                    monthly_cost_usd: b.total(),
+                    green_fraction: if d.demand_mwh_yr > 0.0 {
+                        d.green_mwh_yr / d.demand_mwh_yr
+                    } else {
+                        1.0
+                    },
                     breakdown: BreakdownReport {
-                        building_dc: dc.breakdown.building_dc,
-                        it_equipment: dc.breakdown.it_equipment,
-                        land: dc.breakdown.land,
-                        plants: dc.breakdown.building_solar + dc.breakdown.building_wind,
-                        batteries: dc.breakdown.batteries,
-                        connections: dc.breakdown.connections,
-                        bandwidth: dc.breakdown.bandwidth,
-                        energy: dc.breakdown.energy,
+                        building_dc: b.building_dc,
+                        it_equipment: b.it_equipment,
+                        land: b.land,
+                        plants: b.building_solar + b.building_wind,
+                        batteries: b.batteries,
+                        connections: b.connections,
+                        bandwidth: b.bandwidth,
+                        energy: b.energy,
                     },
-                })
-                .collect(),
-            solver: sol.search_stats.as_ref().map(SolverRollup::from),
+                }
+            })
+            .collect();
+        Self {
+            monthly_cost_usd: dispatch.monthly_cost,
+            green_fraction: dispatch.green_fraction,
+            total_capacity_mw: dispatch.total_capacity_mw,
+            evaluations: stats.map_or(0, |s| s.evaluations),
+            sites,
+            solver: stats.map(SolverRollup::from),
         }
     }
 }
@@ -816,4 +846,44 @@ fn timing_to_json(t: &TimingReport) -> Json {
             },
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use greencloud_climate::catalog::WorldCatalog;
+    use greencloud_climate::profiles::ProfileConfig;
+    use greencloud_core::formulation::build_network_lp;
+    use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
+
+    #[test]
+    fn breakdown_totals_match_lp_objective() {
+        // The per-site Table I breakdowns recomputed from the sizes must
+        // agree with the LP's own objective (they share the same unit costs).
+        let w = WorldCatalog::anchors_only(5);
+        let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let input = PlacementInput {
+            total_capacity_mw: 20.0,
+            min_green_fraction: 0.5,
+            tech: TechMix::Both,
+            storage: StorageMode::NetMetering,
+            ..PlacementInput::default()
+        };
+        let params = CostParams::default();
+        let siting = [(3, SizeClass::Large), (4, SizeClass::Large)];
+        let sites: Vec<_> = siting.iter().map(|&(i, c)| (&cands[i], c)).collect();
+        let dispatch = build_network_lp(&params, &input, &sites)
+            .solve()
+            .expect("solvable");
+        let report = SitingReport::from_dispatch(&params, &cands, &siting, &dispatch, None);
+        let rebuilt: f64 = report.sites.iter().map(|s| s.monthly_cost_usd).sum();
+        let lp_cost = report.monthly_cost_usd;
+        assert!(
+            (rebuilt - lp_cost).abs() / lp_cost < 0.01,
+            "breakdown ${rebuilt:.0} vs LP ${lp_cost:.0}"
+        );
+        assert_eq!(report.sites.len(), 2);
+        assert_eq!(report.evaluations, 0);
+        assert!(report.solver.is_none());
+    }
 }

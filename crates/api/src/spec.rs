@@ -17,7 +17,6 @@ use crate::json::Json;
 use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::anneal::AnnealOptions;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
-use greencloud_core::tool::ToolOptions;
 use greencloud_nebula::emulation::{EmulationConfig, EmulationSite};
 use greencloud_nebula::faults::{FaultKind, FaultSpec, ScheduledFault};
 use greencloud_nebula::predictor::PredictionMode;
@@ -161,16 +160,6 @@ impl SearchSpec {
             patience: self.patience,
             max_sites: self.max_sites,
             seed: self.seed,
-        }
-    }
-
-    /// The equivalent [`ToolOptions`] with the engine's thread knob.
-    pub fn tool_options(&self, build_threads: usize) -> ToolOptions {
-        ToolOptions {
-            profile: self.profile,
-            filter_keep: self.filter_keep,
-            anneal: self.anneal_options(),
-            build_threads,
         }
     }
 

@@ -7,7 +7,7 @@ use greencloud_api::spec::{
     AnnualSpec, ExactSitingSpec, ExperimentSpec, SearchSpec, SitingSpec, SweepAxes, SweepMode,
     SweepSpec, TimingSpec,
 };
-use greencloud_api::{ApiError, Engine, ReportBody};
+use greencloud_api::{ApiError, Engine, Report, ReportBody};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix, ValidationError};
@@ -15,8 +15,9 @@ use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::scheduler::SchedulerConfig;
 
 /// Runs `spec` twice on `engine` — programmatically and through its JSON
-/// serialization — and asserts the normalized reports agree.
-fn assert_json_replay_matches(engine: &Engine, spec: &ExperimentSpec) {
+/// serialization — asserts the normalized reports agree, and returns the
+/// programmatic report.
+fn assert_json_replay_matches(engine: &Engine, spec: &ExperimentSpec) -> Report {
     let programmatic = engine.run(spec).expect("programmatic run");
     let replayed_spec =
         ExperimentSpec::from_json_str(&spec.to_json_string()).expect("spec round-trips");
@@ -26,6 +27,23 @@ fn assert_json_replay_matches(engine: &Engine, spec: &ExperimentSpec) {
         programmatic.normalized(),
         replayed.normalized(),
         "JSON-replayed spec must reproduce the programmatic report"
+    );
+    programmatic
+}
+
+/// Pins a solved report's normalized bytes to `tests/golden/{golden_path}`
+/// (`GC_WRITE_GOLDEN=1` rewrites the file, as in `report_golden`).
+fn check_golden(report: &Report, golden_path: &str, golden: &str) {
+    let actual = report.normalized().to_json_string();
+    if std::env::var_os("GC_WRITE_GOLDEN").is_some() {
+        let path = format!("{}/tests/golden/{golden_path}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    assert_eq!(
+        actual, golden,
+        "solved report bytes changed; if intentional, explain the change and \
+         regenerate with GC_WRITE_GOLDEN=1"
     );
 }
 
@@ -60,7 +78,12 @@ fn siting_spec_replays_identically() {
             ..SearchSpec::default()
         },
     });
-    assert_json_replay_matches(&engine, &spec);
+    let report = assert_json_replay_matches(&engine, &spec);
+    check_golden(
+        &report,
+        "siting_solved.json",
+        include_str!("golden/siting_solved.json"),
+    );
 }
 
 #[test]
@@ -78,7 +101,12 @@ fn exact_siting_spec_replays_identically() {
         max_candidates: 4,
         max_sites: 3,
     });
-    assert_json_replay_matches(&engine, &spec);
+    let report = assert_json_replay_matches(&engine, &spec);
+    check_golden(
+        &report,
+        "exact_siting_solved.json",
+        include_str!("golden/exact_siting_solved.json"),
+    );
 }
 
 #[test]

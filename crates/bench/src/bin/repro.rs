@@ -55,6 +55,7 @@ use greencloud_api::{
 use greencloud_bench::bench_json::{check_bench_json, render_bench_json};
 use greencloud_bench::{repro_search, sweep_inputs, tech_label, world, REPRO_SEED};
 use greencloud_climate::catalog::WorldCatalog;
+use greencloud_core::formulation::solve_single;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
 use greencloud_cost::params::CostParams;
 use greencloud_energy::capacity_factor::CapacityFactors;
@@ -729,7 +730,7 @@ fn fig6(ctx: &Ctx, n: usize) {
         "Fig. 6 — 25 MW single-DC monthly cost CDF ({n} locations, net metering)"
     ));
     let engine = ctx.synthetic_engine(n);
-    let t = engine.placement_tool(&repro_search(true));
+    let candidates = engine.candidates(&repro_search(true).profile);
     let configs: [(&str, PlacementInput); 3] = [
         (
             "brown",
@@ -747,10 +748,9 @@ fn fig6(ctx: &Ctx, n: usize) {
     let mut table: Vec<Vec<f64>> = Vec::new();
     for (_, input) in &configs {
         let mut costs = Vec::new();
-        for loc in 0..t.candidates().len() {
-            let id = t.candidates()[loc].id;
-            if let Ok(sol) = t.solve_single(id, 25.0, input) {
-                costs.push(sol.monthly_cost / 1e6);
+        for site in candidates.iter() {
+            if let Ok(d) = solve_single(engine.params(), site, 25.0, input) {
+                costs.push(d.monthly_cost / 1e6);
             }
         }
         costs.sort_by(|a, b| a.partial_cmp(b).unwrap());

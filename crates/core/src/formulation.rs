@@ -216,6 +216,37 @@ pub fn build_network_lp(
     assemble(input, &entries)
 }
 
+/// Provisions one datacenter of `capacity_mw` at `site` with no
+/// availability constraint: the paper's Fig. 6 single-location study. The
+/// size class follows the site's peak power (large above 10 MW).
+///
+/// # Errors
+///
+/// [`SolveError::Infeasible`] when the site cannot host the datacenter
+/// under `input` (e.g. insufficient nearby brown capacity).
+///
+/// # Panics
+///
+/// Panics if `input` fails validation.
+pub fn solve_single(
+    params: &CostParams,
+    site: &CandidateSite,
+    capacity_mw: f64,
+    input: &PlacementInput,
+) -> Result<NetworkDispatch, SolveError> {
+    let class = if capacity_mw * site.max_pue() > 10.0 {
+        SizeClass::Large
+    } else {
+        SizeClass::Small
+    };
+    let single = PlacementInput {
+        total_capacity_mw: capacity_mw,
+        min_availability: 0.0,
+        ..input.clone()
+    };
+    build_network_lp(params, &single, &[(site, class)]).solve()
+}
+
 /// Builds the LP for the siting `siting` over `candidates`, reusing
 /// compiled per-site blocks from `cache`. A neighbour siting that differs
 /// in one site compiles exactly one new block; everything else is an
@@ -248,7 +279,7 @@ pub fn build_network_lp_cached(
 /// Assembles site blocks plus the network coupling rows into a solvable LP.
 fn assemble(input: &PlacementInput, sites: &[(&CandidateSite, Arc<SiteBlock>)]) -> NetworkLp {
     assert!(!sites.is_empty(), "need at least one site");
-    // gclint: allow(panic-path) — documented panicking precondition; inputs are validated at the Engine/PlacementTool boundary
+    // gclint: allow(panic-path) — documented panicking precondition; the Engine validates every spec's input before it builds an LP
     input.validate().expect("invalid placement input");
     // gclint: allow(index-literal) — guarded by the non-empty assert directly above
     let lead_profile = &sites[0].0.profile;
@@ -541,6 +572,26 @@ mod tests {
             let expect = 10.0 * kiev.profile.pue[t];
             assert!((d.sites[0].brown_mw[t] - expect).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn single_location_fig6_style() {
+        let w = WorldCatalog::synthetic(12, 17);
+        let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let brown = PlacementInput {
+            min_green_fraction: 0.0,
+            tech: TechMix::BrownOnly,
+            ..PlacementInput::default()
+        };
+        let d = solve_single(&CostParams::default(), &cands[1], 25.0, &brown).expect("solvable");
+        assert_eq!(d.sites.len(), 1);
+        assert!((d.sites[0].capacity_mw - 25.0).abs() < 1e-4);
+        // Paper's Fig. 6 brown band: roughly $8–13M/month.
+        assert!(
+            d.monthly_cost > 6e6 && d.monthly_cost < 16e6,
+            "cost {}",
+            d.monthly_cost
+        );
     }
 
     #[test]

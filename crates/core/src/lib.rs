@@ -16,15 +16,18 @@
 //!   economics) shared by all solver paths.
 //! * [`formulation`] — compiles the paper's Fig. 1 optimization (with the
 //!   documented strict-green and no-cash-out refinements) into an LP for a
-//!   fixed siting, on the representative-day slot clock.
+//!   fixed siting, on the representative-day slot clock; also the Fig. 6
+//!   single-location provisioning solve ([`formulation::solve_single`]).
 //! * [`siteblock`] — per-site LP column blocks and the block cache the hot
 //!   search paths use to avoid recompiling unchanged sites.
 //! * [`filter`] — the heuristic's location pre-filter.
 //! * [`anneal`] — parallel simulated-annealing search over sitings, each
 //!   candidate evaluated by solving its LP.
 //! * [`milp`] — the exact branch & bound path for small candidate sets.
-//! * [`tool`] — [`tool::PlacementTool`], the end-to-end siting tool.
-//! * [`solution`] — the reported siting/provisioning/cost result.
+//!
+//! The pipeline (candidates → filter → search → report) is composed in one
+//! place, `greencloud-api`'s `Engine`, which caches candidate sets per
+//! profile clock and builds the siting report from the winning LP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,13 +40,9 @@ pub mod formulation;
 pub mod framework;
 pub mod milp;
 pub mod siteblock;
-pub mod solution;
-pub mod tool;
 
 pub use candidate::CandidateSite;
 pub use framework::{PlacementInput, SizeClass, StorageMode, TechMix, ValidationError};
-pub use solution::{PlacementSolution, SitedDatacenter};
-pub use tool::{default_threads, PlacementTool, ToolOptions};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

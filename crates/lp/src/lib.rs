@@ -6,7 +6,7 @@
 //! this crate implements the whole stack from scratch:
 //!
 //! * [`Model`] — a builder for LPs/MILPs with named, bounded variables and
-//!   linear constraints ([`expr::LinExpr`]).
+//!   linear constraints given as `(variable, coefficient)` terms.
 //! * [`dense::DenseSimplex`] — a two-phase full-tableau simplex. Simple and
 //!   easy to audit; used as the reference implementation in tests and for
 //!   small models.
@@ -45,7 +45,6 @@
 
 pub mod branch;
 pub mod dense;
-pub mod expr;
 pub mod lu;
 pub mod model;
 mod propagate;
@@ -54,7 +53,6 @@ pub mod validate;
 pub mod wallclock;
 
 pub use branch::BranchAndBound;
-pub use expr::LinExpr;
 pub use lu::FactorizeError;
 pub use model::{ConId, Model, Sense, Solution, SolveError, VarId, VarKind};
 pub use revised::{Basis, BasisStatus, PricingMode, RevisedSimplex, SimplexOptions, SolveStats};

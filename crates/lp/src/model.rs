@@ -1,6 +1,5 @@
 //! Problem definition: variables, constraints, objective.
 
-use crate::expr::LinExpr;
 use crate::revised::{RevisedSimplex, SimplexOptions};
 use std::fmt;
 use std::ops::Index;
@@ -208,32 +207,18 @@ impl Model {
     }
 
     /// Adds the constraint `Σ coeff·var  sense  rhs` from an iterator of
-    /// terms; returns its handle.
+    /// terms; returns its handle. A variable may appear more than once: its
+    /// coefficients are summed, and zero coefficients are dropped.
     pub fn add_con<I>(&mut self, name: impl Into<String>, terms: I, sense: Sense, rhs: f64) -> ConId
     where
         I: IntoIterator<Item = (VarId, f64)>,
     {
-        let expr: LinExpr = terms.into_iter().collect();
-        self.add_con_expr(name, expr, sense, rhs)
-    }
-
-    /// Adds the constraint `expr  sense  rhs`. The expression's constant part
-    /// is moved to the right-hand side.
-    pub fn add_con_expr(
-        &mut self,
-        name: impl Into<String>,
-        mut expr: LinExpr,
-        sense: Sense,
-        rhs: f64,
-    ) -> ConId {
-        expr.compress();
         let id = ConId(self.cons.len());
-        let adjusted_rhs = rhs - expr.constant_part();
         self.cons.push(ConDef {
             name: name.into(),
-            terms: expr.terms().to_vec(),
+            terms: compress_terms(terms),
             sense,
-            rhs: adjusted_rhs,
+            rhs,
         });
         id
     }
@@ -434,6 +419,26 @@ impl Model {
     }
 }
 
+/// A constraint row's stored terms: zero coefficients dropped, each
+/// variable's coefficients summed in insertion order, sums that cancel to
+/// zero dropped, and the rest sorted by variable.
+fn compress_terms(terms: impl IntoIterator<Item = (VarId, f64)>) -> Vec<(VarId, f64)> {
+    let mut terms: Vec<(VarId, f64)> = terms.into_iter().filter(|&(_, c)| c != 0.0).collect();
+    if terms.len() > 1 {
+        // Stable, so a variable's duplicates stay in insertion order.
+        terms.sort_by_key(|&(v, _)| v);
+        terms.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        terms.retain(|&(_, c)| c != 0.0);
+    }
+    terms
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,13 +459,30 @@ mod tests {
     }
 
     #[test]
-    fn constant_moves_to_rhs() {
+    fn compress_merges_duplicates() {
         let mut m = Model::new();
-        let x = m.add_var("x", 0.0, 10.0, 1.0);
-        let mut e = LinExpr::term(x, 1.0);
-        e.add_constant(3.0);
-        m.add_con_expr("c", e, Sense::Le, 5.0);
-        assert_eq!(m.cons[0].rhs, 2.0);
+        let x = m.add_var("x", 0.0, 1.0, 0.0);
+        let y = m.add_var("y", 0.0, 1.0, 0.0);
+        m.add_con(
+            "c",
+            [(x, 1.0), (x, 2.0), (y, -1.0), (y, 1.0)],
+            Sense::Le,
+            5.0,
+        );
+        assert_eq!(m.cons[0].terms, [(x, 3.0)]);
+        assert_eq!(m.cons[0].rhs, 5.0);
+    }
+
+    #[test]
+    fn zero_coefficients_are_dropped() {
+        let mut m = Model::new();
+        let x = m.add_var("x", 0.0, 1.0, 0.0);
+        let y = m.add_var("y", 0.0, 1.0, 0.0);
+        m.add_con("c", [(x, 0.0)], Sense::Le, 5.0);
+        assert!(m.cons[0].terms.is_empty());
+        m.add_con("d", [(y, 2.0), (x, 0.0), (x, 1.0)], Sense::Le, 5.0);
+        assert_eq!(m.cons[1].terms, [(x, 1.0), (y, 2.0)]);
+        assert_eq!(m.cons[1].rhs, 5.0);
     }
 
     #[test]

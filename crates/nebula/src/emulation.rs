@@ -82,7 +82,7 @@ pub struct EmulationConfig {
     pub start_hour: usize,
     /// Sites (Table III by default).
     pub sites: Vec<EmulationSite>,
-    /// Scheduler configuration.
+    /// Hourly scheduler configuration.
     pub scheduler: SchedulerConfig,
     /// WAN link model.
     pub wan: WanModel,
@@ -786,7 +786,7 @@ pub fn run_observed(
         let wan_factor = fault.wan_bw_factor();
 
         if any_up {
-            // 1. Scheduler round (persistent model, warm-started re-solve).
+            // 1. Scheduling round (persistent model, warm-started re-solve).
             // Dark sites enter with zero capacity and zero green forecast;
             // the shifted LP handles the collapse without a rebuild.
             let states: Vec<SiteState> = (0..n)

@@ -51,6 +51,6 @@ pub use emulation::{EmulationConfig, EmulationReport, MigrationRecord, TraceRow}
 pub use error::NebulaError;
 pub use faults::{FaultKind, FaultSchedule, FaultSpec, ResilienceReport, ScheduledFault};
 pub use planner::{Migration, MigrationPlan};
-pub use scheduler::{RollingScheduler, RollingStats, Scheduler, SchedulerConfig};
+pub use scheduler::{RollingScheduler, RollingStats, SchedulerConfig};
 pub use sweep::{run_sweep, Scenario, ScenarioResult};
 pub use vm::{Vm, VmId, VmSpec};

@@ -8,20 +8,18 @@
 //! migrations. The first hour of the resulting trajectory becomes the
 //! migration targets handed to the planner.
 //!
-//! Two entry points share the same formulation:
-//!
-//! * [`Scheduler::plan`] — a one-shot solve, cold-started. Used by tests
-//!   and ad-hoc callers.
-//! * [`RollingScheduler::plan`] — the operational path. The model is built
-//!   once, then between rounds only the forecast coefficients, conservation
-//!   right-hand sides, and migration-floor anchors are shifted in place and
-//!   the solve warm-starts from the previous hour's exported [`Basis`] —
-//!   the same machinery the siting search uses (see `DESIGN.md`).
+//! [`RollingScheduler::plan`] is the one entry point. The model is built
+//! once, then between rounds only the forecast coefficients, conservation
+//! right-hand sides, and migration-floor anchors are shifted in place and
+//! the solve warm-starts from the previous hour's exported [`Basis`] — the
+//! same machinery the siting search uses (see `DESIGN.md`). A fresh
+//! scheduler's first round is a cold solve, which is how callers get a
+//! one-shot plan.
 
 use greencloud_lp::revised::{Basis, SimplexOptions};
 use greencloud_lp::{BasisStatus, BranchAndBound, ConId, Model, Sense, SolveError, VarId};
 
-/// Scheduler tuning.
+/// Tuning of the hourly re-partitioning scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// Look-ahead window, hours (the paper uses 48).
@@ -143,12 +141,6 @@ impl PartialEq for RollingStats {
 }
 
 impl Eq for RollingStats {}
-
-/// The multi-datacenter scheduler (one-shot form).
-#[derive(Debug, Clone, Default)]
-pub struct Scheduler {
-    config: SchedulerConfig,
-}
 
 /// Variable/constraint handles into the persistent window model, kept so
 /// successive rounds can overwrite coefficients instead of rebuilding.
@@ -447,26 +439,6 @@ fn validate_sites(config: &SchedulerConfig, sites: &[SiteState]) -> Result<(), S
     Ok(())
 }
 
-impl Scheduler {
-    /// Creates a scheduler.
-    pub fn new(config: SchedulerConfig) -> Self {
-        Self { config }
-    }
-
-    /// Computes the re-partitioning plan for the current hour (one-shot,
-    /// cold-started solve).
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::InvalidModel`] for inconsistent inputs;
-    /// [`SolveError::Infeasible`] when the total load exceeds total
-    /// capacity; solver errors otherwise.
-    pub fn plan(&self, sites: &[SiteState]) -> Result<SchedulePlan, SolveError> {
-        let mut rolling = RollingScheduler::new(self.config.clone());
-        rolling.plan(sites)
-    }
-}
-
 /// The operational scheduler: keeps one persistent window model across
 /// hourly rounds and warm-starts every re-solve from the previous hour's
 /// basis. Rebuilds (and cold-solves) only when the site count changes or
@@ -511,7 +483,9 @@ impl RollingScheduler {
     ///
     /// # Errors
     ///
-    /// Same as [`Scheduler::plan`].
+    /// [`SolveError::InvalidModel`] for inconsistent inputs;
+    /// [`SolveError::Infeasible`] when the total load exceeds total
+    /// capacity; solver errors otherwise.
     pub fn plan(&mut self, sites: &[SiteState]) -> Result<SchedulePlan, SolveError> {
         validate_sites(&self.config, sites)?;
         let h_total = self.config.window_hours.max(1);
@@ -642,7 +616,7 @@ mod tests {
         // Site 0 is dark, site 1 has abundant green power: everything moves.
         let s0 = site(vec![0.0; 4], 10.0, 20.0);
         let s1 = site(vec![50.0; 4], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 4,
             ..SchedulerConfig::default()
         })
@@ -656,7 +630,7 @@ mod tests {
     fn no_gratuitous_migration_when_both_sites_green() {
         let s0 = site(vec![50.0; 4], 10.0, 20.0);
         let s1 = site(vec![50.0; 4], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 4,
             ..SchedulerConfig::default()
         })
@@ -673,7 +647,7 @@ mod tests {
         // move, the plan can prefer staying.
         let s0 = site(vec![10.5; 2], 10.0, 20.0);
         let s1 = site(vec![10.5; 2], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 2,
             ..SchedulerConfig::default()
         })
@@ -693,7 +667,7 @@ mod tests {
         // migrating exactly at hour 2 is the unique zero-brown schedule.
         let s0 = site(vec![20.0, 20.0, 12.0, 0.0], 10.0, 20.0);
         let s1 = site(vec![0.0, 0.0, 20.0, 20.0], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 4,
             ..SchedulerConfig::default()
         })
@@ -712,7 +686,7 @@ mod tests {
     fn infeasible_when_capacity_is_insufficient() {
         let s0 = site(vec![0.0; 2], 30.0, 10.0);
         let s1 = site(vec![0.0; 2], 0.0, 10.0);
-        let err = Scheduler::new(SchedulerConfig {
+        let err = RollingScheduler::new(SchedulerConfig {
             window_hours: 2,
             ..SchedulerConfig::default()
         })
@@ -726,7 +700,7 @@ mod tests {
         // Total load is 4 VMs × 0.25 MW; hour-0 targets must stay integral.
         let s0 = site(vec![0.0; 3], 1.0, 20.0);
         let s1 = site(vec![50.0; 3], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 3,
             integral_vm_power_mw: Some(0.25),
             ..SchedulerConfig::default()
@@ -748,7 +722,7 @@ mod tests {
         // quantized hour-0 conservation rounds to the nearest multiple.
         let s0 = site(vec![0.0; 3], 1.1, 20.0);
         let s1 = site(vec![50.0; 3], 0.0, 20.0);
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 3,
             integral_vm_power_mw: Some(0.25),
             ..SchedulerConfig::default()
@@ -772,7 +746,7 @@ mod tests {
             site(vec![0.0; 2], 0.9, 0.95),
             site(vec![5.0; 2], 0.95, 0.95),
         ];
-        let plan = Scheduler::new(SchedulerConfig {
+        let plan = RollingScheduler::new(SchedulerConfig {
             window_hours: 2,
             integral_vm_power_mw: Some(0.25),
             ..SchedulerConfig::default()
@@ -787,7 +761,7 @@ mod tests {
     #[test]
     fn short_forecast_is_rejected() {
         let s0 = site(vec![0.0; 2], 1.0, 2.0);
-        let err = Scheduler::new(SchedulerConfig {
+        let err = RollingScheduler::new(SchedulerConfig {
             window_hours: 4,
             ..SchedulerConfig::default()
         })
@@ -815,20 +789,21 @@ mod tests {
         // Two anti-phased sites re-planned hourly over three simulated
         // days, loads following the previous round's targets — the
         // emulation's exact call pattern. The rolling scheduler must agree
-        // with fresh one-shot solves and warm-start nearly every round via
-        // the shifted basis.
+        // with a fresh scheduler's cold solve and warm-start nearly every
+        // round via the shifted basis.
         let config = SchedulerConfig {
             window_hours: 12,
             ..SchedulerConfig::default()
         };
         let mut rolling = RollingScheduler::new(config.clone());
-        let one_shot = Scheduler::new(config);
         let (mut load0, mut load1) = (10.0, 0.0);
         let rounds = 72;
         for t in 0..rounds {
             let sites = rolling_states(t, 12, load0, load1);
             let a = rolling.plan(&sites).expect("rolling plan");
-            let b = one_shot.plan(&sites).expect("one-shot plan");
+            let b = RollingScheduler::new(config.clone())
+                .plan(&sites)
+                .expect("one-shot plan");
             assert!(
                 (a.objective - b.objective).abs() < 1e-6,
                 "hour {t}: rolling {} vs one-shot {}",

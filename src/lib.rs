@@ -41,14 +41,12 @@ pub use greencloud_simkernel as simkernel;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use greencloud_api::{
-        AnnualSpec, ApiError, Engine, ExperimentSpec, Report, ReportBody, SearchSpec, SitingSpec,
-        SweepAxes, SweepMode, SweepSpec, TimingSpec,
+        AnnualSpec, ApiError, Engine, ExperimentSpec, Report, ReportBody, SearchSpec, SitingReport,
+        SitingSpec, SweepAxes, SweepMode, SweepSpec, TimingSpec,
     };
     pub use greencloud_climate::catalog::{Location, LocationId, WorldCatalog};
     pub use greencloud_climate::profiles::{ProfileConfig, WeatherProfile, WeatherSlot};
     pub use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
-    pub use greencloud_core::solution::{PlacementSolution, SitedDatacenter};
-    pub use greencloud_core::tool::{PlacementTool, ToolOptions};
     pub use greencloud_cost::params::CostParams;
     pub use greencloud_nebula::emulation::{EmulationConfig, EmulationReport};
     pub use greencloud_nebula::scheduler::{RollingScheduler, RollingStats};
