@@ -102,7 +102,9 @@ pub struct RunCtx<'a> {
     /// Wall-clock budget. When it passes, the run's token is fired (the
     /// caller's, if given) and the result is [`ApiError::Deadline`]
     /// whatever the run returned, unless the token had already been
-    /// fired: the first cause wins.
+    /// fired: the first cause wins. `repro run --timeout-ms` passes its
+    /// limit here; `repro serve` passes a durable job's remaining budget,
+    /// since nobody waits on that job to enforce its deadline.
     pub deadline: Option<Duration>,
 }
 
@@ -448,10 +450,10 @@ impl Engine {
     /// The LP-substrate benchmark records: the single-site siting LP cold
     /// under each pricing mode and warm from its own optimal basis, the
     /// three-site network LP cold and warm, plus rolling hourly re-solves
-    /// warm vs cold.
+    /// warm vs cold, each with the simplex iterations it took.
     fn lp_records(&self, fast: bool) -> Result<Vec<TimingRecord>, ApiError> {
         use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
-        use PricingMode::{Dantzig, Devex, Partial};
+        use PricingMode::{Dantzig, Devex};
 
         let reps = if fast { 1 } else { 3 };
         let mut records = Vec::new();
@@ -471,12 +473,7 @@ impl Engine {
         let lp = build_network_lp(&self.params, &single, &[(site, SizeClass::Large)]);
         let (cold, basis) = time_solve("single_site_cold/devex", &lp, Devex, None, reps)?;
         records.push(cold);
-        for (label, pricing) in [
-            ("single_site_cold/dantzig", Dantzig),
-            ("single_site_cold/partial", Partial),
-        ] {
-            records.push(time_solve(label, &lp, pricing, None, reps)?.0);
-        }
+        records.push(time_solve("single_site_cold/dantzig", &lp, Dantzig, None, reps)?.0);
         records.push(time_solve("single_site_warm/devex", &lp, Devex, basis.as_ref(), reps)?.0);
 
         // The three-site network LP on candidates 3, 4 and 7 (skipped when
@@ -500,20 +497,17 @@ impl Engine {
         // (skipped when the catalog lacks the anchors).
         if let Some(profiles) = table3_profiles(&self.catalog) {
             let rounds = if fast { 12 } else { 96 };
-            let (warm_ms, stats, cold_ms) = rolling_warm_cold(&profiles, rounds)?;
+            let (warm_ms, stats, cold_ms, cold_iterations) = rolling_warm_cold(&profiles, rounds)?;
             records.push(TimingRecord {
                 name: format!("hourly_resolve_{rounds}rounds/warm"),
                 wall_ms: warm_ms,
                 iterations: stats.iterations,
                 warm_rate: stats.warm_rate(),
             });
-            // The cold rounds' fresh schedulers are not summed into an
-            // iteration total; the record contract keeps the field 0 when
-            // not applicable.
             records.push(TimingRecord {
                 name: format!("hourly_resolve_{rounds}rounds/cold"),
                 wall_ms: cold_ms,
-                iterations: 0,
+                iterations: cold_iterations,
                 warm_rate: 0.0,
             });
         }
@@ -526,7 +520,7 @@ impl Engine {
         let profiles = table3_profiles(&self.catalog).ok_or_else(|| {
             ApiError::Engine("catalog lacks the Table III anchor sites".to_string())
         })?;
-        let (warm_ms, stats, cold_ms) = rolling_warm_cold(&profiles, rounds)?;
+        let (warm_ms, stats, cold_ms, _) = rolling_warm_cold(&profiles, rounds)?;
         Ok(WarmVsCold {
             rounds,
             warm_ms,
@@ -572,11 +566,12 @@ fn time_solve(
 /// from a fixed summer hour twice: warm through one persistent
 /// [`RollingScheduler`], then cold through a fresh one per round, which
 /// builds and two-phase solves the window model. Returns the warm wall
-/// time, the rolling scheduler's stats and the cold wall time (ms).
+/// time (ms), the rolling scheduler's stats, the cold wall time (ms) and
+/// the cold rounds' simplex iterations summed.
 fn rolling_warm_cold(
     profiles: &[SiteProfile],
     rounds: usize,
-) -> Result<(f64, RollingStats, f64), ApiError> {
+) -> Result<(f64, RollingStats, f64, usize), ApiError> {
     let cfg = EmulationConfig::default();
     let window = cfg.scheduler.window_hours;
     let start = 4080;
@@ -591,12 +586,13 @@ fn rolling_warm_cold(
     let warm_ms = t0.elapsed_ms();
 
     let mut loads = vec![cfg.total_load_mw, 0.0, 0.0];
+    let mut cold_iterations = 0;
     let t0 = Stopwatch::start();
     for t in start..start + rounds {
         let states = rolling_states(profiles, t, window, &loads);
-        loads = RollingScheduler::new(cfg.scheduler.clone())
-            .plan(&states)?
-            .target_mw;
+        let mut fresh = RollingScheduler::new(cfg.scheduler.clone());
+        loads = fresh.plan(&states)?.target_mw;
+        cold_iterations += fresh.stats().iterations;
     }
-    Ok((warm_ms, rolling.stats(), t0.elapsed_ms()))
+    Ok((warm_ms, rolling.stats(), t0.elapsed_ms(), cold_iterations))
 }

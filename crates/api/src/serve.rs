@@ -15,8 +15,11 @@
 //! * **Deadlines.** Every request carries a deadline (default
 //!   `default_deadline_ms`, overridable per request via `X-Deadline-Ms`,
 //!   capped at `max_deadline_ms`) measured from *enqueue*, so time spent
-//!   queued counts. A watchdog fires the spec's cancellation token and the
-//!   client gets `408` with a typed `deadline_exceeded` body.
+//!   queued counts. The client's connection thread waits until the
+//!   deadline at most, then answers `408` with a typed
+//!   `deadline_exceeded` body, whatever the kind; a worker skips a job
+//!   that expired in the queue; a durable job, which nobody waits on,
+//!   runs with its remaining budget as the engine's [`RunCtx::deadline`].
 //! * **Disconnect detection.** While a request waits for its result, the
 //!   connection is polled with a zero-copy `peek`; a vanished client
 //!   fires the token so the solver stops burning CPU for nobody
@@ -141,8 +144,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-request lifecycle shared by the connection thread, the worker that
-/// solves it, and the deadline watchdog.
+/// Per-request lifecycle shared by the connection thread that waits on
+/// it and the worker that solves it.
 struct JobState {
     /// The engine-facing cancellation token (polled by annual/sweep runs),
     /// set by [`JobState::fire`]. Durable jobs stay reachable by id in
@@ -150,12 +153,13 @@ struct JobState {
     cancel: AtomicBool,
     /// First cancellation cause (`REASON_*`); set once via CAS.
     reason: AtomicU8,
-    /// True once `done` holds the result (watchdog prunes on this).
+    /// True once the worker is done with the job (the drain skips it).
     finished: AtomicBool,
     /// The request's effective deadline, for the 408 body.
     limit_ms: u64,
-    /// When the job entered the queue — deadlines include queue wait.
-    enqueued: Instant,
+    /// `limit_ms` after the job entered the queue, so deadlines include
+    /// queue wait; `None` for a job without a deadline.
+    deadline: Option<Instant>,
     /// The result slot, filled exactly once by the worker.
     done: Mutex<Option<Result<Arc<String>, ApiError>>>,
     /// Signals `done` being filled (or progress advancing) to the
@@ -170,13 +174,15 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(limit_ms: u64) -> Self {
+    /// A job entering the queue now, due `limit_ms` from now if given.
+    fn new(limit_ms: Option<u64>) -> Self {
+        let now = wallclock::now();
         JobState {
             cancel: AtomicBool::new(false),
             reason: AtomicU8::new(REASON_NONE),
             finished: AtomicBool::new(false),
-            limit_ms,
-            enqueued: wallclock::now(),
+            limit_ms: limit_ms.unwrap_or(0),
+            deadline: limit_ms.map(|ms| now + Duration::from_millis(ms)),
             done: Mutex::new(None),
             cv: Condvar::new(),
             progress: Mutex::new(None),
@@ -203,16 +209,18 @@ impl JobState {
     }
 
     /// Records `reason` as the cancellation cause if none is set yet and
-    /// fires the engine token. Later causes lose the race and change
-    /// nothing, so the reported error always names the *first* cause.
-    fn fire(&self, reason: u8) {
-        if self
+    /// fires the engine token; true when this call set the cause. Later
+    /// causes lose the race and change nothing, so the reported error
+    /// always names the *first* cause.
+    fn fire(&self, reason: u8) -> bool {
+        let first = self
             .reason
             .compare_exchange(REASON_NONE, reason, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
+            .is_ok();
+        if first {
             self.cancel.store(true, Ordering::SeqCst);
         }
+        first
     }
 
     fn reason_code(&self) -> u8 {
@@ -226,8 +234,7 @@ impl JobState {
     }
 
     /// Marks the job finished without filling the result slot — durable
-    /// jobs publish their outcome through the store, but the watchdog
-    /// still prunes on `finished`.
+    /// jobs publish their outcome through the store.
     fn mark_finished(&self) {
         self.finished.store(true, Ordering::SeqCst);
         self.cv.notify_all();
@@ -299,7 +306,8 @@ pub struct ServeSummary {
     pub shed: u64,
     /// 200s served from the report LRU.
     pub cache_hits: u64,
-    /// Deadlines fired by the watchdog (408s).
+    /// Requests answered 408 and durable jobs failed by their deadline,
+    /// each counted once, where the deadline was claimed.
     pub deadline_expired: u64,
     /// Solves cancelled because the client vanished (499-style).
     pub disconnects: u64,
@@ -417,8 +425,7 @@ impl ReportCache {
     }
 }
 
-/// State shared by the acceptor, connection threads, workers, and
-/// watchdog.
+/// State shared by the acceptor, connection threads and workers.
 struct ServerInner {
     engine: Engine,
     cfg: ServeConfig,
@@ -426,12 +433,12 @@ struct ServerInner {
     /// fails readyz, answers new experiments 503 and closes idle
     /// keep-alive connections.
     gate: Arc<Gate>,
-    /// Set after the drain budget: workers and the watchdog exit.
+    /// Set after the drain budget: workers exit.
     stop_workers: AtomicBool,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     inflight: AtomicUsize,
-    /// Every live job, for the deadline watchdog and the drain sweep.
+    /// Every live job, for the drain sweep; pruned as jobs are added.
     registry: Mutex<Vec<Weak<JobState>>>,
     cache: Mutex<ReportCache>,
     stats: Stats,
@@ -455,12 +462,11 @@ pub struct Server {
     addr: SocketAddr,
     acceptor: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
-    watchdog: Option<thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `cfg.addr`, spawns the worker pool, watchdog, and acceptor,
-    /// and returns the running server. Degenerate config values are
+    /// Binds `cfg.addr`, spawns the worker pool and the acceptor, and
+    /// returns the running server. Degenerate config values are
     /// normalized rather than rejected (0 workers → 1, 0 queue depth →
     /// 1, default deadline clamped under the cap).
     pub fn bind(engine: Engine, mut cfg: ServeConfig) -> Result<Server, ApiError> {
@@ -512,10 +518,6 @@ impl Server {
                     .spawn(move || worker_loop(&w))?,
             );
         }
-        let wd = Arc::clone(&inner);
-        let watchdog = thread::Builder::new()
-            .name("gc-serve-watchdog".to_string())
-            .spawn(move || watchdog_loop(&wd))?;
         let acceptor = http::spawn_acceptor(
             listener,
             &inner,
@@ -529,7 +531,6 @@ impl Server {
             addr,
             acceptor: Some(acceptor),
             workers,
-            watchdog: Some(watchdog),
         })
     }
 
@@ -593,9 +594,6 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
         self.inner.stats.snapshot()
     }
 }
@@ -646,8 +644,8 @@ fn recover_jobs(inner: &Arc<ServerInner>) {
             let wait = backoff.saturating_mul(1u64 << shift);
             Some(wallclock::now() + Duration::from_millis(wait))
         };
-        let state = Arc::new(JobState::new(u64::MAX));
-        lock_ok(&inner.registry).push(Arc::downgrade(&state));
+        let state = Arc::new(JobState::new(None));
+        register(inner, &state);
         lock_ok(&inner.job_states).insert(id.clone(), Arc::clone(&state));
         // Recovery bypasses `queue_depth`: these jobs were already
         // admitted (and durably acknowledged) by a previous process.
@@ -662,8 +660,8 @@ fn recover_jobs(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Solver worker: pops jobs, honors already-fired cancellations, runs the
-/// engine with the job's token, caches successful reports.
+/// Solver worker: pops jobs, skips those cancelled or expired while
+/// queued, runs the rest through [`solve`].
 fn worker_loop(inner: &ServerInner) {
     loop {
         let job = {
@@ -695,22 +693,46 @@ fn worker_loop(inner: &ServerInner) {
     }
 }
 
-/// The engine call every path shares: the job's token, its progress sink
-/// when the client streams, and no engine deadline — the watchdog owns
-/// deadlines here because they count queue wait, which the engine never
-/// sees. A successful report is rendered and cached.
+/// Claims the deadline as `state`'s cancellation cause once it has
+/// passed, and counts it in `deadline_expired`. False before then or when
+/// an earlier cause holds, so each expired request is counted once,
+/// wherever its deadline is claimed.
+fn expire(inner: &ServerInner, state: &JobState) -> bool {
+    let due = state.deadline.is_some_and(|d| wallclock::now() >= d);
+    let first = due && state.fire(REASON_DEADLINE);
+    if first {
+        inner.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
+    }
+    first
+}
+
+/// The engine call every path shares: the job's token and, when the
+/// client streams, its progress sink. A synchronous job's connection
+/// thread enforces its deadline (see [`await_result`]); a durable job has
+/// no such thread, so the engine's timer gets what is left of its budget.
+/// A successful report is rendered and cached.
 fn solve(inner: &ServerInner, job: &Job) -> Result<Arc<String>, ApiError> {
     let sink: ProgressSink<'_> = &|p| job.state.report_progress(p);
+    let budget = job
+        .state
+        .deadline
+        .filter(|_| job.job_id.is_some())
+        .map(|d| d.saturating_duration_since(wallclock::now()));
     let sw = Stopwatch::start();
     let run = inner.engine.run_with(
         &job.spec,
         RunCtx {
             cancel: Some(&job.state.cancel),
             progress: job.stream.then_some(sink),
-            deadline: None,
+            deadline: budget,
         },
     );
     update_ema(inner, (sw.elapsed_ms() as u64).max(1));
+    // The engine's timer fires the token without naming a cause; claiming
+    // it here reports the request's own `limit_ms`, not the budget left.
+    if matches!(run, Err(ApiError::Deadline { .. })) {
+        expire(inner, &job.state);
+    }
     match (job.state.reason_code(), run) {
         (REASON_NONE, Ok(report)) => {
             let body = Arc::new(report.to_json_string());
@@ -731,6 +753,7 @@ fn solve(inner: &ServerInner, job: &Job) -> Result<Arc<String>, ApiError> {
 /// waiting connection thread.
 fn run_experiment(inner: &ServerInner, job: Job) {
     inner.inflight.fetch_add(1, Ordering::SeqCst);
+    expire(inner, &job.state);
     let result = match job.state.reason_code() {
         REASON_NONE => solve(inner, &job),
         // Expired or cancelled while queued — skip the engine entirely.
@@ -745,6 +768,7 @@ fn run_experiment(inner: &ServerInner, job: Job) {
 /// recovers and re-runs it (that survival is the journal's entire point).
 fn run_durable_job(inner: &ServerInner, job: Job, id: &str) {
     inner.inflight.fetch_add(1, Ordering::SeqCst);
+    expire(inner, &job.state);
     let pre_reason = job.state.reason_code();
     if pre_reason == REASON_NONE {
         let started = lock_ok(&inner.store).start(id);
@@ -814,28 +838,15 @@ fn update_ema(inner: &ServerInner, ms: u64) {
     inner.ema_ms.store(next, Ordering::SeqCst);
 }
 
-/// Deadline watchdog: every ~5 ms, ages live jobs against their limits
-/// and prunes finished/dropped entries from the registry.
-fn watchdog_loop(inner: &ServerInner) {
-    while !inner.stop_workers.load(Ordering::SeqCst) {
-        {
-            let mut reg = lock_ok(&inner.registry);
-            reg.retain(|w| match w.upgrade() {
-                Some(s) => {
-                    if !s.finished.load(Ordering::SeqCst)
-                        && s.reason_code() == REASON_NONE
-                        && s.enqueued.elapsed().as_millis() as u64 >= s.limit_ms
-                    {
-                        s.fire(REASON_DEADLINE);
-                        inner.stats.deadline_expired.fetch_add(1, Ordering::SeqCst);
-                    }
-                    !s.finished.load(Ordering::SeqCst)
-                }
-                None => false,
-            });
-        }
-        thread::sleep(Duration::from_millis(5));
-    }
+/// Adds a new job's state to the drain sweep's registry, first pruning
+/// the jobs that have finished or been dropped.
+fn register(inner: &ServerInner, state: &Arc<JobState>) {
+    let mut reg = lock_ok(&inner.registry);
+    reg.retain(|w| {
+        w.upgrade()
+            .is_some_and(|s| !s.finished.load(Ordering::SeqCst))
+    });
+    reg.push(Arc::downgrade(state));
 }
 
 fn reason_error(reason: u8, limit_ms: u64) -> ApiError {
@@ -1001,7 +1012,7 @@ fn shed(stream: &mut TcpStream, inner: &ServerInner, close: bool) -> bool {
 }
 
 /// `POST /v1/experiments`: parse → cache lookup → admit or shed →
-/// wait (watching for client disconnect) → respond.
+/// wait (watching the deadline and for client disconnect) → respond.
 fn handle_experiment(
     stream: &mut TcpStream,
     inner: &ServerInner,
@@ -1051,7 +1062,7 @@ fn handle_experiment(
             drop(q);
             return shed(stream, inner, close);
         }
-        let state = Arc::new(JobState::new(limit_ms));
+        let state = Arc::new(JobState::new(Some(limit_ms)));
         q.push_back(Job {
             spec,
             cache_key,
@@ -1060,7 +1071,7 @@ fn handle_experiment(
             not_before: None,
             stream: want_stream,
         });
-        lock_ok(&inner.registry).push(Arc::downgrade(&state));
+        register(inner, &state);
         state
     };
     inner.queue_cv.notify_one();
@@ -1104,8 +1115,11 @@ enum Waited {
 }
 
 /// Waits for `state`'s result, waking every 25 ms to check for a stopped
-/// pool and a vanished client. `tick` runs on each wake — the streamed
-/// path writes fresh progress frames there — and returns false when the
+/// pool and a vanished client, and at the deadline. A passed deadline is
+/// answered with the typed 408 at once, queued or running, whatever the
+/// kind; claiming it fires the token, and the worker skips or abandons
+/// the job in its own time. `tick` runs on each wake — the streamed path
+/// writes fresh progress frames there — and returns false when the
 /// client can no longer be written to.
 fn await_result(
     stream: &mut TcpStream,
@@ -1113,19 +1127,31 @@ fn await_result(
     state: &JobState,
     mut tick: impl FnMut(&mut TcpStream) -> bool,
 ) -> Waited {
+    const TICK: Duration = Duration::from_millis(25);
     loop {
         {
             let mut done = lock_ok(&state.done);
             if done.is_none() {
+                // Wake at the deadline while it can still be claimed.
+                let wait = match state.deadline {
+                    Some(d) if state.reason_code() == REASON_NONE => {
+                        d.saturating_duration_since(wallclock::now()).min(TICK)
+                    }
+                    _ => TICK,
+                };
                 done = state
                     .cv
-                    .wait_timeout(done, Duration::from_millis(25))
+                    .wait_timeout(done, wait)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
             if let Some(r) = done.take() {
                 return Waited::Done(r);
             }
+        }
+        if expire(inner, state) {
+            let err = reason_error(REASON_DEADLINE, state.limit_ms);
+            return Waited::Done(Err(err));
         }
         if inner.stop_workers.load(Ordering::SeqCst) && !state.finished.load(Ordering::SeqCst) {
             state.fire(REASON_DRAIN);
@@ -1161,7 +1187,7 @@ fn failure_reply(
             let counter = match status {
                 500.. => &inner.stats.server_errors,
                 422 => &inner.stats.solve_errors,
-                // 408s are already counted by the watchdog.
+                // 408s were counted where the deadline was claimed.
                 408 => return Some((status, err.to_error_json(), false)),
                 _ => &inner.stats.client_errors,
             };
@@ -1276,7 +1302,7 @@ fn handle_job_submit(
         Err(keep) => return keep,
     };
     // Jobs are asynchronous: no deadline unless the client asks for one.
-    let limit_ms = deadline.map_or(u64::MAX, |v| v.clamp(1, inner.cfg.max_deadline_ms));
+    let limit_ms = deadline.map(|v| v.clamp(1, inner.cfg.max_deadline_ms));
     let key = spec.to_json_string();
     // Admission control applies to *new* jobs only; the race between this
     // check and the push below can overshoot `queue_depth` by at most the
@@ -1296,7 +1322,7 @@ fn handle_job_submit(
     };
     let status = if new {
         let state = Arc::new(JobState::new(limit_ms));
-        lock_ok(&inner.registry).push(Arc::downgrade(&state));
+        register(inner, &state);
         lock_ok(&inner.job_states).insert(id.clone(), Arc::clone(&state));
         lock_ok(&inner.queue).push_back(Job {
             spec,
@@ -1499,7 +1525,7 @@ mod tests {
 
     #[test]
     fn fire_is_first_cause_wins() {
-        let s = JobState::new(100);
+        let s = JobState::new(Some(100));
         assert_eq!(s.reason_code(), REASON_NONE);
         assert!(!s.cancel.load(Ordering::SeqCst));
         s.fire(REASON_DISCONNECT);

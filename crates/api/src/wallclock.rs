@@ -3,12 +3,13 @@
 //!
 //! Everything measured here flows only into `wall_ms`-style fields that
 //! [`crate::Report::normalized`] zeroes before comparison, or into the
-//! deadline watchdog — never into solver decisions or golden-pinned
-//! report content.
+//! service's deadlines and redelivery backoff — never into solver
+//! decisions or golden-pinned report content.
 
 use std::time::Instant;
 
-/// Reads the monotonic clock; the watchdog stores these to age specs.
+/// Reads the monotonic clock; serve turns these into job deadlines and
+/// redelivery backoff instants.
 pub fn now() -> Instant {
     Instant::now()
 }

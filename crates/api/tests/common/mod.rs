@@ -213,6 +213,22 @@ pub fn siting_spec() -> ExperimentSpec {
     })
 }
 
+/// A siting spec whose search runs for seconds (about 2.5 s in a release
+/// build, a little more in the test profile): long enough to outlast a
+/// sub-second deadline by far, short enough for a server's drain to wait
+/// for it. Siting does not poll the cancel token.
+pub fn slow_siting_spec() -> ExperimentSpec {
+    ExperimentSpec::Siting(SitingSpec {
+        input: PlacementInput::default(),
+        search: SearchSpec {
+            filter_keep: 6,
+            iterations: 8,
+            chains: 1,
+            ..SearchSpec::default()
+        },
+    })
+}
+
 /// JSON-level equivalent of `Report::normalized` for annual and siting
 /// reports: zeroes every `wall_ms` / `pricing_ms` field, re-renders.
 pub fn normalize_report_json(body: &str) -> String {

@@ -53,7 +53,7 @@ fn disconnect_storm_leaves_caches_and_results_intact() {
         .map(|h| h.join().expect("client thread"))
         .collect();
 
-    // Give the watchdog/workers time to notice the vanished clients so the
+    // Give the connection threads time to notice the vanished clients so the
     // summary below reflects them.
     thread::sleep(Duration::from_millis(300));
 

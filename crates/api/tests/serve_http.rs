@@ -3,9 +3,13 @@
 
 mod common;
 
-use common::{annual_spec, http, http_raw, siting_spec, start, ResponseExt};
+use common::{annual_spec, http, http_raw, siting_spec, slow_siting_spec, start, ResponseExt};
+use greencloud_api::http::Response;
 use greencloud_api::json::Json;
+use greencloud_api::ExperimentSpec;
+use std::net::SocketAddr;
 use std::thread;
+use std::time::{Duration, Instant};
 
 #[test]
 fn health_and_stats_endpoints_respond() {
@@ -180,6 +184,144 @@ fn per_request_deadline_yields_typed_408() {
     server.trigger_shutdown();
     let summary = server.join();
     assert!(summary.deadline_expired >= 1);
+}
+
+/// POSTs `spec` to `/v1/experiments` from a client thread, which returns
+/// the response and how long it took to arrive.
+fn post_timed(
+    addr: SocketAddr,
+    spec: &ExperimentSpec,
+    headers: &'static [(&'static str, &'static str)],
+) -> thread::JoinHandle<(Response, Duration)> {
+    let body = spec.to_json_string().into_bytes();
+    thread::spawn(move || {
+        let t0 = Instant::now();
+        let resp = http(addr, "POST", "/v1/experiments", headers, Some(&body));
+        (resp, t0.elapsed())
+    })
+}
+
+/// A `/v1/stats` counter.
+fn stat(addr: SocketAddr, key: &str) -> Option<u64> {
+    let stats = http(addr, "GET", "/v1/stats", &[], None).json();
+    stats.get(key).and_then(Json::as_u64)
+}
+
+/// Asserts a `deadline_exceeded` error document naming the 300 ms limit.
+fn assert_deadline_300(doc: &Json, what: &str) {
+    let code = doc.get("code").and_then(Json::as_str);
+    assert_eq!(code, Some("deadline_exceeded"), "{what}: {}", doc.render());
+    let limit = doc.get("limit_ms").and_then(Json::as_u64);
+    assert_eq!(limit, Some(300), "{what}: {}", doc.render());
+}
+
+#[test]
+fn every_kind_gets_its_408_on_time_running_or_queued() {
+    // One worker. A siting search does not poll the cancel token and runs
+    // for seconds, so the worker stays busy long after every deadline.
+    let (server, addr) = start(|cfg| cfg.max_inflight = 1);
+    const DEADLINE: &[(&str, &str)] = &[("X-Deadline-Ms", "300")];
+    const STREAMED: &[(&str, &str)] = &[("X-Deadline-Ms", "300"), ("X-Progress", "stream")];
+
+    // The running siting, sent alone.
+    let siting = post_timed(addr, &slow_siting_spec(), DEADLINE);
+    let t0 = Instant::now();
+    while stat(addr, "inflight") != Some(1) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the siting never ran"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    // Two annuals queued behind it: one plain, one streamed.
+    let queued = post_timed(addr, &annual_spec(48, 4, 100), DEADLINE);
+    let streamed = post_timed(addr, &annual_spec(48, 4, 200), STREAMED);
+
+    let answered = [
+        ("running siting", siting),
+        ("queued annual", queued),
+        ("queued streamed annual", streamed),
+    ]
+    .map(|(what, client)| (what, client.join().expect("client thread")));
+    let late: Vec<_> = answered
+        .iter()
+        .filter(|(_, (_, took))| *took >= Duration::from_secs(1))
+        .map(|(what, (_, took))| format!("{what} after {took:?}"))
+        .collect();
+    assert!(late.is_empty(), "answered late: {late:?}");
+    for (what, (resp, _)) in &answered[..2] {
+        assert_eq!(resp.status, 408, "{what}: {}", resp.body);
+        assert_deadline_300(&resp.json(), what);
+    }
+    // The streamed response committed its 200 head at once, so the
+    // deadline arrives in band as its final document.
+    let (what, (resp, _)) = &answered[2];
+    assert_eq!(resp.status, 200, "{what}: {}", resp.body);
+    assert!(resp.chunked, "streaming uses chunked transfer encoding");
+    let last = Json::parse(&resp.final_document()).expect("final document parses");
+    assert_deadline_300(&last, what);
+
+    // Each expired request is counted once: by its waiting client here,
+    // not again when the worker later skips or finishes its job.
+    assert_eq!(stat(addr, "deadline_expired"), Some(3));
+    server.trigger_shutdown();
+    let summary = server.join();
+    assert_eq!(summary.deadline_expired, 3, "{summary:?}");
+    assert_eq!(summary.ok, 0, "{summary:?}");
+}
+
+#[test]
+fn a_durable_job_fails_with_its_own_deadline() {
+    // Nobody waits on a durable job: the engine's timer stops the run at
+    // what is left of its budget, and the job fails naming the request's
+    // own limit.
+    let (server, addr) = start(|cfg| cfg.max_inflight = 1);
+    let body = annual_spec(200_000, 8, 0).to_json_string().into_bytes();
+    let ack = http(
+        addr,
+        "POST",
+        "/v1/jobs",
+        &[("X-Deadline-Ms", "200")],
+        Some(&body),
+    );
+    assert_eq!(ack.status, 202, "{}", ack.body);
+    let id = ack
+        .json()
+        .get("job_id")
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    let path = format!("/v1/jobs/{}", id.expect("job id"));
+    let t0 = Instant::now();
+    let done = loop {
+        let poll = http(addr, "GET", &path, &[], None);
+        if matches!(
+            poll.header("X-Job-Status"),
+            Some("completed" | "failed" | "cancelled")
+        ) {
+            break poll;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(30), "{}", poll.body);
+        thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(done.header("X-Job-Status"), Some("failed"), "{}", done.body);
+    let doc = done.json();
+    let field = |k| doc.get(k).and_then(Json::as_str);
+    assert_eq!(
+        field("error_code"),
+        Some("deadline_exceeded"),
+        "{}",
+        done.body
+    );
+    assert_eq!(
+        field("error_message"),
+        Some("deadline exceeded after 200 ms"),
+        "{}",
+        done.body
+    );
+
+    server.trigger_shutdown();
+    let summary = server.join();
+    assert_eq!(summary.deadline_expired, 1, "{summary:?}");
 }
 
 #[test]

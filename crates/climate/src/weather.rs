@@ -171,14 +171,6 @@ impl Tmy {
         mean(&self.temp_c)
     }
 
-    /// Maximum hourly temperature of the year, °C.
-    pub fn max_temp_c(&self) -> f64 {
-        self.temp_c
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Annual mean global horizontal irradiance, W/m².
     pub fn mean_ghi_wm2(&self) -> f64 {
         mean(&self.ghi_wm2)

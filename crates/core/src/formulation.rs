@@ -398,16 +398,7 @@ impl NetworkLp {
     /// siting cannot satisfy the requirements (e.g. not enough brown plant
     /// capacity nearby, or an impossible green fraction).
     pub fn solve(&self) -> Result<NetworkDispatch, SolveError> {
-        self.solve_with(SimplexOptions::default())
-    }
-
-    /// Solves with explicit simplex options.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetworkLp::solve`].
-    pub fn solve_with(&self, options: SimplexOptions) -> Result<NetworkDispatch, SolveError> {
-        let sol = self.model.solve_with(options)?;
+        let sol = self.model.solve()?;
         Ok(self.extract(&sol))
     }
 

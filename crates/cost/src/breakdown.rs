@@ -144,27 +144,6 @@ impl CostBreakdown {
             + self.bandwidth
             + self.energy
     }
-
-    /// Component-wise sum of two breakdowns (for network totals).
-    pub fn combined(&self, other: &CostBreakdown) -> CostBreakdown {
-        CostBreakdown {
-            building_dc: self.building_dc + other.building_dc,
-            it_equipment: self.it_equipment + other.it_equipment,
-            land: self.land + other.land,
-            building_solar: self.building_solar + other.building_solar,
-            building_wind: self.building_wind + other.building_wind,
-            batteries: self.batteries + other.batteries,
-            connections: self.connections + other.connections,
-            bandwidth: self.bandwidth + other.bandwidth,
-            energy: self.energy + other.energy,
-        }
-    }
-
-    /// The monthly cost per kW of provisioned capacity that is *independent
-    /// of dispatch* — used by the heuristic's location filter.
-    pub fn capex_total(&self) -> f64 {
-        self.total() - self.energy
-    }
 }
 
 #[cfg(test)]
@@ -292,17 +271,6 @@ mod tests {
         let small_per_kw = small.building_dc / 5_000.0;
         let large_per_kw = large.building_dc / 50_000.0;
         assert!((small_per_kw / large_per_kw - 15.0 / 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn combined_adds_componentwise() {
-        let params = CostParams::default();
-        let econ = typical_econ();
-        let a = CostBreakdown::capex(&params, &econ, &brown_25mw()).with_energy(1e6);
-        let b = a;
-        let c = a.combined(&b);
-        assert!((c.total() - 2.0 * a.total()).abs() < 1e-6);
-        assert_eq!(c.energy, 2e6);
     }
 
     #[test]

@@ -527,11 +527,6 @@ impl SparseLu {
         self.ur_val = val;
     }
 
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Nonzeros stored in the factors (fill-in indicator).
     pub fn fill_nnz(&self) -> usize {
         self.l_idx.len() + self.u_idx.len() + self.n

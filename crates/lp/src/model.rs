@@ -234,11 +234,6 @@ impl Model {
         self.vars[var.index()].obj = obj;
     }
 
-    /// Adds `delta` to the objective coefficient of `var`.
-    pub fn add_obj(&mut self, var: VarId, delta: f64) {
-        self.vars[var.index()].obj += delta;
-    }
-
     /// Tightens/replaces the bounds of `var`.
     pub fn set_bounds(&mut self, var: VarId, lb: f64, ub: f64) {
         let v = &mut self.vars[var.index()];
@@ -273,11 +268,6 @@ impl Model {
     pub fn bounds(&self, var: VarId) -> (f64, f64) {
         let v = &self.vars[var.index()];
         (v.lb, v.ub)
-    }
-
-    /// The objective coefficient of `var`.
-    pub fn obj_coeff(&self, var: VarId) -> f64 {
-        self.vars[var.index()].obj
     }
 
     /// The name of `var`.
@@ -380,15 +370,6 @@ impl Model {
     /// [`SolveError::IterationLimit`] when the solver gives up.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         RevisedSimplex::new(SimplexOptions::default()).solve(self)
-    }
-
-    /// Solves with explicit simplex options.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_with(&self, options: SimplexOptions) -> Result<Solution, SolveError> {
-        RevisedSimplex::new(options).solve(self)
     }
 
     /// Solves with explicit simplex options, warm-starting from a basis

@@ -16,10 +16,10 @@
 //! the column matrix), so choosing an entering column is a scan of a dense
 //! array instead of an `O(nnz(A))` rescan plus BTRAN per iteration. The
 //! entering choice itself is governed by [`PricingMode`]: devex
-//! reference-framework pricing by default, with classic Dantzig and
-//! candidate-section partial pricing available. Degenerate stalls switch to
-//! Bland's rule, which guarantees termination; optimality is only ever
-//! declared on freshly recomputed (exact) reduced costs.
+//! reference-framework pricing by default, with classic Dantzig
+//! available. Degenerate stalls switch to Bland's rule, which guarantees
+//! termination; optimality is only ever declared on freshly recomputed
+//! (exact) reduced costs.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
@@ -99,23 +99,15 @@ impl Basis {
     pub fn is_empty(&self) -> bool {
         self.statuses.is_empty()
     }
-
-    /// Number of basic columns recorded, including pinned artificials
-    /// (matches the source model's row count).
-    pub fn num_basic(&self) -> usize {
-        self.statuses
-            .iter()
-            .filter(|s| matches!(s, BasisStatus::Basic))
-            .count()
-            + self.artificial_rows.len()
-    }
 }
 
 /// Entering-column pricing rule for the revised simplex.
 ///
-/// All modes share the same incrementally maintained reduced costs and the
+/// Both modes share the same incrementally maintained reduced costs and the
 /// same Bland's-rule anti-cycling escape; they differ only in how the next
-/// entering column is chosen from those reduced costs.
+/// entering column is chosen from those reduced costs. Neither wins
+/// everywhere on the siting LPs: Dantzig takes fewer iterations on most
+/// Table III sitings, devex on every 3–4-site Fig. 7 siting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PricingMode {
     /// Devex reference-framework pricing: columns are ranked by
@@ -123,17 +115,11 @@ pub enum PricingMode {
     /// is updated per pivot from the pivot row. Weights persist across
     /// refactorizations (resetting them there was measured to cost
     /// iterations) and restart from 1 at phase entry and after a
-    /// singular-basis repair. Usually the fewest iterations; the default.
+    /// singular-basis repair. The default.
     #[default]
     Devex,
     /// Classic Dantzig pricing: most negative reduced cost.
     Dantzig,
-    /// Candidate-section partial pricing: scan a rotating section of the
-    /// columns and take the best (Dantzig-scored) eligible candidate in
-    /// the first section that has any, wrapping through all sections
-    /// before concluding none exists. Bounds per-iteration pricing work on
-    /// very wide models.
-    Partial,
 }
 
 /// Per-solve counters of the revised simplex, reported in
@@ -384,9 +370,6 @@ fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
     }
 }
 
-/// Partial pricing scans at least this many columns per section.
-const PARTIAL_SECTION_MIN: usize = 256;
-
 /// Refactorize the basis after this many eta updates.
 const REFACTOR_EVERY: usize = 64;
 
@@ -447,8 +430,6 @@ struct Worker<'a> {
     /// Columns subject to pricing for the current phase (`n_total` in
     /// phase 1, `art_offset` in phase 2).
     n_priced: usize,
-    /// Rotating cursor of candidate-section partial pricing.
-    part_cursor: usize,
     /// `GC_LP_PARANOID` was set at solver construction (env var read once,
     /// not per iteration).
     paranoid: bool,
@@ -597,7 +578,6 @@ impl<'a> Worker<'a> {
             d_exact: false,
             d_phase1: false,
             n_priced: n_total,
-            part_cursor: 0,
             paranoid: std::env::var_os("GC_LP_PARANOID").is_some(),
             iterations: 0,
             max_iterations,
@@ -1352,8 +1332,7 @@ impl<'a> Worker<'a> {
 
     /// Chooses an entering column from the maintained reduced costs;
     /// returns `(column, direction)`. No matrix access: the per-iteration
-    /// cost is one scan of the reduced-cost array (a section of it under
-    /// partial pricing).
+    /// cost is one scan of the reduced-cost array.
     fn price(&mut self, phase1: bool, bland: bool) -> Option<(usize, f64)> {
         if self.d_stale || self.d_phase1 != phase1 {
             self.compute_reduced_costs(phase1);
@@ -1392,49 +1371,8 @@ impl<'a> Worker<'a> {
                     }
                 }
             }
-            PricingMode::Partial => return self.price_partial(limit),
         }
         best.map(|(j, dir, _)| (j, dir))
-    }
-
-    /// Candidate-section partial pricing: best Dantzig-scored candidate in
-    /// the first section (from a rotating cursor) that has any eligible
-    /// column, wrapping through every section before concluding none
-    /// exists — so a `None` is still a full certification scan. Every 16th
-    /// iteration prices the full array instead: on heavily degenerate
-    /// models, pure section-local choices were observed to stall for
-    /// thousands of near-zero pivots that a global view avoids.
-    fn price_partial(&mut self, limit: usize) -> Option<(usize, f64)> {
-        if limit == 0 {
-            return None;
-        }
-        let section = if self.iterations.is_multiple_of(16) {
-            limit
-        } else {
-            (limit / 8).max(PARTIAL_SECTION_MIN).min(limit)
-        };
-        let mut cursor = self.part_cursor % limit;
-        let mut scanned = 0usize;
-        while scanned < limit {
-            let len = section.min(limit - scanned);
-            let mut best: Option<(usize, f64, f64)> = None;
-            for k in 0..len {
-                let j = (cursor + k) % limit;
-                if let Some((dir, viol)) = self.eligible(j) {
-                    if best.is_none_or(|(_, _, s)| viol > s) {
-                        best = Some((j, dir, viol));
-                    }
-                }
-            }
-            cursor = (cursor + len) % limit;
-            scanned += len;
-            if let Some((j, dir, _)) = best {
-                self.part_cursor = cursor;
-                return Some((j, dir));
-            }
-        }
-        self.part_cursor = cursor;
-        None
     }
 
     /// Bounded-variable ratio test for entering column `q` moving in `dir`.
@@ -1844,11 +1782,7 @@ mod tests {
         m.add_con("c1", [(x, 1.0)], Sense::Le, 4.0);
         m.add_con("c2", [(y, 2.0)], Sense::Le, 12.0);
         m.add_con("c3", [(x, 3.0), (y, 2.0)], Sense::Le, 18.0);
-        for pricing in [
-            PricingMode::Devex,
-            PricingMode::Dantzig,
-            PricingMode::Partial,
-        ] {
+        for pricing in [PricingMode::Devex, PricingMode::Dantzig] {
             let s = RevisedSimplex::new(SimplexOptions {
                 pricing,
                 ..SimplexOptions::default()

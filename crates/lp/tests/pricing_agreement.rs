@@ -1,9 +1,8 @@
-//! Pricing-mode agreement: devex, Dantzig, and candidate-section partial
-//! pricing are three routes through the same revised simplex, and the dense
-//! tableau is an independent implementation — on randomly generated
-//! *bounded* LPs (finite boxes, so every instance has an optimum) all four
-//! must report the same objective, and every reported point must verify
-//! feasible.
+//! Pricing-mode agreement: devex and Dantzig pricing are two routes
+//! through the same revised simplex, and the dense tableau is an
+//! independent implementation — on randomly generated *bounded* LPs
+//! (finite boxes, so every instance has an optimum) all three must report
+//! the same objective, and every reported point must verify feasible.
 
 use greencloud_lp::dense::DenseSimplex;
 use greencloud_lp::revised::{PricingMode, RevisedSimplex, SimplexOptions};
@@ -68,11 +67,7 @@ fn build(lp: &BoundedLp) -> Model {
 
 #[test]
 fn all_pricing_modes_and_dense_agree_on_bounded_lps() {
-    let modes = [
-        PricingMode::Devex,
-        PricingMode::Dantzig,
-        PricingMode::Partial,
-    ];
+    let modes = [PricingMode::Devex, PricingMode::Dantzig];
     let mut rng = ChaCha8Rng::seed_from_u64(0x9D1C_E5EE);
     let mut solved = 0usize;
     for case in 0..512 {
@@ -89,7 +84,7 @@ fn all_pricing_modes_and_dense_agree_on_bounded_lps() {
                 .solve(&m)
             })
             .collect();
-        // All four runs must agree on solvability; bounded boxes rule out
+        // Both runs must agree on solvability; bounded boxes rule out
         // Unbounded, so Ok/Infeasible is the whole space (modulo borderline
         // tolerance cases, which the plain-mode agreement suite covers —
         // here the *modes* must agree with each other exactly).
@@ -131,7 +126,7 @@ fn all_pricing_modes_and_dense_agree_on_bounded_lps() {
 #[test]
 fn pricing_modes_agree_on_degenerate_chains() {
     // Battery-style level-linking chains are the degenerate stress case
-    // that historically separated the pricing modes; all three must reach
+    // that historically separated the pricing modes; both must reach
     // the known optimum.
     let n = 60;
     let mut m = Model::new();
@@ -154,11 +149,7 @@ fn pricing_modes_agree_on_degenerate_chains() {
     }
     m.add_con("anchor", [(vars[0], 1.0)], Sense::Ge, 1.0);
     let reference = m.solve().expect("solvable");
-    for pricing in [
-        PricingMode::Devex,
-        PricingMode::Dantzig,
-        PricingMode::Partial,
-    ] {
+    for pricing in [PricingMode::Devex, PricingMode::Dantzig] {
         let sol = RevisedSimplex::new(SimplexOptions {
             pricing,
             ..SimplexOptions::default()
