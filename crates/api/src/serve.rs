@@ -710,7 +710,9 @@ fn expire(inner: &ServerInner, state: &JobState) -> bool {
 /// client streams, its progress sink. A synchronous job's connection
 /// thread enforces its deadline (see [`await_result`]); a durable job has
 /// no such thread, so the engine's timer gets what is left of its budget.
-/// A successful report is rendered and cached.
+/// A successful report is rendered and cached, even when a deadline or a
+/// cancellation has already claimed the job and its client gets the
+/// typed error instead.
 fn solve(inner: &ServerInner, job: &Job) -> Result<Arc<String>, ApiError> {
     let sink: ProgressSink<'_> = &|p| job.state.report_progress(p);
     let budget = job
@@ -733,19 +735,22 @@ fn solve(inner: &ServerInner, job: &Job) -> Result<Arc<String>, ApiError> {
     if matches!(run, Err(ApiError::Deadline { .. })) {
         expire(inner, &job.state);
     }
-    match (job.state.reason_code(), run) {
-        (REASON_NONE, Ok(report)) => {
-            let body = Arc::new(report.to_json_string());
-            if inner.cfg.cache_capacity > 0 {
-                lock_ok(&inner.cache).insert(job.cache_key.clone(), Arc::clone(&body));
-            }
-            Ok(body)
+    // A run that returned `Ok` finished its whole experiment (a cancelled
+    // run returns `Err`), so its report is cached even when its client was
+    // already answered, and the identical retry is a hit.
+    let body = run.map(|report| {
+        let body = Arc::new(report.to_json_string());
+        if inner.cfg.cache_capacity > 0 {
+            lock_ok(&inner.cache).insert(job.cache_key.clone(), Arc::clone(&body));
         }
-        (REASON_NONE, Err(e)) => Err(e),
-        // A fired token dominates whatever the run returned, even a
-        // limped-to-Ok report — the same arbitration `Engine::run_with`
-        // applies to its own deadline.
-        (reason, _) => Err(reason_error(reason, job.state.limit_ms)),
+        body
+    });
+    match job.state.reason_code() {
+        REASON_NONE => body,
+        // A fired token still dominates the answer, even to an `Ok` run —
+        // the same arbitration `Engine::run_with` applies to its own
+        // deadline.
+        reason => Err(reason_error(reason, job.state.limit_ms)),
     }
 }
 

@@ -325,6 +325,40 @@ fn a_durable_job_fails_with_its_own_deadline() {
 }
 
 #[test]
+fn a_report_that_finishes_after_its_408_is_cached() {
+    // A siting search runs on after its client's 408. The report it ends
+    // with is cached, so the same spec sent again without a deadline is
+    // answered from the cache instead of by a second search.
+    let (server, addr) = start(|cfg| cfg.max_inflight = 1);
+    let body = slow_siting_spec().to_json_string().into_bytes();
+    let late = http(
+        addr,
+        "POST",
+        "/v1/experiments",
+        &[("X-Deadline-Ms", "300")],
+        Some(&body),
+    );
+    assert_eq!(late.status, 408, "{}", late.body);
+    assert_deadline_300(&late.json(), "siting");
+    let t0 = Instant::now();
+    while stat(addr, "pending") != Some(0) || stat(addr, "inflight") != Some(0) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the siting never finished"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    let again = http(addr, "POST", "/v1/experiments", &[], Some(&body));
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(again.header("X-Cache"), Some("hit"));
+
+    server.trigger_shutdown();
+    let summary = server.join();
+    assert_eq!(summary.deadline_expired, 1, "{summary:?}");
+    assert_eq!(summary.cache_hits, 1, "{summary:?}");
+}
+
+#[test]
 fn repeated_spec_hits_the_report_cache() {
     let (server, addr) = start(|_| {});
 

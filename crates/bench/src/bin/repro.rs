@@ -16,9 +16,9 @@
 //! Experiments: `tab1 fig3 fig4 fig5 fig6 tab2 fig7 fig8 fig9 fig10 fig11
 //! fig12 fig13 tab3 fig15 annual timing quick`. Output is plain text shaped
 //! like the paper's tables/series. `timing` also writes the LP timing
-//! records to `BENCH_lp.json`, whose committed snapshots in
-//! `bench/trajectory/` form the LP perf curve. `annual` goes beyond the
-//! paper — a year-long storage-aware
+//! records and the full-budget search rows to `BENCH_lp.json`, whose
+//! committed snapshots in `bench/trajectory/` form the LP perf curve.
+//! `annual` goes beyond the paper — a year-long storage-aware
 //! operational simulation plus a parallel scenario sweep — and, like
 //! `quick` (the CI smoke, exits nonzero on failure), must be requested by
 //! name: neither runs under `all`, which regenerates exactly the paper's
@@ -49,8 +49,8 @@
 
 use greencloud_api::report::{ReportBody, TimingRecord};
 use greencloud_api::{
-    AnnualSpec, Engine, ExperimentSpec, Report, RunCtx, SitingSpec, SweepAxes, SweepMode,
-    SweepSpec, TimingSpec,
+    AnnualSpec, Engine, ExperimentSpec, Report, RunCtx, SearchSpec, SitingSpec, SweepAxes,
+    SweepMode, SweepSpec, TimingSpec,
 };
 use greencloud_bench::bench_json::{check_bench_json, render_bench_json};
 use greencloud_bench::{repro_search, sweep_inputs, tech_label, world, REPRO_SEED};
@@ -807,11 +807,7 @@ fn tab2() {
 fn fig7(ctx: &Ctx, n: usize) {
     header("Fig. 7 — case study: 50 MW, 50% green, net metering");
     let engine = ctx.synthetic_engine(n);
-    let input = PlacementInput::default();
-    let specs = [
-        ctx.siting(input.clone()),
-        ctx.siting(input.with_green(0.0, TechMix::BrownOnly)),
-    ];
+    let specs = fig7_inputs().map(|input| ctx.siting(input));
     let mut results = engine.run_all(&specs).into_iter();
     let green = results.next().expect("green report");
     let brown = results.next().expect("brown report");
@@ -949,18 +945,30 @@ fn fig13(ctx: &Ctx, n: usize) {
 fn tab3(ctx: &Ctx, n: usize) {
     header("Table III — 100% green without storage");
     let engine = ctx.synthetic_engine(n);
-    let input = PlacementInput {
-        storage: StorageMode::None,
-        ..PlacementInput::default()
-    }
-    .with_green(1.0, TechMix::Both);
-    match engine.run(&ctx.siting(input)) {
+    match engine.run(&ctx.siting(tab3_input())) {
         Ok(report) => {
             print!("{}", report.render_text());
             println!("(paper: 3 sites × 50 MW IT, ~1.1 GW of solar total)");
         }
         Err(e) => println!("failed: {e}"),
     }
+}
+
+/// Fig. 7's two requests: the default 50 MW network at 50% green with net
+/// metering, and the same network all brown.
+fn fig7_inputs() -> [PlacementInput; 2] {
+    let green = PlacementInput::default();
+    let brown = green.clone().with_green(0.0, TechMix::BrownOnly);
+    [green, brown]
+}
+
+/// Table III's request: 100% green from wind and solar, no storage.
+fn tab3_input() -> PlacementInput {
+    PlacementInput {
+        storage: StorageMode::None,
+        ..PlacementInput::default()
+    }
+    .with_green(1.0, TechMix::Both)
 }
 
 /// Fig. 15: the follow-the-renewables day, with the hourly trace.
@@ -1151,7 +1159,8 @@ fn quick(ctx: &Ctx) -> bool {
 }
 
 /// §V-C: schedule computation times, plus the LP-substrate benchmark suite
-/// (written to `BENCH_lp.json` for cross-PR tracking).
+/// and, unless `--fast`, the full-budget search rows (all written to
+/// `BENCH_lp.json` for cross-PR tracking).
 fn timing(ctx: &Ctx) {
     header("§V-C — schedule computation time");
     let engine = ctx.anchors_engine();
@@ -1164,8 +1173,67 @@ fn timing(ctx: &Ctx) {
     match engine.run(&spec) {
         Ok(report) => {
             print!("{}", report.render_text());
-            write_bench_lp_json(timing_records(&report));
+            let mut records = timing_records(&report).to_vec();
+            if !ctx.fast {
+                records.extend(search_records());
+            }
+            write_bench_lp_json(&records);
         }
         Err(e) => println!("timing failed: {e}"),
     }
+}
+
+/// The exact work curve of the siting search: Fig. 7 green, Fig. 7 brown
+/// and Table III at the full reproduction budget on `world(150)`, each
+/// one chain on a 1-thread engine so its counts do not depend on thread
+/// timing. Each row holds the search's wall time, simplex iterations and
+/// warm-start rate; a search that fails is reported and left out.
+fn search_records() -> Vec<TimingRecord> {
+    let engine = Engine::new(world(150)).with_threads(1);
+    let search = SearchSpec {
+        chains: 1,
+        ..repro_search(false)
+    };
+    let [green, brown] = fig7_inputs();
+    let cases = [
+        ("search_1chain/fig7_green", green),
+        ("search_1chain/fig7_brown", brown),
+        ("search_1chain/tab3", tab3_input()),
+    ];
+    let mut records = Vec::new();
+    for (name, input) in cases {
+        let spec = ExperimentSpec::Siting(SitingSpec {
+            input,
+            search: search.clone(),
+        });
+        let report = match engine.run(&spec) {
+            Ok(report) => report,
+            Err(e) => {
+                println!("{name} failed: {e}");
+                continue;
+            }
+        };
+        let ReportBody::Siting(s) = &report.body else {
+            continue; // a siting spec always reports a siting
+        };
+        let Some(solver) = s.solver else {
+            continue; // a heuristic search always reports its solver
+        };
+        let record = TimingRecord {
+            name: name.to_string(),
+            wall_ms: report.wall_ms,
+            iterations: solver.iterations,
+            warm_rate: solver.warm_rate,
+        };
+        println!(
+            "{:<34} {:>9.1} ms  {:>7} iters  warm {:>4.0}%  ${:.2}M",
+            record.name,
+            record.wall_ms,
+            record.iterations,
+            record.warm_rate * 100.0,
+            s.monthly_cost_usd / 1e6
+        );
+        records.push(record);
+    }
+    records
 }

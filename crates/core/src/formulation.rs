@@ -797,11 +797,12 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_restoration_that_would_cycle_falls_back_at_once() {
+    fn a_warm_restoration_that_once_cycled_stays_warm() {
         // Two Table III sitings a swap apart: the first one's optimal basis
-        // sends the second one's dual restoration into flipping one column
-        // back and forth. It must give up on that 2-cycle at once instead
-        // of running to its 2m + 64 step cap, then solve cold.
+        // sent the second one's restoration, when it flipped one column per
+        // step, into flipping that column back and forth. The long step
+        // flips it once and pivots on the next candidate of the same row,
+        // so the warm start holds and beats the cold solve.
         let w = WorldCatalog::anchors_only(17);
         let sites = CandidateSite::build_all(&w, &ProfileConfig::coarse());
         let input = PlacementInput {
@@ -830,7 +831,7 @@ mod tests {
         let (warm, _) = swapped
             .solve_warm(SimplexOptions::default(), basis.as_ref())
             .expect("warm");
-        assert!(!warm.warm_started, "the restoration must fall back");
+        assert!(warm.warm_started, "the restoration must not fall back");
         let rel = (warm.monthly_cost - cold.monthly_cost).abs() / cold.monthly_cost.abs();
         assert!(
             rel <= 1e-9,
@@ -838,10 +839,9 @@ mod tests {
             warm.monthly_cost,
             cold.monthly_cost
         );
-        let m = swapped.num_cons();
         assert!(
-            warm.iterations <= cold.iterations + m / 4,
-            "warm {} iterations, cold {}, m {m}",
+            warm.iterations < cold.iterations,
+            "warm {} iterations, cold {}",
             warm.iterations,
             cold.iterations
         );

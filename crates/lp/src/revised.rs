@@ -373,6 +373,9 @@ fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
 /// Refactorize the basis after this many eta updates.
 const REFACTOR_EVERY: usize = 64;
 
+/// Pivot elements at or below this magnitude are never pivoted on.
+const PIV_TOL: f64 = 1e-9;
+
 /// Consecutive degenerate pivots before switching to Bland's rule. Bland's
 /// rule is the last-resort anti-cycling escape, not a degeneracy strategy:
 /// devex pricing walks degenerate plateaus productively (the battery-chain
@@ -749,26 +752,29 @@ impl<'a> Worker<'a> {
     }
 
     /// Dual-simplex feasibility restoration: repeatedly drives the most
-    /// bound-violated basic variable onto its violated bound, choosing the
-    /// entering column by the dual ratio test (smallest |reduced cost| per
-    /// unit of pivot, largest pivot on ties). Reduced costs come from the
-    /// maintained array; candidate pivots come from the sparse pivot row,
-    /// so only columns the row actually touches are examined. A warm basis
-    /// from a neighbouring siting takes from about a hundred to over a
-    /// thousand steps.
+    /// bound-violated basic variable onto its violated bound. Reduced costs
+    /// come from the maintained array; candidate pivots come from the
+    /// sparse pivot row, so only columns the row actually touches are
+    /// examined. A warm basis from a neighbouring siting takes from about a
+    /// hundred to over a thousand steps.
+    ///
+    /// Each step is a long-step (bound-flipping) dual ratio test over its
+    /// pivot row. The entering candidate is the eligible column with the
+    /// smallest |reduced cost| per unit of pivot, largest pivot on ties.
+    /// When reaching the target would carry it past its own opposite
+    /// bound, it is flipped to that bound instead, the remaining violation
+    /// is re-derived from the updated basic value, and the next candidate
+    /// of the same row is tried; the first one that reaches the target is
+    /// pivoted on. A step thus ends on a pivot or with the row's
+    /// candidates used up, and it never flips a column back: a flipped
+    /// column moves the row the wrong way. A step that flips nothing is the
+    /// plain dual pivot.
     ///
     /// A stall reports `Err` so the caller can solve cold instead: no
-    /// usable pivot, `2m + 64` steps, or a step about to bound-flip the
-    /// column the previous step flipped. A flip leaves the basis alone, so
-    /// two flips of one column in a row restore the basis and statuses of
-    /// two steps earlier, and the restoration would repeat that 2-cycle
-    /// until the step cap.
+    /// usable pivot, a pivot too small to trust, or `2m + 64` steps.
     fn restore_primal_feasibility(&mut self, phase1: bool) -> Result<(), ()> {
-        const PIV_TOL: f64 = 1e-9;
         let tol = self.opts.feas_tol;
         let max_steps = 2 * self.m + 64;
-        // The column the previous step bound-flipped; a pivot clears it.
-        let mut last_flip = None;
         for _ in 0..max_steps {
             // Leaving row: most violated basic. In phase 1 the artificials
             // keep their relaxed sign bounds — their infeasibility is the
@@ -809,129 +815,138 @@ impl<'a> Worker<'a> {
                 self.compute_reduced_costs(phase1);
             }
             // Row r of B⁻¹ and the pivot row αᵣ = ρᵀ·A, via one
-            // hyper-sparse unit BTRAN plus a CSR row gather.
+            // hyper-sparse unit BTRAN plus a CSR row gather. Flips leave
+            // the basis alone, so the row stays valid for the whole step.
             self.pivot_row(r);
             self.pricing_ns += t0.elapsed_ns();
 
-            // Entering column: dual ratio test over the pivot row's
-            // nonzeros. The required movement of xb[r] is `delta_r =
-            // target − xb[r]`; entering q moving by t·dir changes xb[r] by
-            // −t·dir·α_q, so q is eligible when dir·α_q opposes delta_r.
-            let delta_r = target - self.xb[r];
-            let mut best: Option<(usize, f64, f64, f64)> = None; // q, dir, ratio, |alpha|
-            for idx in 0..self.alpha_touched.len() {
-                let q = self.alpha_touched[idx];
-                if q >= self.art_offset {
+            let mut flipped = false;
+            loop {
+                // The required movement of xb[r], re-derived after each flip.
+                let delta_r = target - self.xb[r];
+                let Some((q, dir)) = self.restoration_candidate(delta_r) else {
+                    if flipped {
+                        break; // the flips moved the row as far as it goes
+                    }
+                    return Err(()); // no usable pivot: let the cold solve decide
+                };
+
+                // w = B⁻¹·A_q, pivot magnitude re-derived through the eta file.
+                self.ftran_col(q);
+                let wr = self.work_w[r];
+                if wr.abs() <= PIV_TOL {
+                    return Err(());
+                }
+                let t = delta_r / (-dir * wr);
+                if !t.is_finite() || t < 0.0 {
+                    return Err(());
+                }
+
+                // Bound flip: reaching the target would push q past its own
+                // opposite bound, so move it exactly there. The violation
+                // shrinks by |α_q|·span and keeps its sign; the basis, the
+                // pivot row and the reduced costs are untouched.
+                let span = self.ub[q] - self.lb[q];
+                if span.is_finite() && t > span {
+                    for s in 0..self.m {
+                        self.xb[s] -= span * dir * self.work_w[s];
+                    }
+                    let flipped_status = match self.status[q] {
+                        ColStatus::AtLower => ColStatus::AtUpper,
+                        ColStatus::AtUpper => ColStatus::AtLower,
+                        other => other,
+                    };
+                    self.set_status(q, flipped_status);
+                    flipped = true;
                     continue;
                 }
-                let alpha = self.work_alpha[q];
-                if alpha.abs() <= PIV_TOL {
-                    continue;
-                }
-                let dir = match self.state[q] {
-                    PriceState::Off => continue,
-                    PriceState::AtLower => 1.0,
-                    PriceState::AtUpper => -1.0,
-                    PriceState::Free => {
-                        if alpha * delta_r < 0.0 {
-                            1.0
-                        } else {
-                            -1.0
-                        }
-                    }
-                };
-                let d = self.d[q];
-                if dir * alpha * delta_r >= 0.0 {
-                    continue; // moves xb[r] the wrong way
-                }
-                let ratio = d.abs() / alpha.abs();
-                let better = match best {
-                    None => true,
-                    Some((_, _, br, ba)) => {
-                        ratio < br - 1e-12 || (ratio <= br + 1e-12 && alpha.abs() > ba)
-                    }
-                };
-                if better {
-                    best = Some((q, dir, ratio, alpha.abs()));
-                }
-            }
-            let Some((q, dir, _, alpha_abs)) = best else {
-                return Err(()); // no usable pivot: let the cold solve decide
-            };
 
-            // w = B⁻¹·A_q, pivot magnitude re-derived through the eta file.
-            self.ftran_col(q);
-            let wr = self.work_w[r];
-            if wr.abs() <= PIV_TOL {
-                return Err(());
-            }
-            let t = delta_r / (-dir * wr);
-            if !t.is_finite() || t < 0.0 {
-                return Err(());
-            }
-
-            // Bound flip: when reaching the target would push the entering
-            // variable past its own opposite bound, move it exactly there
-            // instead of pivoting (standard bound-flipping dual ratio
-            // test). The violation shrinks by |α|·span and the basis is
-            // untouched — reduced costs are untouched too; the next sweep
-            // picks up the remainder.
-            let span = self.ub[q] - self.lb[q];
-            if span.is_finite() && t > span {
-                if last_flip == Some(q) {
-                    return Err(()); // flipping back undoes the last step
+                let leaving = self.basis[r];
+                // Maintain reduced costs across the pivot while the pivot row
+                // is still valid (before the eta push).
+                let t0 = Stopwatch::start();
+                if !self.d_stale {
+                    self.update_reduced_costs(q, wr, leaving, false);
                 }
-                last_flip = Some(q);
+                self.pricing_ns += t0.elapsed_ns();
                 for s in 0..self.m {
-                    self.xb[s] -= span * dir * self.work_w[s];
+                    self.xb[s] -= t * dir * self.work_w[s];
                 }
-                let flipped = match self.status[q] {
-                    ColStatus::AtLower => ColStatus::AtUpper,
-                    ColStatus::AtUpper => ColStatus::AtLower,
-                    other => other,
-                };
-                self.set_status(q, flipped);
-                debug_assert!(alpha_abs * span > 0.0);
-                continue;
-            }
-
-            last_flip = None;
-            let leaving = self.basis[r];
-            // Maintain reduced costs across the pivot while the pivot row
-            // is still valid (before the eta push).
-            let t0 = Stopwatch::start();
-            if !self.d_stale {
-                self.update_reduced_costs(q, wr, leaving, false);
-            }
-            self.pricing_ns += t0.elapsed_ns();
-            for s in 0..self.m {
-                self.xb[s] -= t * dir * self.work_w[s];
-            }
-            self.xb[r] = nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
-            // The leaving variable lands exactly on its violated bound.
-            let (lo, _hi) = if phase1 {
-                (self.lb[leaving], self.ub[leaving])
-            } else {
-                self.basic_bounds(leaving)
-            };
-            let leaving_status = if target == lo {
-                if lo.is_finite() {
-                    ColStatus::AtLower
+                self.xb[r] = nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
+                // The leaving variable lands exactly on its violated bound.
+                let (lo, _hi) = if phase1 {
+                    (self.lb[leaving], self.ub[leaving])
                 } else {
-                    ColStatus::FreeAtZero
-                }
-            } else {
-                ColStatus::AtUpper
-            };
-            self.set_status(leaving, leaving_status);
-            self.set_status(q, ColStatus::Basic(r));
-            self.basis[r] = q;
-            self.push_eta(r);
+                    self.basic_bounds(leaving)
+                };
+                let leaving_status = if target == lo {
+                    if lo.is_finite() {
+                        ColStatus::AtLower
+                    } else {
+                        ColStatus::FreeAtZero
+                    }
+                } else {
+                    ColStatus::AtUpper
+                };
+                self.set_status(leaving, leaving_status);
+                self.set_status(q, ColStatus::Basic(r));
+                self.basis[r] = q;
+                self.push_eta(r);
+                break;
+            }
+            if self.paranoid {
+                self.paranoid_check(Kernel::BasicSolution);
+            }
             if self.etas.len() >= REFACTOR_EVERY {
                 self.refactorize().map_err(|_| ())?;
             }
         }
         Err(())
+    }
+
+    /// The restoration's entering candidate on the current pivot row when
+    /// basic row `r` must move by `delta_r`: among the row's nonzeros whose
+    /// column can move `xb[r]` toward its target, the smallest |reduced
+    /// cost| per unit of pivot, the largest pivot on ties. Entering `q`
+    /// moving by `t·dir` changes `xb[r]` by `−t·dir·α_q`, so `q` is eligible
+    /// when `dir·α_q` opposes `delta_r`. Returns `(q, dir)`.
+    fn restoration_candidate(&self, delta_r: f64) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64, f64)> = None; // q, dir, ratio, |alpha|
+        for &q in &self.alpha_touched {
+            if q >= self.art_offset {
+                continue;
+            }
+            let alpha = self.work_alpha[q];
+            if alpha.abs() <= PIV_TOL {
+                continue;
+            }
+            let dir = match self.state[q] {
+                PriceState::Off => continue,
+                PriceState::AtLower => 1.0,
+                PriceState::AtUpper => -1.0,
+                PriceState::Free => {
+                    if alpha * delta_r < 0.0 {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                }
+            };
+            if dir * alpha * delta_r >= 0.0 {
+                continue; // moves xb[r] the wrong way
+            }
+            let ratio = self.d[q].abs() / alpha.abs();
+            let better = match best {
+                None => true,
+                Some((_, _, br, ba)) => {
+                    ratio < br - 1e-12 || (ratio <= br + 1e-12 && alpha.abs() > ba)
+                }
+            };
+            if better {
+                best = Some((q, dir, ratio, alpha.abs()));
+            }
+        }
+        best.map(|(q, dir, _, _)| (q, dir))
     }
 
     /// Effective bounds of a basic column (artificials are frozen at zero).
@@ -1391,7 +1406,6 @@ impl<'a> Worker<'a> {
     /// Pass 1 records the slots that can limit the step in `ratio_cands`,
     /// so pass 2 walks only those.
     fn ratio_test(&mut self, q: usize, dir: f64, bland: bool) -> RatioOutcome {
-        const PIV_TOL: f64 = 1e-9;
         const BLAND_TIE: f64 = 1e-12;
         let tol = self.opts.feas_tol;
         let mut cands = std::mem::take(&mut self.ratio_cands);
@@ -1510,9 +1524,10 @@ impl<'a> Worker<'a> {
     }
 
     /// `GC_LP_PARANOID` cross-check: the eta-file FTRAN of the entering
-    /// column (`work_w`) or the pivot row's BTRAN of `eᵣ` (`work_rho`) must
-    /// match a fresh factorization's answer to 1e-6 relative (`|fresh −
-    /// eta| / (1 + |fresh|)`) in every entry.
+    /// column (`work_w`), the pivot row's BTRAN of `eᵣ` (`work_rho`) or the
+    /// incrementally updated basic solution (`xb`) must match a fresh
+    /// factorization's answer to 1e-6 relative (`|fresh − eta| / (1 +
+    /// |fresh|)`) in every entry.
     fn paranoid_check(&self, kernel: Kernel) {
         let Ok(lu) = factorize_basis(&self.cols, &self.basis, self.m) else {
             eprintln!(
@@ -1537,6 +1552,11 @@ impl<'a> Worker<'a> {
                 fresh[r] = 1.0;
                 lu.btran(&mut fresh, &mut scratch);
                 &self.work_rho
+            }
+            Kernel::BasicSolution => {
+                fresh = self.nonbasic_residual();
+                lu.ftran(&mut fresh, &mut scratch);
+                &self.xb
             }
         };
         // Relative drift, the form `update_reduced_costs` uses for its
@@ -1607,6 +1627,13 @@ impl<'a> Worker<'a> {
     /// Recomputes the basic solution from scratch against the current
     /// factorization: `x_B = B⁻¹·(b − A_N·x_N)`.
     fn recompute_xb(&mut self) {
+        let mut xb = self.nonbasic_residual();
+        self.lu.ftran(&mut xb, &mut self.scratch);
+        self.xb = xb;
+    }
+
+    /// The right-hand side the basic solution solves, `b − A_N·x_N`.
+    fn nonbasic_residual(&self) -> Vec<f64> {
         let mut resid = self.rhs.clone();
         for j in 0..self.n_total {
             if matches!(self.status[j], ColStatus::Basic(_)) {
@@ -1619,9 +1646,7 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.work_w.copy_from_slice(&resid);
-        self.lu.ftran(&mut self.work_w, &mut self.scratch);
-        self.xb.copy_from_slice(&self.work_w);
+        resid
     }
 
     fn extract(&mut self, model: &Model) -> Solution {
@@ -1675,6 +1700,9 @@ enum Kernel {
     Ftran(usize),
     /// The pivot row's BTRAN of slot `r`: `B⁻ᵀ·eᵣ`.
     PivotRow(usize),
+    /// The basic solution after a restoration step's flips and pivot:
+    /// `x_B = B⁻¹·(b − A_N·x_N)`.
+    BasicSolution,
 }
 
 /// Whether a nonbasic column in pricing state `st` with reduced cost `d`
@@ -1839,6 +1867,39 @@ mod tests {
         m.add_con("cap", [(x, 1.0), (y, 1.0)], Sense::Le, 1.5);
         let s = solve(&m);
         assert!((s.objective + 1.5).abs() < 1e-7);
+    }
+
+    #[test]
+    fn a_long_step_ends_warm_where_one_flip_per_step_cycled() {
+        // min x + 2y + 10w  s.t.  x + y = 5,  6x − w = −1,  x ∈ [0, 1] and
+        // y, w ≥ 0, warm-started from the all-slack basis. Row 1 is the
+        // most violated (by 5); its cheapest candidate x overshoots its box,
+        // so x flips to 1, which leaves row 2 violated by 7. Flipping one
+        // column per step, the next step took row 2, whose cheapest
+        // candidate is x again, flipped it back to where it started and
+        // cycled. The long step pivots y in on row 1 right after the flip,
+        // then flips x back and pivots w in on row 2: two steps, warm.
+        let mut m = Model::new();
+        let x = m.add_var("x", 0.0, 1.0, 1.0);
+        let y = m.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let w = m.add_var("w", 0.0, f64::INFINITY, 10.0);
+        m.add_con("r1", [(x, 1.0), (y, 1.0)], Sense::Eq, 5.0);
+        m.add_con("r2", [(x, 6.0), (w, -1.0)], Sense::Eq, -1.0);
+        use BasisStatus::{AtLower, Basic};
+        let slacks = Basis::from_statuses(vec![AtLower, AtLower, AtLower, Basic, Basic]);
+
+        let opts = SimplexOptions::default();
+        let mut worker = Worker::build(&m, &opts).expect("build");
+        assert_eq!(worker.try_install_basis(&slacks), Ok(()));
+        assert_eq!(worker.restore_primal_feasibility(false), Ok(()));
+        assert_eq!(worker.iterations, 2, "one step per violated row");
+
+        let warm = RevisedSimplex::new(opts)
+            .solve_warm(&m, Some(&slacks))
+            .expect("warm");
+        assert!(warm.warm_started, "the restoration must not fall back");
+        assert!((warm.objective - 20.0).abs() < 1e-9, "{}", warm.objective);
+        assert!((warm[y] - 5.0).abs() < 1e-9 && (warm[w] - 1.0).abs() < 1e-9);
     }
 
     #[test]

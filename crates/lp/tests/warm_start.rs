@@ -3,8 +3,11 @@
 //! supplying *any* basis never changes the reported optimum, only the work
 //! needed to reach it.
 
+use greencloud_lp::dense::DenseSimplex;
 use greencloud_lp::revised::{Basis, BasisStatus, RevisedSimplex, SimplexOptions};
-use greencloud_lp::{Model, Sense};
+use greencloud_lp::{Model, Sense, SolveError};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn solver() -> RevisedSimplex {
     RevisedSimplex::new(SimplexOptions::default())
@@ -180,7 +183,6 @@ fn primal_infeasible_warm_basis_is_restored_by_dual_pivots() {
 
 #[test]
 fn infeasible_and_unbounded_unaffected_by_warm_basis() {
-    use greencloud_lp::SolveError;
     let mut inf = Model::new();
     let x = inf.add_var("x", 0.0, 1.0, 1.0);
     inf.add_con("hi", [(x, 1.0)], Sense::Ge, 2.0);
@@ -198,4 +200,129 @@ fn infeasible_and_unbounded_unaffected_by_warm_basis() {
         solver().solve_warm(&unb, Some(&junk)).unwrap_err(),
         SolveError::Unbounded
     );
+}
+
+/// A random boxed LP, feasible by construction: `(lo, hi, cost)` per
+/// variable and `(coefficients, sense, slack)` per row, whose right-hand
+/// side [`BoxedLp::build`] places `slack` away from the row's activity at
+/// a point inside the boxes.
+struct BoxedLp {
+    vars: Vec<(f64, f64, f64)>,
+    rows: Vec<(Vec<f64>, Sense, f64)>,
+}
+
+impl BoxedLp {
+    /// `n` variables with boxes 0.2–4 wide and `k` rows of mixed sense
+    /// over a sparse coefficient pattern.
+    fn random(rng: &mut ChaCha8Rng, n: usize, k: usize) -> Self {
+        let vars = (0..n)
+            .map(|_| {
+                let lo = rng.gen_range(-2.0..2.0);
+                (lo, lo + rng.gen_range(0.2..4.0), rng.gen_range(-3.0..3.0))
+            })
+            .collect();
+        let rows = (0..k)
+            .map(|_| {
+                let coeffs = (0..n)
+                    .map(|_| match rng.gen_range(0..3u32) {
+                        0 => 0.0,
+                        _ => rng.gen_range(-4.0..4.0),
+                    })
+                    .collect();
+                let sense = match rng.gen_range(0..4u32) {
+                    0 => Sense::Eq,
+                    1 => Sense::Ge,
+                    _ => Sense::Le,
+                };
+                (coeffs, sense, rng.gen_range(0.0..2.0))
+            })
+            .collect();
+        BoxedLp { vars, rows }
+    }
+
+    /// A neighbour of the same shape: costs shifted, a quarter of the
+    /// coefficients scaled by 0.5–1.5, and new row slacks.
+    fn neighbour(&self, rng: &mut ChaCha8Rng) -> Self {
+        let vars = self
+            .vars
+            .iter()
+            .map(|&(lo, hi, c)| (lo, hi, c + rng.gen_range(-0.5..0.5)))
+            .collect();
+        let rows = self
+            .rows
+            .iter()
+            .map(|(coeffs, sense, _)| {
+                let coeffs = coeffs
+                    .iter()
+                    .map(|&a| match rng.gen_range(0..4u32) {
+                        0 => a * rng.gen_range(0.5..1.5),
+                        _ => a,
+                    })
+                    .collect();
+                (coeffs, *sense, rng.gen_range(0.0..2.0))
+            })
+            .collect();
+        BoxedLp { vars, rows }
+    }
+
+    /// The model whose rows hold at a random point of the boxes.
+    fn build(&self, rng: &mut ChaCha8Rng) -> Model {
+        let mut m = Model::new();
+        let mut point = Vec::with_capacity(self.vars.len());
+        let mut ids = Vec::with_capacity(self.vars.len());
+        for (i, &(lo, hi, c)) in self.vars.iter().enumerate() {
+            ids.push(m.add_var(format!("x{i}"), lo, hi, c));
+            point.push(rng.gen_range(lo..hi));
+        }
+        for (r, (coeffs, sense, slack)) in self.rows.iter().enumerate() {
+            let activity: f64 = coeffs.iter().zip(&point).map(|(a, x)| a * x).sum();
+            let rhs = match sense {
+                Sense::Le => activity + slack,
+                Sense::Ge => activity - slack,
+                Sense::Eq => activity,
+            };
+            let terms = ids
+                .iter()
+                .zip(coeffs)
+                .filter(|&(_, &a)| a != 0.0)
+                .map(|(&v, &a)| (v, a));
+            m.add_con(format!("r{r}"), terms, *sense, rhs);
+        }
+        m
+    }
+}
+
+#[test]
+fn random_boxed_neighbours_warm_start_to_the_dense_optimum() {
+    // Solve a random boxed LP, then warm-start a neighbour (new costs,
+    // coefficients and right-hand sides) from its optimal basis: the
+    // neighbour's objective must match the dense tableau's. Every variable
+    // is boxed, so the restoration meets bound flips; a restoration that
+    // flipped one column per step fell back cold on 5 of these 300.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1096_57E9);
+    let mut cold_cases = Vec::new();
+    for case in 0..300 {
+        let n = rng.gen_range(3..9usize);
+        let k = rng.gen_range(2..7usize);
+        let lp = BoxedLp::random(&mut rng, n, k);
+        let first = solver()
+            .solve(&lp.build(&mut rng))
+            .expect("feasible by construction");
+        let basis = first.basis.expect("basis exported");
+        let neighbour = lp.neighbour(&mut rng).build(&mut rng);
+        let dense = DenseSimplex::new().solve(&neighbour).expect("dense");
+        let warm = solver().solve_warm(&neighbour, Some(&basis)).expect("warm");
+        let scale = 1.0 + dense.objective.abs();
+        assert!(
+            (dense.objective - warm.objective).abs() < 1e-6 * scale,
+            "case {case}: dense {} warm {} (warm started: {})",
+            dense.objective,
+            warm.objective,
+            warm.warm_started
+        );
+        if !warm.warm_started {
+            cold_cases.push(case);
+        }
+    }
+    assert!(cold_cases.is_empty(), "fell back cold: {cold_cases:?}");
 }
