@@ -628,6 +628,26 @@ mod tests {
     }
 
     #[test]
+    fn slack_starts_are_not_counted_as_warm_hits() {
+        // Add/remove moves and the initial siting are solved without a
+        // basis, from the slack basis; those solves must not count as
+        // warm hits, or the hit rate could pass 1.
+        let w = WorldCatalog::anchors_only(5);
+        let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());
+        let input = PlacementInput {
+            total_capacity_mw: 20.0,
+            min_green_fraction: 0.0,
+            tech: TechMix::BrownOnly,
+            ..PlacementInput::default()
+        };
+        let st = anneal(&CostParams::default(), &input, &cands, &quick_options())
+            .expect("feasible")
+            .stats;
+        assert!(st.evaluations > st.warm_attempts, "stats: {st:?}");
+        assert!(st.warm_hits <= st.warm_attempts, "stats: {st:?}");
+    }
+
+    #[test]
     fn warm_attempts_count_only_solved_sitings() {
         let w = WorldCatalog::anchors_only(5);
         let cands = CandidateSite::build_all(&w, &ProfileConfig::coarse());

@@ -12,8 +12,12 @@
 //!   small models.
 //! * [`revised::RevisedSimplex`] — a bounded-variable revised simplex with a
 //!   sparse LU factorization of the basis ([`lu::SparseLu`]), product-form
-//!   eta updates, and periodic refactorization. This is the production path
-//!   and comfortably solves the multi-thousand-variable siting LPs.
+//!   eta updates, and periodic refactorization. Every solve starts from a
+//!   warm basis or the all-slack basis, restores primal feasibility by
+//!   dual-simplex pivots (dual steepest edge on slack starts) and finishes
+//!   with primal phase 2; the two-phase method is its fallback. This is the
+//!   production path and comfortably solves the multi-thousand-variable
+//!   siting LPs.
 //! * [`branch::BranchAndBound`] — mixed-integer solving by branch & bound on
 //!   the LP relaxation.
 //! * [`validate`] — independent feasibility checking of solutions, used by

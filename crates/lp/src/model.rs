@@ -128,7 +128,9 @@ pub struct Solution {
     /// Feed it to [`Model::solve_with_basis`] to warm-start a re-solve.
     pub basis: Option<crate::revised::Basis>,
     /// `true` when the solve actually started from a supplied warm basis
-    /// (rather than falling back to the cold crash basis).
+    /// and finished from it. `false` for a solve offered no basis (it
+    /// starts from the all-slack basis), for a basis that could not be
+    /// installed, and when the attempt fell back to the two-phase solve.
     pub warm_started: bool,
     /// Per-solve solver counters (iterations, refactorizations,
     /// FTRAN/BTRAN counts, pricing time). The revised simplex fills every

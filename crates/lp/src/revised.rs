@@ -2,11 +2,24 @@
 //!
 //! This is the production LP solver of the workspace. It works on the
 //! computational form `A·x + s = b`, `l ≤ x ≤ u`, where each constraint row
-//! gets a slack whose bounds encode the row sense, and phase 1 starts from an
-//! all-artificial basis. Between refactorizations the basis inverse is
-//! maintained as a product of eta matrices; every few dozen pivots the basis
-//! is refactorized from scratch with [`crate::lu::SparseLu`] and the basic
-//! solution is recomputed to shed accumulated error.
+//! gets a slack whose bounds encode the row sense. Between refactorizations
+//! the basis inverse is maintained as a product of eta matrices; every few
+//! dozen pivots the basis is refactorized from scratch with
+//! [`crate::lu::SparseLu`] and the basic solution is recomputed to shed
+//! accumulated error.
+//!
+//! # Starting bases
+//!
+//! Every solve runs the same path from some starting basis: dual-simplex
+//! pivots restore primal feasibility, then primal phase 2 certifies
+//! optimality. A warm start begins from the [`Basis`] it is offered. A
+//! solve offered none begins from the all-slack basis (`B = I`, so it can
+//! never be singular), with every structural at the finite bound nearest
+//! zero, and its restoration picks leaving rows by dual steepest edge
+//! (Forrest & Goldfarb, 1992). When that path fails (an unbounded LP, a
+//! stalled restoration, a numerical breakdown), the solve falls back to the
+//! classic two-phase method from a crash basis: slacks where the starting
+//! residual fits, sign-oriented artificials elsewhere.
 //!
 //! # Pricing
 //!
@@ -50,8 +63,9 @@ pub enum BasisStatus {
 /// coefficients, RHS, or objective). The solver validates the snapshot
 /// against the new model (dimension check, bound repair, singularity check
 /// via [`crate::lu::SparseLu`], primal feasibility) and silently falls back
-/// to the cold crash basis when it cannot be used, so warm starts never
-/// change *what* is solved — only how fast.
+/// to a cold solve (the slack start when the snapshot cannot be installed,
+/// the two-phase crash basis when its restoration or phase 2 fails), so
+/// warm starts never change *what* is solved — only how fast.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     statuses: Vec<BasisStatus>,
@@ -130,8 +144,9 @@ pub enum PricingMode {
 /// the same solve compare equal even though their clocks differ.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
-    /// Simplex iterations (phase 1 + phase 2 + dual restoration), including
-    /// any discarded warm attempt that fell back to a cold solve.
+    /// Simplex iterations (dual restoration + phase 1 + phase 2), including
+    /// any discarded warm or slack attempt that fell back to the two-phase
+    /// solve.
     pub iterations: usize,
     /// Basis refactorizations (includes the final accuracy refactorization
     /// before extraction).
@@ -143,19 +158,25 @@ pub struct SolveStats {
     /// Wall time of pricing and the pivot-row work around it: selecting
     /// entering columns, the dense reduced-cost recomputes, the pivot-row
     /// BTRAN and gather, and the reduced-cost and devex-weight updates, in
-    /// the primal iterations and in the warm start's dual restoration.
+    /// the primal iterations and in the dual restoration.
     pub pricing_ns: u64,
+    /// Warm or slack starts whose restoration or phase 2 failed, so the
+    /// solve fell back to the two-phase crash-basis path (at most 1 per
+    /// solve; summed by [`SolveStats::absorb`]). An unbounded LP always
+    /// counts one: the two-phase solve is what reports it.
+    pub fallbacks: usize,
 }
 
 impl SolveStats {
     /// Adds `other`'s counters into `self` (used to carry the work of a
-    /// discarded warm attempt into the reported totals).
+    /// discarded attempt into the reported totals, and to sum solves).
     pub fn absorb(&mut self, other: &SolveStats) {
         self.iterations += other.iterations;
         self.refactorizations += other.refactorizations;
         self.ftrans += other.ftrans;
         self.btrans += other.btrans;
         self.pricing_ns += other.pricing_ns;
+        self.fallbacks += other.fallbacks;
     }
 
     /// [`SolveStats::pricing_ns`] in milliseconds.
@@ -170,6 +191,7 @@ impl PartialEq for SolveStats {
             && self.refactorizations == other.refactorizations
             && self.ftrans == other.ftrans
             && self.btrans == other.btrans
+            && self.fallbacks == other.fallbacks
     }
 }
 
@@ -228,9 +250,15 @@ impl RevisedSimplex {
     /// basic solution violates bounds — routine after a rolling-horizon
     /// caller shifts the model's RHS or coefficients in place — is driven
     /// back to primal feasibility by dual-simplex pivots before ordinary
-    /// phase 2 certifies optimality. If installation or restoration fails,
-    /// the solver silently rebuilds and runs the cold two-phase path, so
-    /// the result is always identical (up to tolerances) to a cold solve.
+    /// phase 2 certifies optimality.
+    ///
+    /// Offered no basis (or one that cannot be installed), the solve takes
+    /// the same path from the all-slack basis, its restoration choosing
+    /// leaving rows by dual steepest edge; [`Solution::warm_started`] stays
+    /// `false`. If the restoration or phase 2 fails, the solver silently
+    /// rebuilds and runs the two-phase crash-basis path (counted in
+    /// [`SolveStats::fallbacks`]), so the result is always identical (up to
+    /// tolerances) to a two-phase solve.
     ///
     /// Before any basis is built, row-activity bound propagation looks for
     /// a proof that the model is infeasible; when it finds one the solve
@@ -247,32 +275,29 @@ impl RevisedSimplex {
             return Err(SolveError::Infeasible);
         }
         let mut w = Worker::build(model, &self.options)?;
-        let mut warm_installed = false;
-        if let Some(basis) = warm {
-            // Validate-then-commit: a rejected basis leaves the cold
-            // worker untouched, so no rebuild is needed on failure.
-            warm_installed = w.try_install_basis(basis).is_ok();
-        }
-        // Work burned in a warm attempt that later falls back is still
-        // real work; carry it into the reported counters.
-        let mut discarded = SolveStats::default();
-        if warm_installed {
-            // Phase 2 straight from the installed basis; dual-simplex
-            // restoration recovers primal feasibility when the snapshot
-            // doesn't fit the current RHS. Any failure rebuilds and runs
-            // cold — warm starts never change *what* is solved.
-            if w.warm_optimize().is_err() {
-                discarded = w.stats();
-                w = Worker::build(model, &self.options)?;
-                warm_installed = false;
-                w.run()?;
-            }
+        // Validate-then-commit: a rejected basis leaves the slack basis
+        // untouched, so the solve simply starts from there.
+        let warm_installed = warm.is_some_and(|basis| w.try_install_basis(basis).is_ok());
+        let rule = if warm_installed {
+            LeavingRule::MaxViolation
         } else {
+            LeavingRule::SteepestEdge
+        };
+        // Dual restoration, then phase 2. Any failure rebuilds and runs the
+        // two-phase solve, so the starting basis never changes *what* is
+        // solved; the work burned in the attempt is still real work.
+        let mut discarded = None;
+        if w.restore_and_optimize(rule).is_err() {
+            discarded = Some(w.stats());
+            w = Worker::build(model, &self.options)?;
             w.run()?;
         }
         let mut sol = w.extract(model);
-        sol.warm_started = warm_installed;
-        sol.stats.absorb(&discarded);
+        sol.warm_started = warm_installed && discarded.is_none();
+        if let Some(attempt) = discarded {
+            sol.stats.absorb(&attempt);
+            sol.stats.fallbacks += 1;
+        }
         sol.iterations = sol.stats.iterations;
         Ok(sol)
     }
@@ -370,6 +395,20 @@ fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
     }
 }
 
+/// Applies the eta file in order, oldest eta first: the eta half of an
+/// FTRAN, `w ← Eₖ⁻¹⋯E₁⁻¹·w`.
+fn eta_ftran(etas: &[Eta], w: &mut [f64]) {
+    for eta in etas {
+        let t = w[eta.slot] / eta.pivot;
+        if t != 0.0 {
+            for &(i, v) in &eta.entries {
+                w[i] -= v * t;
+            }
+        }
+        w[eta.slot] = t;
+    }
+}
+
 /// Refactorize the basis after this many eta updates.
 const REFACTOR_EVERY: usize = 64;
 
@@ -382,6 +421,11 @@ const PIV_TOL: f64 = 1e-9;
 /// LPs take hundreds of zero-step pivots on the way to the optimum), while
 /// Bland crawls. Engage it only after a pathological streak.
 const BLAND_AFTER: usize = 1000;
+
+/// Consecutive entering candidates the exact reduced-cost anchor may reject
+/// before the basis is refactorized (and, on a fresh factorization, before
+/// the phase gives up with [`SolveError::Numerical`]).
+const REJECTED_STREAK_MAX: usize = 16;
 
 struct Worker<'a> {
     opts: &'a SimplexOptions,
@@ -422,6 +466,12 @@ struct Worker<'a> {
     d: Vec<f64>,
     /// Devex reference-framework weights.
     devex_w: Vec<f64>,
+    /// Dual steepest-edge weights `β_i ≈ ‖ρ_i‖²`, one per basis slot; 1 is
+    /// exact in the slack basis. Only a slack start's restoration reads
+    /// or updates them.
+    dse_w: Vec<f64>,
+    /// FTRAN output `τ = B⁻¹·ρ_r` of the steepest-edge update.
+    work_tau: Vec<f64>,
     /// `d` must be recomputed from scratch before the next pricing scan
     /// (set after refactorization, phase changes, and drift detection).
     d_stale: bool,
@@ -481,8 +531,8 @@ impl<'a> Worker<'a> {
             ub.push(u);
             cost.push(0.0);
         }
-        // Artificial columns (bounds fixed after the initial residual is
-        // known).
+        // Artificial columns, fixed at zero; only the two-phase path's
+        // crash basis (see [`Worker::crash`]) frees some of them.
         for i in 0..m {
             cols.push_col([(i, 1.0)]);
             lb.push(0.0);
@@ -492,51 +542,26 @@ impl<'a> Worker<'a> {
 
         let rhs: Vec<f64> = model.cons.iter().map(|c| c.rhs).collect();
 
-        // Nonbasic starting point: every structural/slack column at the
-        // finite bound nearest zero, free columns parked at zero.
+        // Slack basis: every structural column nonbasic at the finite bound
+        // nearest zero (free columns parked at zero), every slack basic in
+        // its row's slot. B = I, so the basic solution is the residual of
+        // the nonbasic point.
         let mut status = vec![ColStatus::AtLower; n_total];
-        for j in 0..art_offset {
+        for j in 0..n_struct {
             status[j] = initial_status(lb[j], ub[j]);
         }
-
-        // Residual of the nonbasic point decides artificial orientation.
-        let mut resid = rhs.clone();
-        for j in 0..art_offset {
+        let mut xb = rhs.clone();
+        for j in 0..n_struct {
             let v = nonbasic_value(status[j], lb[j], ub[j]);
             if v != 0.0 {
                 for (r, a) in cols.col(j) {
-                    resid[r] -= a * v;
+                    xb[r] -= a * v;
                 }
             }
         }
-        // Crash basis: each row is covered by its own slack when the slack's
-        // bounds can absorb the residual (the row starts feasible), and by a
-        // sign-oriented artificial only otherwise. On the siting LPs almost
-        // every row has zero residual at the nonbasic point, so phase 1
-        // starts with a handful of artificials instead of one per row.
-        let mut cost_phase1 = vec![0.0; n_total];
-        let mut basis = Vec::with_capacity(m);
-        let mut xb = Vec::with_capacity(m);
-        for (i, &r) in resid.iter().enumerate() {
-            let sj = n_struct + i;
-            if lb[sj] <= r && r <= ub[sj] {
-                status[sj] = ColStatus::Basic(i);
-                basis.push(sj);
-            } else {
-                let aj = art_offset + i;
-                if r >= 0.0 {
-                    lb[aj] = 0.0;
-                    ub[aj] = f64::INFINITY;
-                    cost_phase1[aj] = 1.0;
-                } else {
-                    lb[aj] = f64::NEG_INFINITY;
-                    ub[aj] = 0.0;
-                    cost_phase1[aj] = -1.0;
-                }
-                status[aj] = ColStatus::Basic(i);
-                basis.push(aj);
-            }
-            xb.push(r);
+        let basis: Vec<usize> = (n_struct..art_offset).collect();
+        for (slot, &sj) in basis.iter().enumerate() {
+            status[sj] = ColStatus::Basic(slot);
         }
 
         let lu = factorize_basis(&cols, &basis, m)?;
@@ -558,7 +583,7 @@ impl<'a> Worker<'a> {
             lb,
             ub,
             cost,
-            cost_phase1,
+            cost_phase1: vec![0.0; n_total],
             rhs,
             status,
             state: vec![PriceState::Off; n_total],
@@ -577,6 +602,8 @@ impl<'a> Worker<'a> {
             alpha_touched: Vec::new(),
             d: vec![0.0; n_total],
             devex_w: vec![1.0; n_total],
+            dse_w: vec![1.0; m],
+            work_tau: vec![0.0; m],
             d_stale: true,
             d_exact: false,
             d_phase1: false,
@@ -609,15 +636,43 @@ impl<'a> Worker<'a> {
             ftrans: self.n_ftran,
             btrans: self.n_btran,
             pricing_ns: self.pricing_ns,
+            fallbacks: 0,
+        }
+    }
+
+    /// Turns the freshly built slack basis into the two-phase path's crash
+    /// basis: each row keeps its slack when the slack's bounds can absorb
+    /// the residual (the row starts feasible), and gets a sign-oriented
+    /// artificial in the slack's place otherwise. Both are unit columns, so
+    /// `B = I`, the factorization and the basic solution all stand. On the
+    /// siting LPs almost every row has zero residual at the nonbasic point,
+    /// so phase 1 starts with a handful of artificials, not one per row.
+    fn crash(&mut self) {
+        for i in 0..self.m {
+            let sj = self.n_struct + i;
+            let r = self.xb[i];
+            if self.lb[sj] <= r && r <= self.ub[sj] {
+                continue;
+            }
+            let aj = self.art_offset + i;
+            if r >= 0.0 {
+                self.ub[aj] = f64::INFINITY;
+                self.cost_phase1[aj] = 1.0;
+            } else {
+                self.lb[aj] = f64::NEG_INFINITY;
+                self.cost_phase1[aj] = -1.0;
+            }
+            self.set_status(sj, initial_status(self.lb[sj], self.ub[sj]));
+            self.set_status(aj, ColStatus::Basic(i));
+            self.basis[i] = aj;
         }
     }
 
     /// Attempts to install an exported warm basis over the freshly built
-    /// (cold) worker state. Validate-then-commit: all checks run on
-    /// scratch state, and `self` is only mutated once the basis is proven
-    /// usable — a failed attempt leaves the cold worker intact, so the
-    /// caller falls straight through to the crash-basis solve with no
-    /// rebuild.
+    /// slack basis. Validate-then-commit: all checks run on scratch state,
+    /// and `self` is only mutated once the basis is proven usable — a
+    /// failed attempt leaves the slack basis intact, so the caller starts
+    /// from it with no rebuild.
     ///
     /// The snapshot is *repaired* rather than trusted: nonbasic statuses
     /// that no longer match the model's bounds are remapped, and a
@@ -643,13 +698,13 @@ impl<'a> Worker<'a> {
             basics.push(self.art_offset + r);
         }
         if basics.len() != self.m {
-            return Err(()); // malformed snapshot; the crash basis handles it
+            return Err(()); // malformed snapshot; the slack basis handles it
         }
         // Factorize, repairing singularity the way production solvers do:
         // a column the LU proves dependent is swapped for the slack of a
         // row that has no pivot yet (a unit column, so the replacement can
         // never create a new dependency on the repaired prefix). Bounded
-        // retries: pathological snapshots fall back to the crash basis.
+        // retries: pathological snapshots fall back to the slack basis.
         let lu = {
             // Basic-membership mark, kept in step with `basics`, so each
             // replacement search is O(m).
@@ -717,13 +772,7 @@ impl<'a> Worker<'a> {
             return Err(());
         }
 
-        // Commit.
-        for i in 0..self.m {
-            let aj = self.art_offset + i;
-            self.lb[aj] = 0.0;
-            self.ub[aj] = 0.0;
-            self.cost_phase1[aj] = 0.0;
-        }
+        // Commit (the artificials are still fixed at zero from `build`).
         for (j, &st) in status.iter().enumerate() {
             self.set_status(j, st);
         }
@@ -735,28 +784,35 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Optimizes from an installed warm basis. When the basic solution
-    /// violates bounds (the usual case after the caller shifted the RHS or
-    /// coefficients of a rolling-horizon model), primal feasibility is
-    /// first restored with dual-simplex pivots, then the ordinary primal
-    /// phase 2 certifies optimality. The result is only accepted when both
-    /// succeed.
+    /// Optimizes from the installed basis, warm or slack. When the basic
+    /// solution violates bounds (the usual case after the caller shifted
+    /// the RHS or coefficients of a rolling-horizon model, and on most
+    /// slack starts), primal feasibility is first restored with
+    /// dual-simplex pivots, then the ordinary primal phase 2 certifies
+    /// optimality. The result is only accepted when both succeed.
     ///
     /// # Errors
     ///
     /// `Err(())` when restoration stalled or the solver hit any error —
-    /// the caller must rebuild and fall back to the cold two-phase solve.
-    fn warm_optimize(&mut self) -> Result<(), ()> {
-        self.restore_primal_feasibility(false)?;
+    /// the caller must rebuild and fall back to the two-phase solve.
+    fn restore_and_optimize(&mut self, rule: LeavingRule) -> Result<(), ()> {
+        self.restore_primal_feasibility(false, rule)?;
         self.iterate(false).map_err(|_| ())
     }
 
-    /// Dual-simplex feasibility restoration: repeatedly drives the most
-    /// bound-violated basic variable onto its violated bound. Reduced costs
-    /// come from the maintained array; candidate pivots come from the
-    /// sparse pivot row, so only columns the row actually touches are
-    /// examined. A warm basis from a neighbouring siting takes from about a
-    /// hundred to over a thousand steps.
+    /// Dual-simplex feasibility restoration: repeatedly drives a
+    /// bound-violated basic variable onto its violated bound, the row
+    /// chosen by `rule`. Reduced costs come from the maintained array;
+    /// candidate pivots come from the sparse pivot row, so only columns
+    /// the row actually touches are examined. A warm basis from a
+    /// neighbouring siting takes from about a hundred to over a thousand
+    /// steps.
+    ///
+    /// Under [`LeavingRule::SteepestEdge`] the chosen row's weight is reset
+    /// to the exact `‖ρ_r‖²` from its pivot row (under `GC_LP_PARANOID` the
+    /// maintained value must match it to 1e-6 relative first), and each
+    /// pivot updates every weight with one extra FTRAN (see
+    /// [`Worker::update_dse_weights`]); bound flips leave them alone.
     ///
     /// Each step is a long-step (bound-flipping) dual ratio test over its
     /// pivot row. The entering candidate is the eligible column with the
@@ -770,16 +826,18 @@ impl<'a> Worker<'a> {
     /// column moves the row the wrong way. A step that flips nothing is the
     /// plain dual pivot.
     ///
-    /// A stall reports `Err` so the caller can solve cold instead: no
+    /// A stall reports `Err` so the caller can run the two-phase solve: no
     /// usable pivot, a pivot too small to trust, or `2m + 64` steps.
-    fn restore_primal_feasibility(&mut self, phase1: bool) -> Result<(), ()> {
+    fn restore_primal_feasibility(&mut self, phase1: bool, rule: LeavingRule) -> Result<(), ()> {
         let tol = self.opts.feas_tol;
         let max_steps = 2 * self.m + 64;
+        let steepest = rule == LeavingRule::SteepestEdge;
         for _ in 0..max_steps {
-            // Leaving row: most violated basic. In phase 1 the artificials
-            // keep their relaxed sign bounds — their infeasibility is the
-            // primal phase-1 objective, not a violation to repair here.
-            let mut worst: Option<(usize, f64, f64)> = None; // slot, viol, target
+            // Leaving row: the best-scoring violated basic. In phase 1 the
+            // artificials keep their relaxed sign bounds — their
+            // infeasibility is the primal phase-1 objective, not a
+            // violation to repair here.
+            let mut worst: Option<(usize, f64, f64)> = None; // slot, score, target
             for slot in 0..self.m {
                 let j = self.basis[slot];
                 let (lo, hi) = if phase1 {
@@ -798,8 +856,13 @@ impl<'a> Worker<'a> {
                 } else {
                     continue;
                 };
-                if worst.is_none_or(|(_, w, _)| viol > w) {
-                    worst = Some((slot, viol, target));
+                let score = if steepest {
+                    viol * viol / self.dse_w[slot]
+                } else {
+                    viol
+                };
+                if worst.is_none_or(|(_, s, _)| score > s) {
+                    worst = Some((slot, score, target));
                 }
             }
             let Some((r, _, target)) = worst else {
@@ -818,6 +881,13 @@ impl<'a> Worker<'a> {
             // hyper-sparse unit BTRAN plus a CSR row gather. Flips leave
             // the basis alone, so the row stays valid for the whole step.
             self.pivot_row(r);
+            if steepest {
+                let exact: f64 = self.work_rho.iter().map(|v| v * v).sum();
+                if self.paranoid {
+                    self.paranoid_check_dse_weight(r, exact);
+                }
+                self.dse_w[r] = exact;
+            }
             self.pricing_ns += t0.elapsed_ns();
 
             let mut flipped = false;
@@ -867,6 +937,9 @@ impl<'a> Worker<'a> {
                 let t0 = Stopwatch::start();
                 if !self.d_stale {
                     self.update_reduced_costs(q, wr, leaving, false);
+                }
+                if steepest {
+                    self.update_dse_weights(r);
                 }
                 self.pricing_ns += t0.elapsed_ns();
                 for s in 0..self.m {
@@ -949,6 +1022,39 @@ impl<'a> Worker<'a> {
         best.map(|(q, dir, _, _)| (q, dir))
     }
 
+    /// Dual steepest-edge update (Forrest & Goldfarb, 1992) for the pivot
+    /// on slot `r` with entering column `w = B⁻¹·a_q` in `work_w`, while
+    /// `work_rho` still holds `ρ_r` and `dse_w[r] = ‖ρ_r‖²`. With `τ =
+    /// B⁻¹·ρ_r` (one extra FTRAN), row `i` of the new inverse is `ρ_i −
+    /// (w_i/w_r)·ρ_r`, so `β_i ← β_i − 2(w_i/w_r)·τ_i + (w_i/w_r)²·β_r`
+    /// and `β_r ← β_r / w_r²`.
+    ///
+    /// The update is floored at `(w_i/w_r)² / ‖a_p‖²`, with `a_p` the
+    /// leaving column: the new row `i` meets `a_p` in `−w_i/w_r`, so by
+    /// Cauchy–Schwarz no true weight lies below the floor. The textbook
+    /// floor `(w_i/w_r)²` is this one for a leaving slack; when a
+    /// structural of larger norm leaves, it overstated weights by up to
+    /// 24% on the Fig. 7 search and tripped the `GC_LP_PARANOID` check.
+    fn update_dse_weights(&mut self, r: usize) {
+        self.work_tau.copy_from_slice(&self.work_rho);
+        self.lu.ftran(&mut self.work_tau, &mut self.scratch);
+        eta_ftran(&self.etas, &mut self.work_tau);
+        self.n_ftran += 1;
+        let wr = self.work_w[r];
+        let beta_r = self.dse_w[r];
+        let leaving_norm2: f64 = self.cols.col(self.basis[r]).map(|(_, a)| a * a).sum();
+        for i in 0..self.m {
+            let wi = self.work_w[i];
+            if i == r || wi == 0.0 {
+                continue;
+            }
+            let k = wi / wr;
+            let beta = self.dse_w[i] - 2.0 * k * self.work_tau[i] + k * k * beta_r;
+            self.dse_w[i] = beta.max(k * k / leaving_norm2);
+        }
+        self.dse_w[r] = beta_r / (wr * wr);
+    }
+
     /// Effective bounds of a basic column (artificials are frozen at zero).
     fn basic_bounds(&self, j: usize) -> (f64, f64) {
         if j >= self.art_offset {
@@ -958,9 +1064,12 @@ impl<'a> Worker<'a> {
         }
     }
 
+    /// The two-phase solve from the crash basis: the fallback of a warm or
+    /// slack start, run on a freshly built worker.
     fn run(&mut self) -> Result<(), SolveError> {
         if self.m > 0 {
             // Phase 1: drive artificial infeasibility to zero.
+            self.crash();
             self.iterate(true)?;
             if self.infeasibility() > self.opts.feas_tol * 10.0 {
                 return Err(SolveError::Infeasible);
@@ -994,6 +1103,7 @@ impl<'a> Worker<'a> {
     /// Runs pivots until the phase objective is optimal.
     fn iterate(&mut self, phase1: bool) -> Result<(), SolveError> {
         let mut degen_streak = 0usize;
+        let mut rejected_streak = 0usize;
         let mut prev_bland = false;
         // A fresh phase restarts the devex reference framework.
         self.reset_devex();
@@ -1040,7 +1150,10 @@ impl<'a> Worker<'a> {
             // column whose true reduced cost is no longer attractive stalls
             // the solve — or worse, degrades the basis until the LU calls
             // it singular. A candidate that fails the exact test is
-            // repriced instead of pivoted on.
+            // repriced instead of pivoted on. A long streak of such
+            // candidates means the eta file has drifted: refactorize, and
+            // if the streak returns on a fresh factorization, give up so a
+            // warm or slack start can fall back.
             let mut dq = if phase1 {
                 self.cost_phase1[q]
             } else {
@@ -1060,8 +1173,19 @@ impl<'a> Worker<'a> {
             self.d[q] = dq;
             let Some((dir, _)) = self.eligible(q) else {
                 self.d_exact = false;
+                rejected_streak += 1;
+                if rejected_streak >= REJECTED_STREAK_MAX {
+                    if self.etas.is_empty() {
+                        return Err(SolveError::Numerical(
+                            "reduced costs disagree with a fresh factorization".into(),
+                        ));
+                    }
+                    self.refactorize_or_repair(phase1)?;
+                    rejected_streak = 0;
+                }
                 continue; // drifted candidate; the corrected entry deselects it
             };
+            rejected_streak = 0;
 
             let mut outcome = self.ratio_test(q, dir, bland);
             // A pivot that is tiny after a long eta chain is often pure
@@ -1325,7 +1449,7 @@ impl<'a> Worker<'a> {
         self.recompute_xb();
         self.d_stale = true;
         self.reset_devex();
-        self.restore_primal_feasibility(phase1)
+        self.restore_primal_feasibility(phase1, LeavingRule::MaxViolation)
             .map_err(|()| SolveError::Numerical("restoration after basis repair failed".into()))
     }
 
@@ -1504,15 +1628,7 @@ impl<'a> Worker<'a> {
         self.work_w.fill(0.0);
         self.lu
             .ftran_sparse(self.cols.col(q), &mut self.work_w, &mut self.scratch);
-        for eta in &self.etas {
-            let t = self.work_w[eta.slot] / eta.pivot;
-            if t != 0.0 {
-                for &(i, v) in &eta.entries {
-                    self.work_w[i] -= v * t;
-                }
-            }
-            self.work_w[eta.slot] = t;
-        }
+        eta_ftran(&self.etas, &mut self.work_w);
         self.n_ftran += 1;
     }
 
@@ -1585,6 +1701,24 @@ impl<'a> Worker<'a> {
             }
             // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
             panic!("paranoid drift");
+        }
+    }
+
+    /// `GC_LP_PARANOID` cross-check of the dual steepest-edge weight of the
+    /// restoration's chosen row `r`: the maintained `β_r` must match the
+    /// exact `‖ρ_r‖²` of its fresh pivot row to 1e-6 relative (`|exact −
+    /// β_r| / (1 + exact)`, the form of [`Worker::paranoid_check`]).
+    fn paranoid_check_dse_weight(&self, r: usize, exact: f64) {
+        let beta = self.dse_w[r];
+        let drift = (exact - beta).abs() / (1.0 + exact);
+        if drift > 1e-6 {
+            eprintln!(
+                "PARANOID iter {}: steepest-edge weight of slot {r} drift {drift:.3e} (etas {}) exact={exact} maintained={beta}",
+                self.iterations,
+                self.etas.len(),
+            );
+            // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
+            panic!("paranoid steepest-edge weight drift");
         }
     }
 
@@ -1727,6 +1861,18 @@ fn eligibility(st: PriceState, d: f64, opt_tol: f64) -> Option<(f64, f64)> {
     } else {
         None
     }
+}
+
+/// How the dual restoration picks its leaving row among the violated
+/// basics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LeavingRule {
+    /// The largest bound violation: warm starts and basis repairs, where no
+    /// row weights are known.
+    MaxViolation,
+    /// Dual steepest edge, the largest `viol²/β_r`: slack starts, where
+    /// `β = 1` is exact at `B = I`.
+    SteepestEdge,
 }
 
 enum RatioOutcome {
@@ -1891,7 +2037,10 @@ mod tests {
         let opts = SimplexOptions::default();
         let mut worker = Worker::build(&m, &opts).expect("build");
         assert_eq!(worker.try_install_basis(&slacks), Ok(()));
-        assert_eq!(worker.restore_primal_feasibility(false), Ok(()));
+        assert_eq!(
+            worker.restore_primal_feasibility(false, LeavingRule::MaxViolation),
+            Ok(())
+        );
         assert_eq!(worker.iterations, 2, "one step per violated row");
 
         let warm = RevisedSimplex::new(opts)
@@ -1900,6 +2049,67 @@ mod tests {
         assert!(warm.warm_started, "the restoration must not fall back");
         assert!((warm.objective - 20.0).abs() < 1e-9, "{}", warm.objective);
         assert!((warm[y] - 5.0).abs() < 1e-9 && (warm[w] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fallbacks_are_summed_and_compared() {
+        let one = SolveStats {
+            iterations: 3,
+            fallbacks: 1,
+            ..SolveStats::default()
+        };
+        let mut total = SolveStats::default();
+        total.absorb(&one);
+        total.absorb(&one);
+        assert_eq!(total.fallbacks, 2);
+        assert_ne!(
+            one,
+            SolveStats {
+                fallbacks: 0,
+                ..one
+            }
+        );
+    }
+
+    #[test]
+    fn a_streak_of_rejected_candidates_refactorizes_then_gives_up() {
+        // The slack basis is optimal (nonnegative costs at lower bounds),
+        // but every column's maintained reduced cost is corrupted to look
+        // attractive, so the exact anchor rejects candidate after candidate.
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..20)
+            .map(|j| m.add_var(format!("x{j}"), 0.0, 1.0, 1.0))
+            .collect();
+        m.add_con("cap", vars.iter().map(|&v| (v, 1.0)), Sense::Le, 10.0);
+        let opts = SimplexOptions::default();
+        let corrupted = || {
+            let mut w = Worker::build(&m, &opts).expect("build");
+            w.compute_reduced_costs(false);
+            for j in 0..20 {
+                w.d[j] = -1.0;
+            }
+            w.d_exact = false;
+            w
+        };
+        // With a fresh factorization there is nothing to refactorize:
+        // the streak ends the phase.
+        let mut fresh = corrupted();
+        assert!(matches!(
+            fresh.iterate(false),
+            Err(SolveError::Numerical(_))
+        ));
+        assert_eq!(fresh.iterations, REJECTED_STREAK_MAX);
+        // With an eta file, the streak refactorizes, which recomputes the
+        // reduced costs exactly and certifies the optimum.
+        let mut stale = corrupted();
+        stale.etas.push(Eta {
+            slot: 0,
+            pivot: 1.0,
+            entries: Vec::new(),
+        });
+        assert_eq!(stale.iterate(false), Ok(()));
+        assert_eq!(stale.iterations, REJECTED_STREAK_MAX + 1);
+        assert_eq!(stale.n_refactor, 1);
     }
 
     #[test]

@@ -251,3 +251,88 @@ fn milp_relaxation_bound_holds() {
         );
     }
 }
+
+/// A random LP that is feasible by construction: `n` columns (some boxed,
+/// some unbounded above) and `m` rows of mixed sense whose right-hand
+/// sides hold at a random point inside the bounds. With `dual_feasible`
+/// every column sits at a lower bound of 0 with a nonnegative cost, so the
+/// all-slack basis is dual feasible; otherwise costs have mixed signs and
+/// lower bounds go negative (some instances are then unbounded).
+fn arb_feasible_lp<R: Rng>(rng: &mut R, dual_feasible: bool) -> Model {
+    let n = rng.gen_range(5..61usize);
+    let m = rng.gen_range(3..51usize);
+    let mut model = Model::new();
+    let mut vars = Vec::with_capacity(n);
+    let mut point = Vec::with_capacity(n);
+    for j in 0..n {
+        let (lo, cost) = if dual_feasible {
+            (0.0, rng.gen_range(0.0..3.0))
+        } else {
+            (rng.gen_range(-4.0..0.0), rng.gen_range(-3.0..3.0))
+        };
+        let hi = if rng.gen_bool(0.5) {
+            lo + rng.gen_range(0.5..6.0)
+        } else {
+            f64::INFINITY
+        };
+        vars.push(model.add_var(format!("x{j}"), lo, hi, cost));
+        let width = if hi.is_finite() { hi - lo } else { 6.0 };
+        point.push(lo + rng.gen_range(0.0..width));
+    }
+    for i in 0..m {
+        let mut terms = Vec::new();
+        for (&v, &x) in vars.iter().zip(&point) {
+            if rng.gen_bool(0.3) {
+                terms.push((v, rng.gen_range(-3.0..3.0), x));
+            }
+        }
+        let activity: f64 = terms.iter().map(|&(_, a, x)| a * x).sum();
+        let (sense, rhs) = match rng.gen_range(0..3u32) {
+            0 => (Sense::Le, activity + rng.gen_range(0.0..2.0)),
+            1 => (Sense::Ge, activity - rng.gen_range(0.0..2.0)),
+            _ => (Sense::Eq, activity),
+        };
+        model.add_con(
+            format!("r{i}"),
+            terms.into_iter().map(|(v, a, _)| (v, a)),
+            sense,
+            rhs,
+        );
+    }
+    model
+}
+
+#[test]
+fn slack_starts_agree_with_the_dense_oracle() {
+    // Solves offered no basis start from the all-slack basis and restore
+    // feasibility by dual steepest edge. On 600 feasible LPs they must match
+    // the dense tableau (the same objective, or both unbounded), and every
+    // optimum must be reached without falling back to the two-phase solve:
+    // only unboundedness is handed to it.
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC01D_57A7);
+    let (mut optima, mut unbounded) = (0, 0);
+    for case in 0..600 {
+        let model = arb_feasible_lp(&mut rng, case % 2 == 0);
+        let dense = DenseSimplex::new().solve(&model);
+        match (model.solve(), dense) {
+            (Ok(r), Ok(d)) => {
+                let scale = 1.0 + d.objective.abs();
+                assert!(
+                    (r.objective - d.objective).abs() < 1e-6 * scale,
+                    "case {case}: revised {} dense {}",
+                    r.objective,
+                    d.objective
+                );
+                assert!(!r.warm_started, "case {case}: no basis was offered");
+                assert_eq!(r.stats.fallbacks, 0, "case {case}: fell back");
+                optima += 1;
+            }
+            (Err(SolveError::Unbounded), Err(SolveError::Unbounded)) => unbounded += 1,
+            (r, d) => panic!("case {case}: revised {r:?} dense {d:?}"),
+        }
+    }
+    assert!(
+        optima > 400 && unbounded > 0,
+        "{optima} optima, {unbounded} unbounded"
+    );
+}

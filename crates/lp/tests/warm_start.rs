@@ -43,6 +43,22 @@ fn round_trip_converges_in_at_most_one_iteration() {
 }
 
 #[test]
+fn a_solve_offered_no_basis_is_not_a_warm_start() {
+    // The slack start runs the warm path's restoration and phase 2 (row
+    // `need` is violated at the slack basis), yet no basis was offered.
+    let m = sample_model();
+    for sol in [
+        solver().solve(&m).expect("solve"),
+        solver().solve_warm(&m, None).expect("solve"),
+    ] {
+        assert!(!sol.warm_started, "a slack start is not a warm start");
+        assert_eq!(sol.stats.fallbacks, 0, "stats: {:?}", sol.stats);
+        assert!(sol.iterations > 0);
+        assert!((sol.objective - 11.0).abs() < 1e-9, "{}", sol.objective);
+    }
+}
+
+#[test]
 fn singular_basis_is_repaired_to_cold_optimum() {
     // x and y have linearly dependent columns; forcing both basic with all
     // slacks nonbasic builds a singular basis. The installer repairs it by
@@ -66,8 +82,8 @@ fn singular_basis_is_repaired_to_cold_optimum() {
         .expect("repairs or falls back");
     assert!((warm.objective - cold.objective).abs() < 1e-9);
 
-    // A snapshot that is beyond repair (more basics than rows) still falls
-    // back to the crash basis.
+    // A snapshot that is beyond repair (more basics than rows) is ignored:
+    // the solve starts from the slack basis.
     let overfull = Basis::from_statuses(vec![BasisStatus::Basic; 4]);
     let cold2 = solver()
         .solve_warm(&m, Some(&overfull))
