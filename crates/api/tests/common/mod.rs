@@ -194,7 +194,8 @@ pub fn annual_spec(hours: usize, vm_count: u32, start_hour: usize) -> Experiment
     })
 }
 
-/// A small deterministic siting spec (exercises the candidate cache).
+/// A small deterministic siting spec at the default chain count
+/// (exercises the candidate cache).
 pub fn siting_spec() -> ExperimentSpec {
     ExperimentSpec::Siting(SitingSpec {
         input: PlacementInput {
@@ -205,7 +206,6 @@ pub fn siting_spec() -> ExperimentSpec {
             profile: ProfileConfig::coarse(),
             filter_keep: 4,
             iterations: 8,
-            chains: 1,
             patience: 6,
             seed: SEED,
             ..SearchSpec::default()

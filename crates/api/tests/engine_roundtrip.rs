@@ -62,7 +62,6 @@ fn tiny_emulation(hours: usize) -> EmulationConfig {
 #[test]
 fn siting_spec_replays_identically() {
     let engine = Engine::new(WorldCatalog::synthetic(24, 17));
-    // One chain keeps the shared eval-cache counters deterministic.
     let spec = ExperimentSpec::Siting(SitingSpec {
         input: PlacementInput {
             total_capacity_mw: 20.0,
@@ -72,7 +71,6 @@ fn siting_spec_replays_identically() {
             profile: ProfileConfig::coarse(),
             filter_keep: 6,
             iterations: 12,
-            chains: 1,
             patience: 10,
             seed: 5,
             ..SearchSpec::default()

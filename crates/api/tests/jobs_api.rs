@@ -13,7 +13,8 @@
 mod common;
 
 use common::{
-    annual_spec, http, normalize_report_json, remove_journal, start, temp_path, ResponseExt, SEED,
+    annual_spec, http, normalize_report_json, remove_journal, siting_spec, start, temp_path,
+    ResponseExt, SEED,
 };
 use greencloud_api::http::Response;
 use greencloud_api::json::Json;
@@ -62,53 +63,58 @@ fn job_completes_and_report_matches_synchronous_solve() {
     let (server, addr) = start(|cfg| {
         cfg.default_deadline_ms = 120_000;
     });
-    let body = annual_spec(48, 4, 0).to_json_string().into_bytes();
+    // An annual emulation, and a siting search at the default 4 chains.
+    for spec in [annual_spec(48, 4, 0), siting_spec()] {
+        let body = spec.to_json_string().into_bytes();
 
-    let resp = http(addr, "POST", "/v1/jobs", &[], Some(&body));
-    assert_eq!(resp.status, 202, "{}", resp.body);
-    let ack = resp.json();
-    assert_eq!(
-        ack.get("schema").and_then(Json::as_str),
-        Some("greencloud-job/1")
-    );
-    let id = ack
-        .get("job_id")
-        .and_then(Json::as_str)
-        .expect("202 carries job_id")
-        .to_string();
-    assert_eq!(id.len(), 32, "content-derived id is 32 hex chars: {id}");
-    assert_eq!(
-        resp.header("Location"),
-        Some(format!("/v1/jobs/{id}").as_str())
-    );
+        let resp = http(addr, "POST", "/v1/jobs", &[], Some(&body));
+        assert_eq!(resp.status, 202, "{}", resp.body);
+        let ack = resp.json();
+        assert_eq!(
+            ack.get("schema").and_then(Json::as_str),
+            Some("greencloud-job/1")
+        );
+        let id = ack
+            .get("job_id")
+            .and_then(Json::as_str)
+            .expect("202 carries job_id")
+            .to_string();
+        assert_eq!(id.len(), 32, "content-derived id is 32 hex chars: {id}");
+        assert_eq!(
+            resp.header("Location"),
+            Some(format!("/v1/jobs/{id}").as_str())
+        );
 
-    let done = wait_terminal(addr, &id, 120_000);
-    assert_eq!(
-        done.header("X-Job-Status"),
-        Some("completed"),
-        "{}",
-        done.body
-    );
+        let done = wait_terminal(addr, &id, 120_000);
+        assert_eq!(
+            done.header("X-Job-Status"),
+            Some("completed"),
+            "{}",
+            done.body
+        );
 
-    // The job's report must match a synchronous solve of the same spec,
-    // byte for byte once clocks are zeroed.
-    let sync = http(
-        addr,
-        "POST",
-        "/v1/experiments",
-        &[("Cache-Control", "no-cache")],
-        Some(&body),
-    );
-    assert_eq!(sync.status, 200, "{}", sync.body);
-    assert_eq!(
-        normalize_report_json(&done.body),
-        normalize_report_json(&sync.body)
-    );
+        // The job's report must match a synchronous solve of the same spec,
+        // byte for byte once clocks are zeroed.
+        let sync = http(
+            addr,
+            "POST",
+            "/v1/experiments",
+            &[("Cache-Control", "no-cache")],
+            Some(&body),
+        );
+        assert_eq!(sync.status, 200, "{}", sync.body);
+        assert_eq!(
+            normalize_report_json(&done.body),
+            normalize_report_json(&sync.body),
+            "{} job",
+            spec.kind()
+        );
 
-    // DELETE on a terminal job is a conflict, not a cancellation.
-    let del = http(addr, "DELETE", &format!("/v1/jobs/{id}"), &[], None);
-    assert_eq!(del.status, 409, "{}", del.body);
-    assert_eq!(del.code().as_deref(), Some("job_terminal"));
+        // DELETE on a terminal job is a conflict, not a cancellation.
+        let del = http(addr, "DELETE", &format!("/v1/jobs/{id}"), &[], None);
+        assert_eq!(del.status, 409, "{}", del.body);
+        assert_eq!(del.code().as_deref(), Some("job_terminal"));
+    }
 
     server.trigger_shutdown();
     server.join();

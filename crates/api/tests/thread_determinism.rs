@@ -1,14 +1,19 @@
 //! Cross-thread-count determinism: the shipped `examples/quick.spec.json`
 //! must produce byte-identical [`Report::normalized`] output whether the
-//! engine runs single-threaded or with a full worker pool.
+//! engine runs single-threaded or with a full worker pool, and a siting
+//! search at the default 4 chains must produce the same report on every
+//! run.
 //!
 //! This is the runtime counterpart to the `gclint` static rules: the lint
 //! proves nothing *reads* wall clocks or hash-ordered collections on the
 //! deterministic path, and this test proves the observable reports agree
 //! across thread counts.
 
+use greencloud_api::spec::{SearchSpec, SitingSpec};
 use greencloud_api::{Engine, ExperimentSpec};
 use greencloud_climate::catalog::WorldCatalog;
+use greencloud_climate::profiles::ProfileConfig;
+use greencloud_core::framework::PlacementInput;
 use std::path::Path;
 
 /// Loads the quick spec shipped in `examples/`.
@@ -68,4 +73,42 @@ fn run_all_batch_is_deterministic_across_thread_counts() {
         pooled.windows(2).all(|w| w[0] == w[1]),
         "identical specs diverged within a single batch"
     );
+}
+
+#[test]
+fn four_chain_siting_is_deterministic_across_runs_and_thread_counts() {
+    // 16 iterations take every chain through two barriers, where the
+    // chains merge their evaluations and adopt the incumbent.
+    let search = SearchSpec {
+        profile: ProfileConfig::coarse(),
+        filter_keep: 6,
+        iterations: 16,
+        patience: 12,
+        seed: 5,
+        ..SearchSpec::default()
+    };
+    assert_eq!(search.chains, 4, "the default chain count");
+    let spec = ExperimentSpec::Siting(SitingSpec {
+        input: PlacementInput {
+            total_capacity_mw: 20.0,
+            ..PlacementInput::default()
+        },
+        search,
+    });
+    let run = |threads: usize| {
+        Engine::new(WorldCatalog::synthetic(24, 17))
+            .with_threads(threads)
+            .run(&spec)
+            .expect("siting run")
+            .normalized()
+            .to_json_string()
+    };
+    let first = run(1);
+    for threads in [8, 2, 2, 2] {
+        assert_eq!(
+            run(threads),
+            first,
+            "a 4-chain siting report changed between runs (threads={threads})"
+        );
+    }
 }

@@ -1185,9 +1185,11 @@ fn timing(ctx: &Ctx) {
 
 /// The exact work curve of the siting search: Fig. 7 green, Fig. 7 brown
 /// and Table III at the full reproduction budget on `world(150)`, each
-/// one chain on a 1-thread engine so its counts do not depend on thread
-/// timing. Each row holds the search's wall time, simplex iterations and
-/// warm-start rate; a search that fails is reported and left out.
+/// one chain on a 1-thread engine. Any chain count gives exact counts; one
+/// chain keeps the rows comparable with the snapshots in
+/// `bench/trajectory/`. Each row holds the search's wall time, simplex
+/// iterations and warm-start rate; a search that fails is reported and
+/// left out.
 fn search_records() -> Vec<TimingRecord> {
     let engine = Engine::new(world(150)).with_threads(1);
     let search = SearchSpec {

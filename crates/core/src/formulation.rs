@@ -29,7 +29,7 @@
 
 use crate::candidate::CandidateSite;
 use crate::framework::{PlacementInput, SizeClass};
-use crate::siteblock::{SiteBlock, SiteBlockCache, SiteVars, MONTHS};
+use crate::siteblock::{SiteBlock, SiteVars, MONTHS};
 use greencloud_cost::finance::{land_monthly_cost, monthly_cost};
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Basis, Model, Sense, SimplexOptions, Solution, SolveError, VarId};
@@ -191,8 +191,7 @@ pub struct NetworkDispatch {
 
 /// Builds the LP for `sites` under `input`, compiling every site block from
 /// scratch. Hot paths that evaluate many sitings over one candidate set
-/// should use [`build_network_lp_cached`] instead, which reuses compiled
-/// blocks across sitings.
+/// reuse compiled blocks across sitings through [`assemble`] instead.
 ///
 /// # Panics
 ///
@@ -247,37 +246,20 @@ pub fn solve_single(
     build_network_lp(params, &single, &[(site, class)]).solve()
 }
 
-/// Builds the LP for the siting `siting` over `candidates`, reusing
-/// compiled per-site blocks from `cache`. A neighbour siting that differs
-/// in one site compiles exactly one new block; everything else is an
-/// `Arc` clone. The assembled model is identical to what
+/// Assembles compiled site blocks, each with its site, plus the network
+/// coupling rows into a solvable LP. The search paths compile each
+/// `(candidate, class)` block once per `(params, input)` pair and call this
+/// for every siting, so a neighbour siting that differs in one site
+/// compiles at most one new block. The model is the one
 /// [`build_network_lp`] produces for the same sites (same variable
-/// ordering, bounds, coefficients), so simplex bases transfer between the
-/// two paths and across neighbouring sitings of the same shape.
+/// ordering, bounds and coefficients), so simplex bases transfer between
+/// the two and across neighbouring sitings of the same shape.
 ///
 /// # Panics
 ///
-/// Panics if `siting` is empty, the input fails validation, or the sites
-/// do not share one slot clock.
-pub fn build_network_lp_cached(
-    params: &CostParams,
-    input: &PlacementInput,
-    candidates: &[CandidateSite],
-    siting: &[(usize, SizeClass)],
-    cache: &SiteBlockCache,
-) -> NetworkLp {
-    let entries: Vec<(&CandidateSite, Arc<SiteBlock>)> = siting
-        .iter()
-        .map(|&(ci, class)| {
-            let site = &candidates[ci];
-            (site, cache.get_or_build(params, input, ci, site, class))
-        })
-        .collect();
-    assemble(input, &entries)
-}
-
-/// Assembles site blocks plus the network coupling rows into a solvable LP.
-fn assemble(input: &PlacementInput, sites: &[(&CandidateSite, Arc<SiteBlock>)]) -> NetworkLp {
+/// Panics if `sites` is empty, the input fails validation, or the sites do
+/// not share one slot clock.
+pub fn assemble(input: &PlacementInput, sites: &[(&CandidateSite, Arc<SiteBlock>)]) -> NetworkLp {
     assert!(!sites.is_empty(), "need at least one site");
     // gclint: allow(panic-path) — documented panicking precondition; the Engine validates every spec's input before it builds an LP
     input.validate().expect("invalid placement input");

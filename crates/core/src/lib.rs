@@ -18,11 +18,14 @@
 //!   documented strict-green and no-cash-out refinements) into an LP for a
 //!   fixed siting, on the representative-day slot clock; also the Fig. 6
 //!   single-location provisioning solve ([`formulation::solve_single`]).
-//! * [`siteblock`] — per-site LP column blocks and the block cache the hot
-//!   search paths use to avoid recompiling unchanged sites.
+//! * [`siteblock`] — per-site LP column blocks, which the search paths
+//!   compile once per `(candidate, class)` and assemble into every siting's
+//!   LP instead of recompiling unchanged sites.
 //! * [`filter`] — the heuristic's location pre-filter.
 //! * [`anneal`] — parallel simulated-annealing search over sitings, each
-//!   candidate evaluated by solving its LP.
+//!   candidate evaluated by solving its LP. The chains merge their work at
+//!   barriers in a fixed order, so a search is a function of its inputs and
+//!   seed.
 //! * [`milp`] — the exact branch & bound path for small candidate sets.
 //!
 //! The pipeline (candidates → filter → search → report) is composed in one

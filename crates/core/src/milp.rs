@@ -17,11 +17,13 @@
 
 use crate::availability::min_datacenters;
 use crate::candidate::CandidateSite;
-use crate::formulation::{build_network_lp_cached, NetworkDispatch};
+use crate::formulation::{assemble, NetworkDispatch};
 use crate::framework::{PlacementInput, SizeClass};
-use crate::siteblock::SiteBlockCache;
+use crate::siteblock::SiteBlock;
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Basis, SimplexOptions, SolveError};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options for the exhaustive exact search.
 #[derive(Debug, Clone)]
@@ -76,7 +78,7 @@ pub fn solve_exact(
     let mut best: Option<BestSiting> = None;
     // Per-site blocks are identical across the enumeration, so compile each
     // (candidate, class) pair once and reuse it for every subset.
-    let blocks = SiteBlockCache::new();
+    let mut blocks: HashMap<(usize, SizeClass), Arc<SiteBlock>> = HashMap::new();
     // Enumerate subsets by bitmask, then size classes per member.
     for mask in 1u32..(1 << n) {
         let members: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
@@ -114,7 +116,16 @@ pub fn solve_exact(
                     continue;
                 }
             }
-            let lp = build_network_lp_cached(params, input, candidates, &siting, &blocks);
+            let sites: Vec<_> = siting
+                .iter()
+                .map(|&(ci, class)| {
+                    let block = blocks.entry((ci, class)).or_insert_with(|| {
+                        Arc::new(SiteBlock::build(params, input, ci, &candidates[ci], class))
+                    });
+                    (&candidates[ci], Arc::clone(block))
+                })
+                .collect();
+            let lp = assemble(input, &sites);
             if let Ok((dispatch, basis)) =
                 lp.solve_warm(SimplexOptions::default(), last_basis.as_ref())
             {

@@ -1,4 +1,4 @@
-//! Per-site LP column blocks and their cache.
+//! Per-site LP column blocks.
 //!
 //! The siting LP ([`crate::formulation`]) is block-structured: every site
 //! contributes an identical *shape* of sizing/dispatch variables and
@@ -9,22 +9,20 @@
 //! which other sites share the network.
 //!
 //! Blocks depend only on `(candidate, SizeClass)` for a fixed
-//! [`PlacementInput`]/[`CostParams`], so the annealing search caches them in
-//! a [`SiteBlockCache`]: a neighbour siting that adds, removes, or swaps one
-//! site re-compiles at most one block instead of re-emitting every variable
-//! and constraint. Assembly order follows the siting (which is kept sorted),
-//! giving a stable variable ordering so simplex bases transfer between
-//! neighbouring sitings (see `DESIGN.md`).
+//! [`PlacementInput`]/[`CostParams`], so the annealing search and the exact
+//! enumerator each keep a map of the blocks they compiled, local to one
+//! call, and [`assemble`](crate::formulation::assemble) every siting from
+//! it: a neighbour siting that adds, removes, or swaps one site compiles at
+//! most one block instead of re-emitting every variable and constraint.
+//! Assembly order follows the siting (which is kept sorted), giving a
+//! stable variable ordering so simplex bases transfer between neighbouring
+//! sitings (see `DESIGN.md`).
 
 use crate::candidate::CandidateSite;
 use crate::formulation::UnitCosts;
 use crate::framework::{PlacementInput, SizeClass, StorageMode};
-use crate::lock_ok;
 use greencloud_cost::params::CostParams;
 use greencloud_lp::{Model, Sense, VarId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Months per year (energy flows are annual; costs are reported monthly).
 pub(crate) const MONTHS: f64 = 12.0;
@@ -405,106 +403,15 @@ fn cyclic_prev(t: usize, block_len: usize, num_slots: usize) -> usize {
     }
 }
 
-/// Concurrent cache of compiled [`SiteBlock`]s, keyed by
-/// `(candidate index, SizeClass)`.
-///
-/// A cache instance is only valid for one `(CostParams, PlacementInput,
-/// candidate set)` combination — the annealing search and the exact
-/// enumerator each create their own per run. Sharded so parallel SA chains
-/// rarely contend.
-#[derive(Debug)]
-pub struct SiteBlockCache {
-    shards: Vec<BlockShard>,
-    /// The `(params, input)` pair this cache was first used with; blocks
-    /// depend on both, so reuse under a different pair is a logic error.
-    fingerprint: Mutex<Option<(CostParams, PlacementInput)>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-/// One lock-protected shard of the block cache.
-type BlockShard = Mutex<HashMap<(usize, SizeClass), Arc<SiteBlock>>>;
-
-impl Default for SiteBlockCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SiteBlockCache {
-    /// An empty cache with the default shard count.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..8).map(|_| Mutex::new(HashMap::new())).collect(),
-            fingerprint: Mutex::new(None),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard(&self, ci: usize) -> &BlockShard {
-        &self.shards[ci % self.shards.len()]
-    }
-
-    /// Returns the cached block for `(ci, class)`, compiling it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is reused with a different `(params, input)`
-    /// pair than it was first used with — cached blocks would silently
-    /// describe the wrong problem otherwise.
-    pub fn get_or_build(
-        &self,
-        params: &CostParams,
-        input: &PlacementInput,
-        ci: usize,
-        site: &CandidateSite,
-        class: SizeClass,
-    ) -> Arc<SiteBlock> {
-        {
-            let mut fp = lock_ok(&self.fingerprint);
-            match fp.as_ref() {
-                None => *fp = Some((params.clone(), input.clone())),
-                Some((p, i)) => assert!(
-                    p == params && i == input,
-                    "SiteBlockCache reused with different CostParams/PlacementInput; \
-                     create one cache per (params, input) pair"
-                ),
-            }
-        }
-        let shard = self.shard(ci);
-        if let Some(hit) = lock_ok(shard).get(&(ci, class)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock; losing a race just wastes one build.
-        let block = Arc::new(SiteBlock::build(params, input, ci, site, class));
-        let mut guard = lock_ok(shard);
-        let entry = guard
-            .entry((ci, class))
-            .or_insert_with(|| Arc::clone(&block));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(entry)
-    }
-
-    /// Cache hits since construction.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (block compilations) since construction.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formulation::{build_network_lp, build_network_lp_cached};
+    use crate::formulation::{assemble, build_network_lp, NetworkLp};
     use crate::framework::{PlacementInput, TechMix};
     use greencloud_climate::catalog::WorldCatalog;
     use greencloud_climate::profiles::ProfileConfig;
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn candidates() -> Vec<CandidateSite> {
         let w = WorldCatalog::anchors_only(4);
@@ -519,6 +426,27 @@ mod tests {
             storage: StorageMode::NetMetering,
             ..PlacementInput::default()
         }
+    }
+
+    /// Assembles `siting` from `blocks`, compiling the blocks it lacks, as
+    /// the search paths do.
+    fn assemble_from(
+        blocks: &mut HashMap<(usize, SizeClass), Arc<SiteBlock>>,
+        params: &CostParams,
+        input: &PlacementInput,
+        cands: &[CandidateSite],
+        siting: &[(usize, SizeClass)],
+    ) -> NetworkLp {
+        let sites: Vec<_> = siting
+            .iter()
+            .map(|&(ci, class)| {
+                let block = blocks.entry((ci, class)).or_insert_with(|| {
+                    Arc::new(SiteBlock::build(params, input, ci, &cands[ci], class))
+                });
+                (&cands[ci], Arc::clone(block))
+            })
+            .collect();
+        assemble(input, &sites)
     }
 
     #[test]
@@ -540,8 +468,7 @@ mod tests {
             let siting = vec![(2usize, SizeClass::Large), (5usize, SizeClass::Small)];
             let sites: Vec<_> = siting.iter().map(|&(ci, c)| (&cands[ci], c)).collect();
             let direct = build_network_lp(&params, &input, &sites);
-            let cache = SiteBlockCache::new();
-            let cached = build_network_lp_cached(&params, &input, &cands, &siting, &cache);
+            let cached = assemble_from(&mut HashMap::new(), &params, &input, &cands, &siting);
             assert_eq!(direct.num_vars(), cached.num_vars());
             assert_eq!(direct.num_cons(), cached.num_cons());
             let a = direct.solve();
@@ -563,23 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_reuses_compiled_blocks() {
-        let cands = candidates();
-        let params = CostParams::default();
-        let input = nm_input();
-        let cache = SiteBlockCache::new();
-        let b1 = cache.get_or_build(&params, &input, 2, &cands[2], SizeClass::Large);
-        let b2 = cache.get_or_build(&params, &input, 2, &cands[2], SizeClass::Large);
-        assert!(Arc::ptr_eq(&b1, &b2), "same key must share one block");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        // A different class is a different block.
-        let b3 = cache.get_or_build(&params, &input, 2, &cands[2], SizeClass::Small);
-        assert!(!Arc::ptr_eq(&b1, &b3));
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
     fn neighbour_sitings_transfer_bases() {
         // Two sitings differing in one site (same length, same storage
         // mode): the optimal basis of the first must warm-start the second
@@ -587,14 +497,14 @@ mod tests {
         let cands = candidates();
         let params = CostParams::default();
         let input = nm_input();
-        let cache = SiteBlockCache::new();
+        let mut blocks = HashMap::new();
         let a = vec![(2usize, SizeClass::Large), (5usize, SizeClass::Large)];
         let b = vec![(2usize, SizeClass::Large), (7usize, SizeClass::Large)];
-        let lp_a = build_network_lp_cached(&params, &input, &cands, &a, &cache);
+        let lp_a = assemble_from(&mut blocks, &params, &input, &cands, &a);
         let (_, basis_a) = lp_a
             .solve_warm(Default::default(), None)
             .expect("siting A solves");
-        let lp_b = build_network_lp_cached(&params, &input, &cands, &b, &cache);
+        let lp_b = assemble_from(&mut blocks, &params, &input, &cands, &b);
         let (cold_b, _) = lp_b.solve_warm(Default::default(), None).expect("cold B");
         let (warm_b, _) = lp_b
             .solve_warm(Default::default(), basis_a.as_ref())
@@ -609,7 +519,7 @@ mod tests {
         if warm_b.warm_started {
             assert!(warm_b.iterations <= cold_b.iterations);
         }
-        // Shared site block (candidate 2, Large) was compiled once.
-        assert!(cache.hits() >= 1, "hits {}", cache.hits());
+        // The shared site block (candidate 2, Large) was compiled once.
+        assert_eq!(blocks.len(), 3);
     }
 }
