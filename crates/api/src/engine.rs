@@ -565,9 +565,9 @@ fn time_solve(
 /// Runs `rounds` consecutive hourly re-solves of the Table III network
 /// from a fixed summer hour twice: warm through one persistent
 /// [`RollingScheduler`], then cold through a fresh one per round, which
-/// builds and two-phase solves the window model. Returns the warm wall
-/// time (ms), the rolling scheduler's stats, the cold wall time (ms) and
-/// the cold rounds' simplex iterations summed.
+/// builds the window model and solves it from the slack basis. Returns the
+/// warm wall time (ms), the rolling scheduler's stats, the cold wall time
+/// (ms) and the cold rounds' simplex iterations summed.
 fn rolling_warm_cold(
     profiles: &[SiteProfile],
     rounds: usize,

@@ -73,7 +73,7 @@ pub struct SearchStats {
     /// count.
     pub warm_attempts: usize,
     /// Solves that started from the warm basis and finished from it,
-    /// without falling back to the two-phase solve
+    /// without restarting from the slack basis
     /// ([`Solution::warm_started`](greencloud_lp::Solution::warm_started)).
     pub warm_hits: usize,
     /// Site blocks a chain found compiled, by itself or (after a barrier)

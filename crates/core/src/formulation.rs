@@ -483,7 +483,7 @@ impl NetworkLp {
                 1.0
             },
             total_capacity_mw: total_capacity,
-            iterations: sol.iterations,
+            iterations: sol.stats.iterations,
             warm_started: sol.warm_started,
             lp_stats: sol.stats,
         }

@@ -66,7 +66,6 @@ impl BranchAndBound {
             if nodes_explored > MAX_NODES {
                 return match incumbent {
                     Some(mut sol) => {
-                        sol.iterations = total_stats.iterations;
                         sol.stats = total_stats;
                         Ok(sol)
                     }
@@ -163,7 +162,6 @@ impl BranchAndBound {
 
         match incumbent {
             Some(mut sol) => {
-                sol.iterations = total_stats.iterations;
                 sol.stats = total_stats;
                 Ok(sol)
             }

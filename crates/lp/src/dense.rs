@@ -277,7 +277,6 @@ impl DenseSimplex {
         Ok(Solution {
             objective,
             values,
-            iterations,
             basis: None,
             warm_started: false,
             stats: crate::revised::SolveStats {

@@ -15,9 +15,10 @@
 //!   eta updates, and periodic refactorization. Every solve starts from a
 //!   warm basis or the all-slack basis, restores primal feasibility by
 //!   dual-simplex pivots (dual steepest edge on slack starts) and finishes
-//!   with primal phase 2; the two-phase method is its fallback. This is the
-//!   production path and comfortably solves the multi-thousand-variable
-//!   siting LPs.
+//!   with primal phase 2, one path that proves infeasibility and
+//!   unboundedness itself; a warm start that stalls restarts from the
+//!   slack basis. This is the production path and comfortably solves the
+//!   multi-thousand-variable siting LPs.
 //! * [`branch::BranchAndBound`] — mixed-integer solving by branch & bound on
 //!   the LP relaxation.
 //! * [`validate`] — independent feasibility checking of solutions, used by

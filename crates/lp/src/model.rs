@@ -119,18 +119,15 @@ pub struct Solution {
     pub objective: f64,
     /// Value of every variable, indexed by [`VarId::index`].
     pub values: Vec<f64>,
-    /// Simplex iterations spent (phase 1 + phase 2), when reported.
-    /// Mirrors [`Solution::stats`]`.iterations`; kept as a direct field for
-    /// API stability with earlier callers.
-    pub iterations: usize,
     /// Final simplex basis, when the solver maintains one (the revised
     /// simplex does; the dense tableau and branch & bound report `None`).
     /// Feed it to [`Model::solve_with_basis`] to warm-start a re-solve.
     pub basis: Option<crate::revised::Basis>,
-    /// `true` when the solve actually started from a supplied warm basis
-    /// and finished from it. `false` for a solve offered no basis (it
-    /// starts from the all-slack basis), for a basis that could not be
-    /// installed, and when the attempt fell back to the two-phase solve.
+    /// `true` when the solve started from a supplied warm basis and
+    /// finished from it. `false` for a solve offered no basis (it starts
+    /// from the all-slack basis), for a basis that could not be installed,
+    /// and for a warm attempt that stalled and restarted from the slack
+    /// basis.
     pub warm_started: bool,
     /// Per-solve solver counters (iterations, refactorizations,
     /// FTRAN/BTRAN counts, pricing time). The revised simplex fills every
@@ -376,8 +373,8 @@ impl Model {
 
     /// Solves with explicit simplex options, warm-starting from a basis
     /// previously exported in [`Solution::basis`] (from this model or a
-    /// same-shape neighbour). An unusable basis silently falls back to a
-    /// cold solve; see [`crate::revised::Basis`].
+    /// same-shape neighbour). An unusable basis silently gives way to the
+    /// all-slack basis; see [`crate::revised::Basis`].
     ///
     /// # Errors
     ///

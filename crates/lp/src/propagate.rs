@@ -14,11 +14,12 @@
 //!
 //! The answer is a verdict only. Tightened bounds live in scratch vectors
 //! and are dropped, so the simplex always sees the unmodified model. The
-//! proof is deliberately weaker than the simplex's phase 1: every row may
-//! miss its right-hand side by `10·feas_tol` (the simplex's phase-1
-//! threshold) scaled by the row's size, and every derived bound is relaxed
-//! by that margin plus a relative round-off guard, so a model the simplex
-//! would solve is not called infeasible here.
+//! proof is deliberately weaker than the simplex's own: every row may miss
+//! its right-hand side by `10·feas_tol` (ten times the tolerance the
+//! simplex allows a basic variable past its bound) scaled by the row's
+//! size, and every derived bound is relaxed by that margin plus a relative
+//! round-off guard, so a model the simplex would solve is not called
+//! infeasible here.
 
 use crate::model::{Model, Sense};
 

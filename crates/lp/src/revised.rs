@@ -10,16 +10,21 @@
 //!
 //! # Starting bases
 //!
-//! Every solve runs the same path from some starting basis: dual-simplex
-//! pivots restore primal feasibility, then primal phase 2 certifies
-//! optimality. A warm start begins from the [`Basis`] it is offered. A
-//! solve offered none begins from the all-slack basis (`B = I`, so it can
-//! never be singular), with every structural at the finite bound nearest
-//! zero, and its restoration picks leaving rows by dual steepest edge
-//! (Forrest & Goldfarb, 1992). When that path fails (an unbounded LP, a
-//! stalled restoration, a numerical breakdown), the solve falls back to the
-//! classic two-phase method from a crash basis: slacks where the starting
-//! residual fits, sign-oriented artificials elsewhere.
+//! Every solve runs one path from some starting basis: dual-simplex pivots
+//! restore primal feasibility, then primal phase 2 certifies optimality. A
+//! warm start begins from the [`Basis`] it is offered. A solve offered none
+//! begins from the all-slack basis (`B = I`, so it can never be singular),
+//! with every structural at the finite bound nearest zero, and its
+//! restoration picks leaving rows by dual steepest edge (Forrest &
+//! Goldfarb, 1992).
+//!
+//! The path proves its own verdicts. A violated row whose pivot row offers
+//! no entering column proves the LP infeasible: no move of the nonbasic
+//! columns within their boxes brings the row's basic variable closer to
+//! its bound. A primal ray from the restored, primal-feasible basis proves
+//! it unbounded. A warm start that ends any other way (a stalled
+//! restoration, the iteration limit, numerical trouble) restarts once from
+//! the slack basis, and a slack start's error is the answer.
 //!
 //! # Pricing
 //!
@@ -62,46 +67,25 @@ pub enum BasisStatus {
 /// shape (identical variable/constraint counts, possibly different bounds,
 /// coefficients, RHS, or objective). The solver validates the snapshot
 /// against the new model (dimension check, bound repair, singularity check
-/// via [`crate::lu::SparseLu`], primal feasibility) and silently falls back
-/// to a cold solve (the slack start when the snapshot cannot be installed,
-/// the two-phase crash basis when its restoration or phase 2 fails), so
-/// warm starts never change *what* is solved — only how fast.
+/// via [`crate::lu::SparseLu`]) and starts from the slack basis instead
+/// when it cannot be installed, or when its restoration or phase 2 stalls
+/// without proving the model infeasible or unbounded, so warm starts never
+/// change *what* is solved — only how fast.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     statuses: Vec<BasisStatus>,
-    /// Rows whose *artificial* column was still (degenerately) basic at
-    /// zero when the snapshot was taken. Re-installing those unit columns
-    /// keeps the basis square without re-running phase 1.
-    artificial_rows: Vec<usize>,
 }
 
 impl Basis {
     /// Builds a snapshot from raw statuses (structural variables first,
     /// then one slack per constraint).
     pub fn from_statuses(statuses: Vec<BasisStatus>) -> Self {
-        Self {
-            statuses,
-            artificial_rows: Vec::new(),
-        }
-    }
-
-    /// Builds a snapshot that also pins the artificial columns of
-    /// `artificial_rows` into the basis (degenerate leftovers of phase 1).
-    pub fn with_artificials(statuses: Vec<BasisStatus>, artificial_rows: Vec<usize>) -> Self {
-        Self {
-            statuses,
-            artificial_rows,
-        }
+        Self { statuses }
     }
 
     /// The per-column statuses (structural variables, then slacks).
     pub fn statuses(&self) -> &[BasisStatus] {
         &self.statuses
-    }
-
-    /// Rows whose artificial column is part of the basis (usually empty).
-    pub fn artificial_rows(&self) -> &[usize] {
-        &self.artificial_rows
     }
 
     /// Number of columns covered (num_vars + num_cons of the source model).
@@ -144,9 +128,8 @@ pub enum PricingMode {
 /// the same solve compare equal even though their clocks differ.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
-    /// Simplex iterations (dual restoration + phase 1 + phase 2), including
-    /// any discarded warm or slack attempt that fell back to the two-phase
-    /// solve.
+    /// Simplex iterations (dual restoration + phase 2), including those of
+    /// a discarded warm attempt that restarted from the slack basis.
     pub iterations: usize,
     /// Basis refactorizations (includes the final accuracy refactorization
     /// before extraction).
@@ -160,10 +143,10 @@ pub struct SolveStats {
     /// BTRAN and gather, and the reduced-cost and devex-weight updates, in
     /// the primal iterations and in the dual restoration.
     pub pricing_ns: u64,
-    /// Warm or slack starts whose restoration or phase 2 failed, so the
-    /// solve fell back to the two-phase crash-basis path (at most 1 per
-    /// solve; summed by [`SolveStats::absorb`]). An unbounded LP always
-    /// counts one: the two-phase solve is what reports it.
+    /// Warm starts restarted from the slack basis because their restoration
+    /// or phase 2 stalled or broke down (at most 1 per solve; summed by
+    /// [`SolveStats::absorb`]). A warm start that proves the model
+    /// infeasible or unbounded returns that verdict and counts none.
     pub fallbacks: usize,
 }
 
@@ -255,10 +238,12 @@ impl RevisedSimplex {
     /// Offered no basis (or one that cannot be installed), the solve takes
     /// the same path from the all-slack basis, its restoration choosing
     /// leaving rows by dual steepest edge; [`Solution::warm_started`] stays
-    /// `false`. If the restoration or phase 2 fails, the solver silently
-    /// rebuilds and runs the two-phase crash-basis path (counted in
-    /// [`SolveStats::fallbacks`]), so the result is always identical (up to
-    /// tolerances) to a two-phase solve.
+    /// `false`. The path proves infeasibility and unboundedness itself (see
+    /// the module docs), from any starting basis. A warm start that ends in
+    /// any other error restarts once from the slack basis (counted in
+    /// [`SolveStats::fallbacks`], its work kept in the totals), so an
+    /// offered basis never changes the answer; a slack start's error is the
+    /// answer.
     ///
     /// Before any basis is built, row-activity bound propagation looks for
     /// a proof that the model is infeasible; when it finds one the solve
@@ -278,27 +263,30 @@ impl RevisedSimplex {
         // Validate-then-commit: a rejected basis leaves the slack basis
         // untouched, so the solve simply starts from there.
         let warm_installed = warm.is_some_and(|basis| w.try_install_basis(basis).is_ok());
-        let rule = if warm_installed {
-            LeavingRule::MaxViolation
-        } else {
-            LeavingRule::SteepestEdge
-        };
-        // Dual restoration, then phase 2. Any failure rebuilds and runs the
-        // two-phase solve, so the starting basis never changes *what* is
-        // solved; the work burned in the attempt is still real work.
+        // A warm attempt's proofs stand. Any other error may be the
+        // starting basis's doing: rebuild and restart once from the slack
+        // basis, keeping the work burned in the attempt in the totals.
         let mut discarded = None;
-        if w.restore_and_optimize(rule).is_err() {
-            discarded = Some(w.stats());
-            w = Worker::build(model, &self.options)?;
-            w.run()?;
+        let mut warm_solved = false;
+        if warm_installed {
+            match w.restore_and_optimize(LeavingRule::MaxViolation) {
+                Ok(()) => warm_solved = true,
+                Err(e @ (SolveError::Infeasible | SolveError::Unbounded)) => return Err(e),
+                Err(_) => {
+                    discarded = Some(w.stats());
+                    w = Worker::build(model, &self.options)?;
+                }
+            }
+        }
+        if !warm_solved {
+            w.restore_and_optimize(LeavingRule::SteepestEdge)?;
         }
         let mut sol = w.extract(model);
-        sol.warm_started = warm_installed && discarded.is_none();
+        sol.warm_started = warm_solved;
         if let Some(attempt) = discarded {
             sol.stats.absorb(&attempt);
             sol.stats.fallbacks += 1;
         }
-        sol.iterations = sol.stats.iterations;
         Ok(sol)
     }
 }
@@ -431,8 +419,8 @@ struct Worker<'a> {
     opts: &'a SimplexOptions,
     m: usize,
     n_struct: usize,
+    /// Structural columns, then one slack per row.
     n_total: usize,
-    art_offset: usize,
     cols: ColMatrix,
     /// CSR mirror of `cols` for pivot-row gathers (`αᵣ = ρᵀ·A` by sparse
     /// row access instead of scanning every column).
@@ -440,7 +428,6 @@ struct Worker<'a> {
     lb: Vec<f64>,
     ub: Vec<f64>,
     cost: Vec<f64>,
-    cost_phase1: Vec<f64>,
     rhs: Vec<f64>,
     status: Vec<ColStatus>,
     /// Pricing state of every column, in step with `status` and the bounds.
@@ -473,16 +460,12 @@ struct Worker<'a> {
     /// FTRAN output `τ = B⁻¹·ρ_r` of the steepest-edge update.
     work_tau: Vec<f64>,
     /// `d` must be recomputed from scratch before the next pricing scan
-    /// (set after refactorization, phase changes, and drift detection).
+    /// (set after refactorization, a basis install or repair, and drift
+    /// detection).
     d_stale: bool,
     /// `d` holds exactly recomputed values (no incremental updates since
     /// the last full recompute). Optimality is only declared when true.
     d_exact: bool,
-    /// Which phase's costs `d` was last computed for.
-    d_phase1: bool,
-    /// Columns subject to pricing for the current phase (`n_total` in
-    /// phase 1, `art_offset` in phase 2).
-    n_priced: usize,
     /// `GC_LP_PARANOID` was set at solver construction (env var read once,
     /// not per iteration).
     paranoid: bool,
@@ -498,8 +481,7 @@ impl<'a> Worker<'a> {
     fn build(model: &Model, opts: &'a SimplexOptions) -> Result<Self, SolveError> {
         let m = model.num_cons();
         let n_struct = model.num_vars();
-        let art_offset = n_struct + m;
-        let n_total = n_struct + 2 * m;
+        let n_total = n_struct + m;
 
         let mut cols = ColMatrix::new(m);
         let mut lb = Vec::with_capacity(n_total);
@@ -531,14 +513,6 @@ impl<'a> Worker<'a> {
             ub.push(u);
             cost.push(0.0);
         }
-        // Artificial columns, fixed at zero; only the two-phase path's
-        // crash basis (see [`Worker::crash`]) frees some of them.
-        for i in 0..m {
-            cols.push_col([(i, 1.0)]);
-            lb.push(0.0);
-            ub.push(0.0);
-            cost.push(0.0);
-        }
 
         let rhs: Vec<f64> = model.cons.iter().map(|c| c.rhs).collect();
 
@@ -559,15 +533,15 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        let basis: Vec<usize> = (n_struct..art_offset).collect();
+        let basis: Vec<usize> = (n_struct..n_total).collect();
         for (slot, &sj) in basis.iter().enumerate() {
             status[sj] = ColStatus::Basic(slot);
         }
 
         let lu = factorize_basis(&cols, &basis, m)?;
 
-        // Hard cap on simplex iterations across both phases, scaled with
-        // the problem size.
+        // Hard cap on simplex iterations across the restoration and phase
+        // 2, scaled with the problem size.
         let max_iterations = (20 * (m + n_struct)).max(2_000);
 
         let rows = RowMatrix::from_cols(&cols);
@@ -577,13 +551,11 @@ impl<'a> Worker<'a> {
             m,
             n_struct,
             n_total,
-            art_offset,
             cols,
             rows,
             lb,
             ub,
             cost,
-            cost_phase1: vec![0.0; n_total],
             rhs,
             status,
             state: vec![PriceState::Off; n_total],
@@ -606,8 +578,6 @@ impl<'a> Worker<'a> {
             work_tau: vec![0.0; m],
             d_stale: true,
             d_exact: false,
-            d_phase1: false,
-            n_priced: n_total,
             paranoid: std::env::var_os("GC_LP_PARANOID").is_some(),
             iterations: 0,
             max_iterations,
@@ -640,34 +610,6 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Turns the freshly built slack basis into the two-phase path's crash
-    /// basis: each row keeps its slack when the slack's bounds can absorb
-    /// the residual (the row starts feasible), and gets a sign-oriented
-    /// artificial in the slack's place otherwise. Both are unit columns, so
-    /// `B = I`, the factorization and the basic solution all stand. On the
-    /// siting LPs almost every row has zero residual at the nonbasic point,
-    /// so phase 1 starts with a handful of artificials, not one per row.
-    fn crash(&mut self) {
-        for i in 0..self.m {
-            let sj = self.n_struct + i;
-            let r = self.xb[i];
-            if self.lb[sj] <= r && r <= self.ub[sj] {
-                continue;
-            }
-            let aj = self.art_offset + i;
-            if r >= 0.0 {
-                self.ub[aj] = f64::INFINITY;
-                self.cost_phase1[aj] = 1.0;
-            } else {
-                self.lb[aj] = f64::NEG_INFINITY;
-                self.cost_phase1[aj] = -1.0;
-            }
-            self.set_status(sj, initial_status(self.lb[sj], self.ub[sj]));
-            self.set_status(aj, ColStatus::Basic(i));
-            self.basis[i] = aj;
-        }
-    }
-
     /// Attempts to install an exported warm basis over the freshly built
     /// slack basis. Validate-then-commit: all checks run on scratch state,
     /// and `self` is only mutated once the basis is proven usable — a
@@ -677,10 +619,11 @@ impl<'a> Worker<'a> {
     /// The snapshot is *repaired* rather than trusted: nonbasic statuses
     /// that no longer match the model's bounds are remapped, and a
     /// singular basic set is repaired column-by-column against the LU
-    /// factorization. The recomputed basic solution may violate bounds —
-    /// [`Worker::warm_optimize`] recovers feasibility by bound shifting.
+    /// factorization. The recomputed basic solution may violate bounds:
+    /// [`Worker::restore_and_optimize`] starts with the dual restoration
+    /// that recovers feasibility.
     fn try_install_basis(&mut self, warm: &Basis) -> Result<(), ()> {
-        if warm.statuses().len() != self.art_offset {
+        if warm.statuses().len() != self.n_total {
             return Err(()); // different model shape
         }
         let mut basics = Vec::with_capacity(self.m);
@@ -688,14 +631,6 @@ impl<'a> Worker<'a> {
             if st == BasisStatus::Basic {
                 basics.push(j);
             }
-        }
-        // Degenerate phase-1 leftovers: re-pin the recorded artificial unit
-        // columns (at value 0) so the basis stays square.
-        for &r in warm.artificial_rows() {
-            if r >= self.m {
-                return Err(());
-            }
-            basics.push(self.art_offset + r);
         }
         if basics.len() != self.m {
             return Err(()); // malformed snapshot; the slack basis handles it
@@ -736,9 +671,9 @@ impl<'a> Worker<'a> {
         };
 
         // Repaired statuses on scratch: warm nonbasics remapped against the
-        // current bounds, artificials parked at zero, basics patched last.
-        // Columns evicted by the singularity repair above fall through the
-        // `Basic` arm to their initial nonbasic status.
+        // current bounds, basics patched last. Columns evicted by the
+        // singularity repair above fall through the `Basic` arm to their
+        // initial nonbasic status.
         let mut status = vec![ColStatus::AtLower; self.n_total];
         for (j, &st) in warm.statuses().iter().enumerate() {
             status[j] = match st {
@@ -752,10 +687,8 @@ impl<'a> Worker<'a> {
         }
 
         // Basic solution against the current RHS/bounds, still on scratch.
-        // Artificial columns are nonbasic at zero here (unless re-pinned
-        // basic above), so they contribute nothing to the residual.
         let mut resid = self.rhs.clone();
-        for j in 0..self.art_offset {
+        for j in 0..self.n_total {
             if matches!(status[j], ColStatus::Basic(_)) {
                 continue;
             }
@@ -772,7 +705,7 @@ impl<'a> Worker<'a> {
             return Err(());
         }
 
-        // Commit (the artificials are still fixed at zero from `build`).
+        // Commit.
         for (j, &st) in status.iter().enumerate() {
             self.set_status(j, st);
         }
@@ -789,15 +722,19 @@ impl<'a> Worker<'a> {
     /// the RHS or coefficients of a rolling-horizon model, and on most
     /// slack starts), primal feasibility is first restored with
     /// dual-simplex pivots, then the ordinary primal phase 2 certifies
-    /// optimality. The result is only accepted when both succeed.
+    /// optimality.
     ///
     /// # Errors
     ///
-    /// `Err(())` when restoration stalled or the solver hit any error —
-    /// the caller must rebuild and fall back to the two-phase solve.
-    fn restore_and_optimize(&mut self, rule: LeavingRule) -> Result<(), ()> {
-        self.restore_primal_feasibility(false, rule)?;
-        self.iterate(false).map_err(|_| ())
+    /// [`SolveError::Infeasible`] and [`SolveError::IterationLimit`] from
+    /// the restoration (see [`Worker::restore_primal_feasibility`]);
+    /// [`SolveError::Unbounded`] for phase 2's ray from the restored,
+    /// primal-feasible basis; [`SolveError::IterationLimit`] at
+    /// `max_iterations`; [`SolveError::Numerical`] for a breakdown in
+    /// either.
+    fn restore_and_optimize(&mut self, rule: LeavingRule) -> Result<(), SolveError> {
+        self.restore_primal_feasibility(rule)?;
+        self.iterate()
     }
 
     /// Dual-simplex feasibility restoration: repeatedly drives a
@@ -826,28 +763,30 @@ impl<'a> Worker<'a> {
     /// column moves the row the wrong way. A step that flips nothing is the
     /// plain dual pivot.
     ///
-    /// A stall reports `Err` so the caller can run the two-phase solve: no
-    /// usable pivot, a pivot too small to trust, or `2m + 64` steps.
-    fn restore_primal_feasibility(&mut self, phase1: bool, rule: LeavingRule) -> Result<(), ()> {
+    /// # Errors
+    ///
+    /// [`SolveError::Infeasible`] when a step's row has no candidate at all:
+    /// every nonbasic column the row touches (pivot-row entries at or below
+    /// the pivot tolerance count as zero) already sits at the bound that
+    /// pushes the basic variable toward its target, so no point of the
+    /// nonbasic boxes satisfies the row. [`SolveError::IterationLimit`]
+    /// after `2m + 64` steps or at `max_iterations`.
+    /// [`SolveError::Numerical`] for a pivot too small to trust, a step
+    /// that is not a finite nonnegative length, a non-finite basic value
+    /// or a failed refactorization.
+    fn restore_primal_feasibility(&mut self, rule: LeavingRule) -> Result<(), SolveError> {
         let tol = self.opts.feas_tol;
         let max_steps = 2 * self.m + 64;
         let steepest = rule == LeavingRule::SteepestEdge;
         for _ in 0..max_steps {
-            // Leaving row: the best-scoring violated basic. In phase 1 the
-            // artificials keep their relaxed sign bounds — their
-            // infeasibility is the primal phase-1 objective, not a
-            // violation to repair here.
+            // Leaving row: the best-scoring violated basic.
             let mut worst: Option<(usize, f64, f64)> = None; // slot, score, target
             for slot in 0..self.m {
                 let j = self.basis[slot];
-                let (lo, hi) = if phase1 {
-                    (self.lb[j], self.ub[j])
-                } else {
-                    self.basic_bounds(j)
-                };
+                let (lo, hi) = (self.lb[j], self.ub[j]);
                 let x = self.xb[slot];
                 if !x.is_finite() {
-                    return Err(());
+                    return Err(SolveError::Numerical("non-finite basic value".into()));
                 }
                 let (viol, target) = if x < lo - tol {
                     (lo - x, lo)
@@ -869,13 +808,13 @@ impl<'a> Worker<'a> {
                 return Ok(()); // primal feasible
             };
             if self.iterations >= self.max_iterations {
-                return Err(());
+                return Err(SolveError::IterationLimit);
             }
             self.iterations += 1;
 
             let t0 = Stopwatch::start();
-            if self.d_stale || self.d_phase1 != phase1 {
-                self.compute_reduced_costs(phase1);
+            if self.d_stale {
+                self.compute_reduced_costs();
             }
             // Row r of B⁻¹ and the pivot row αᵣ = ρᵀ·A, via one
             // hyper-sparse unit BTRAN plus a CSR row gather. Flips leave
@@ -898,18 +837,20 @@ impl<'a> Worker<'a> {
                     if flipped {
                         break; // the flips moved the row as far as it goes
                     }
-                    return Err(()); // no usable pivot: let the cold solve decide
+                    return Err(SolveError::Infeasible);
                 };
 
                 // w = B⁻¹·A_q, pivot magnitude re-derived through the eta file.
                 self.ftran_col(q);
                 let wr = self.work_w[r];
                 if wr.abs() <= PIV_TOL {
-                    return Err(());
+                    return Err(SolveError::Numerical("restoration pivot too small".into()));
                 }
                 let t = delta_r / (-dir * wr);
                 if !t.is_finite() || t < 0.0 {
-                    return Err(());
+                    return Err(SolveError::Numerical(
+                        "restoration step not a finite nonnegative length".into(),
+                    ));
                 }
 
                 // Bound flip: reaching the target would push q past its own
@@ -947,11 +888,7 @@ impl<'a> Worker<'a> {
                 }
                 self.xb[r] = nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
                 // The leaving variable lands exactly on its violated bound.
-                let (lo, _hi) = if phase1 {
-                    (self.lb[leaving], self.ub[leaving])
-                } else {
-                    self.basic_bounds(leaving)
-                };
+                let lo = self.lb[leaving];
                 let leaving_status = if target == lo {
                     if lo.is_finite() {
                         ColStatus::AtLower
@@ -971,10 +908,10 @@ impl<'a> Worker<'a> {
                 self.paranoid_check(Kernel::BasicSolution);
             }
             if self.etas.len() >= REFACTOR_EVERY {
-                self.refactorize().map_err(|_| ())?;
+                self.refactorize()?;
             }
         }
-        Err(())
+        Err(SolveError::IterationLimit)
     }
 
     /// The restoration's entering candidate on the current pivot row when
@@ -986,9 +923,6 @@ impl<'a> Worker<'a> {
     fn restoration_candidate(&self, delta_r: f64) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64, f64)> = None; // q, dir, ratio, |alpha|
         for &q in &self.alpha_touched {
-            if q >= self.art_offset {
-                continue;
-            }
             let alpha = self.work_alpha[q];
             if alpha.abs() <= PIV_TOL {
                 continue;
@@ -1055,62 +989,15 @@ impl<'a> Worker<'a> {
         self.dse_w[r] = beta_r / (wr * wr);
     }
 
-    /// Effective bounds of a basic column (artificials are frozen at zero).
-    fn basic_bounds(&self, j: usize) -> (f64, f64) {
-        if j >= self.art_offset {
-            (0.0, 0.0)
-        } else {
-            (self.lb[j], self.ub[j])
-        }
-    }
-
-    /// The two-phase solve from the crash basis: the fallback of a warm or
-    /// slack start, run on a freshly built worker.
-    fn run(&mut self) -> Result<(), SolveError> {
-        if self.m > 0 {
-            // Phase 1: drive artificial infeasibility to zero.
-            self.crash();
-            self.iterate(true)?;
-            if self.infeasibility() > self.opts.feas_tol * 10.0 {
-                return Err(SolveError::Infeasible);
-            }
-            // Freeze artificials at zero for phase 2.
-            for i in 0..self.m {
-                let aj = self.art_offset + i;
-                self.lb[aj] = 0.0;
-                self.ub[aj] = 0.0;
-                let st = match self.status[aj] {
-                    ColStatus::Basic(slot) => ColStatus::Basic(slot),
-                    _ => ColStatus::AtLower,
-                };
-                self.set_status(aj, st);
-            }
-        }
-        // Phase 2: optimize the real objective.
-        self.iterate(false)
-    }
-
-    fn infeasibility(&self) -> f64 {
-        let mut s = 0.0;
-        for (slot, &j) in self.basis.iter().enumerate() {
-            if j >= self.art_offset {
-                s += self.xb[slot].abs();
-            }
-        }
-        s
-    }
-
-    /// Runs pivots until the phase objective is optimal.
-    fn iterate(&mut self, phase1: bool) -> Result<(), SolveError> {
+    /// Primal phase 2: runs pivots from a primal-feasible basis until the
+    /// objective is optimal.
+    fn iterate(&mut self) -> Result<(), SolveError> {
         let mut degen_streak = 0usize;
         let mut rejected_streak = 0usize;
         let mut prev_bland = false;
-        // A fresh phase restarts the devex reference framework.
+        // Phase entry restarts the devex reference framework.
         self.reset_devex();
         loop {
-            if phase1 && self.infeasibility() <= self.opts.feas_tol {
-                return Ok(());
-            }
             if self.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit);
             }
@@ -1125,16 +1012,16 @@ impl<'a> Worker<'a> {
             }
             prev_bland = bland;
             let t0 = Stopwatch::start();
-            let mut choice = self.price(phase1, bland);
+            let mut choice = self.price(bland);
             if choice.is_none() && !self.d_exact {
                 // The maintained reduced costs say optimal; confirm against
                 // exactly recomputed values before declaring the phase done.
                 self.d_stale = true;
-                choice = self.price(phase1, bland);
+                choice = self.price(bland);
             }
             self.pricing_ns += t0.elapsed_ns();
             let Some((q, _)) = choice else {
-                return Ok(()); // phase optimal (certified on exact values)
+                return Ok(()); // optimal (certified on exact values)
             };
 
             // w = B⁻¹ · A_q
@@ -1153,19 +1040,10 @@ impl<'a> Worker<'a> {
             // repriced instead of pivoted on. A long streak of such
             // candidates means the eta file has drifted: refactorize, and
             // if the streak returns on a fresh factorization, give up so a
-            // warm or slack start can fall back.
-            let mut dq = if phase1 {
-                self.cost_phase1[q]
-            } else {
-                self.cost[q]
-            };
+            // warm start can restart from the slack basis.
+            let mut dq = self.cost[q];
             for slot in 0..self.m {
-                let b = self.basis[slot];
-                let gb = if phase1 {
-                    self.cost_phase1[b]
-                } else {
-                    self.cost[b]
-                };
+                let gb = self.cost[self.basis[slot]];
                 if gb != 0.0 {
                     dq -= gb * self.work_w[slot];
                 }
@@ -1180,7 +1058,7 @@ impl<'a> Worker<'a> {
                             "reduced costs disagree with a fresh factorization".into(),
                         ));
                     }
-                    self.refactorize_or_repair(phase1)?;
+                    self.refactorize_or_repair()?;
                     rejected_streak = 0;
                 }
                 continue; // drifted candidate; the corrected entry deselects it
@@ -1200,7 +1078,7 @@ impl<'a> Worker<'a> {
                         Err(_) => {
                             // The basis repair may move any column, q
                             // included — reprice from scratch.
-                            self.repair_singular_basis(phase1)?;
+                            self.repair_singular_basis()?;
                             continue;
                         }
                     }
@@ -1208,13 +1086,7 @@ impl<'a> Worker<'a> {
             }
 
             match outcome {
-                RatioOutcome::Unbounded => {
-                    return if phase1 {
-                        Err(SolveError::Numerical("phase-1 ray".into()))
-                    } else {
-                        Err(SolveError::Unbounded)
-                    };
-                }
+                RatioOutcome::Unbounded => return Err(SolveError::Unbounded),
                 RatioOutcome::BoundFlip(t) => {
                     // x_q jumps to its opposite bound; basics absorb the
                     // move. The basis is unchanged, so the maintained
@@ -1274,53 +1146,36 @@ impl<'a> Worker<'a> {
                         degen_streak = 0;
                     }
                     if self.etas.len() >= REFACTOR_EVERY {
-                        self.refactorize_or_repair(phase1)?;
+                        self.refactorize_or_repair()?;
                     }
                 }
             }
         }
     }
 
-    /// Recomputes all reduced costs exactly for the given phase: one dense
-    /// BTRAN of the basic costs plus a full column scan — the `O(nnz(A))`
-    /// sweep the incremental updates amortize away. Called lazily on phase
-    /// entry, after refactorization, on detected drift, and to certify
-    /// optimality.
-    fn compute_reduced_costs(&mut self, phase1: bool) {
+    /// Recomputes all reduced costs exactly: one dense BTRAN of the basic
+    /// costs plus a full column scan — the `O(nnz(A))` sweep the
+    /// incremental updates amortize away. Called lazily after a basis
+    /// install, refactorization or repair, on detected drift, and to
+    /// certify optimality.
+    fn compute_reduced_costs(&mut self) {
         for slot in 0..self.m {
-            let b = self.basis[slot];
-            self.work_y[slot] = if phase1 {
-                self.cost_phase1[b]
-            } else {
-                self.cost[b]
-            };
+            self.work_y[slot] = self.cost[self.basis[slot]];
         }
         self.btran();
-        let g = if phase1 {
-            &self.cost_phase1
-        } else {
-            &self.cost
-        };
-        let limit = if phase1 {
-            self.n_total
-        } else {
-            self.art_offset
-        };
-        for j in 0..limit {
+        for j in 0..self.n_total {
             if matches!(self.status[j], ColStatus::Basic(_)) {
                 self.d[j] = 0.0;
                 continue;
             }
-            let mut dj = g[j];
+            let mut dj = self.cost[j];
             for (r, a) in self.cols.col(j) {
                 dj -= self.work_y[r] * a;
             }
             self.d[j] = dj;
         }
-        self.n_priced = limit;
         self.d_stale = false;
         self.d_exact = true;
-        self.d_phase1 = phase1;
     }
 
     /// Computes `ρ = B⁻ᵀ·eᵣ` into `work_rho` (hyper-sparse unit BTRAN:
@@ -1382,7 +1237,7 @@ impl<'a> Worker<'a> {
         let aq2 = wr * wr;
         for idx in 0..self.alpha_touched.len() {
             let j = self.alpha_touched[idx];
-            if j == q || j >= self.n_priced || self.state[j] == PriceState::Off {
+            if j == q || self.state[j] == PriceState::Off {
                 continue;
             }
             let aj = self.work_alpha[j];
@@ -1413,10 +1268,10 @@ impl<'a> Worker<'a> {
     /// noise-scale element. Dependent columns are evicted for the slack of
     /// a row the factorization could not cover (the same repair the warm
     /// installer uses), the basic solution is recomputed, and primal
-    /// feasibility is re-established by dual-simplex pivots (pricing with
-    /// the phase-1 costs when `phase1`, the real objective otherwise)
-    /// before the caller resumes its phase.
-    fn repair_singular_basis(&mut self, phase1: bool) -> Result<(), SolveError> {
+    /// feasibility is re-established by dual-simplex pivots before phase 2
+    /// resumes. Any failure there is numerical trouble, not a proof: the
+    /// basis was primal feasible before the repair.
+    fn repair_singular_basis(&mut self) -> Result<(), SolveError> {
         let unrepairable = || SolveError::Numerical("unrepairable singular basis".into());
         let mut attempt = 0usize;
         let lu = loop {
@@ -1449,16 +1304,16 @@ impl<'a> Worker<'a> {
         self.recompute_xb();
         self.d_stale = true;
         self.reset_devex();
-        self.restore_primal_feasibility(phase1, LeavingRule::MaxViolation)
-            .map_err(|()| SolveError::Numerical("restoration after basis repair failed".into()))
+        self.restore_primal_feasibility(LeavingRule::MaxViolation)
+            .map_err(|_| SolveError::Numerical("restoration after basis repair failed".into()))
     }
 
     /// Refactorizes, recovering from a singular basis via
     /// [`Worker::repair_singular_basis`].
-    fn refactorize_or_repair(&mut self, phase1: bool) -> Result<(), SolveError> {
+    fn refactorize_or_repair(&mut self) -> Result<(), SolveError> {
         match self.refactorize() {
             Ok(()) => Ok(()),
-            Err(_) => self.repair_singular_basis(phase1),
+            Err(_) => self.repair_singular_basis(),
         }
     }
 
@@ -1472,21 +1327,21 @@ impl<'a> Worker<'a> {
     /// Chooses an entering column from the maintained reduced costs;
     /// returns `(column, direction)`. No matrix access: the per-iteration
     /// cost is one scan of the reduced-cost array.
-    fn price(&mut self, phase1: bool, bland: bool) -> Option<(usize, f64)> {
-        if self.d_stale || self.d_phase1 != phase1 {
-            self.compute_reduced_costs(phase1);
+    fn price(&mut self, bland: bool) -> Option<(usize, f64)> {
+        if self.d_stale {
+            self.compute_reduced_costs();
         }
         debug_assert!(
             (0..self.n_total)
                 .all(|j| self.state[j] == price_state(self.status[j], self.lb[j], self.ub[j])),
             "pricing state out of step with status and bounds"
         );
-        let limit = self.n_priced;
         let tol = self.opts.opt_tol;
         // Each column's state and reduced cost, in column order.
-        let mut scan = self.state[..limit]
+        let mut scan = self
+            .state
             .iter()
-            .zip(&self.d[..limit])
+            .zip(&self.d)
             .enumerate()
             .filter_map(|(j, (&st, &d))| eligibility(st, d, tol).map(|(dir, viol)| (j, dir, viol)));
         if bland {
@@ -1798,9 +1653,8 @@ impl<'a> Worker<'a> {
         let objective = model.objective_value(&values);
         // Export the final basis (structural + slack columns) so callers
         // can warm-start re-solves of this model or of close neighbours.
-        // Artificials still basic at zero (degenerate phase-1 leftovers)
-        // are recorded by row so the re-installed basis stays square.
-        let statuses: Vec<BasisStatus> = self.status[..self.art_offset]
+        let statuses: Vec<BasisStatus> = self
+            .status
             .iter()
             .map(|st| match st {
                 ColStatus::Basic(_) => BasisStatus::Basic,
@@ -1809,17 +1663,10 @@ impl<'a> Worker<'a> {
                 ColStatus::FreeAtZero => BasisStatus::Free,
             })
             .collect();
-        let artificial_rows: Vec<usize> = self
-            .basis
-            .iter()
-            .filter(|&&j| j >= self.art_offset)
-            .map(|&j| j - self.art_offset)
-            .collect();
         Solution {
             objective,
             values,
-            iterations: self.iterations,
-            basis: Some(Basis::with_artificials(statuses, artificial_rows)),
+            basis: Some(Basis::from_statuses(statuses)),
             warm_started: false,
             stats: self.stats(),
         }
@@ -1923,7 +1770,8 @@ fn factorize_basis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense};
+    use crate::dense::DenseSimplex;
+    use crate::model::{Model, Sense, VarId};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1980,7 +1828,6 @@ mod tests {
         m.add_con("c2", [(y, 2.0)], Sense::Le, 12.0);
         m.add_con("c3", [(x, 3.0), (y, 2.0)], Sense::Le, 18.0);
         let s = solve(&m);
-        assert_eq!(s.stats.iterations, s.iterations);
         assert!(s.stats.iterations > 0);
         assert!(s.stats.ftrans > 0, "stats: {:?}", s.stats);
         assert!(s.stats.btrans > 0, "stats: {:?}", s.stats);
@@ -2038,7 +1885,7 @@ mod tests {
         let mut worker = Worker::build(&m, &opts).expect("build");
         assert_eq!(worker.try_install_basis(&slacks), Ok(()));
         assert_eq!(
-            worker.restore_primal_feasibility(false, LeavingRule::MaxViolation),
+            worker.restore_primal_feasibility(LeavingRule::MaxViolation),
             Ok(())
         );
         assert_eq!(worker.iterations, 2, "one step per violated row");
@@ -2084,7 +1931,7 @@ mod tests {
         let opts = SimplexOptions::default();
         let corrupted = || {
             let mut w = Worker::build(&m, &opts).expect("build");
-            w.compute_reduced_costs(false);
+            w.compute_reduced_costs();
             for j in 0..20 {
                 w.d[j] = -1.0;
             }
@@ -2094,10 +1941,7 @@ mod tests {
         // With a fresh factorization there is nothing to refactorize:
         // the streak ends the phase.
         let mut fresh = corrupted();
-        assert!(matches!(
-            fresh.iterate(false),
-            Err(SolveError::Numerical(_))
-        ));
+        assert!(matches!(fresh.iterate(), Err(SolveError::Numerical(_))));
         assert_eq!(fresh.iterations, REJECTED_STREAK_MAX);
         // With an eta file, the streak refactorizes, which recomputes the
         // reduced costs exactly and certifies the optimum.
@@ -2107,7 +1951,7 @@ mod tests {
             pivot: 1.0,
             entries: Vec::new(),
         });
-        assert_eq!(stale.iterate(false), Ok(()));
+        assert_eq!(stale.iterate(), Ok(()));
         assert_eq!(stale.iterations, REJECTED_STREAK_MAX + 1);
         assert_eq!(stale.n_refactor, 1);
     }
@@ -2139,8 +1983,191 @@ mod tests {
     }
 
     #[test]
+    fn a_slack_start_proves_infeasibility_and_unboundedness_itself() {
+        // x + y ≤ 1 and x + y ≥ 2 over free x and y: each row has two
+        // infinite activity bounds, so propagation proves nothing. The first
+        // step pivots x in on row 2 and leaves row 1 at −1; row 1's pivot
+        // row then offers only y (α = 0) and row 2's slack, whose bound
+        // pushes the wrong way.
+        let mut inf = Model::new();
+        let x = inf.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        let y = inf.add_var("y", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        inf.add_con("cap", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0);
+        inf.add_con("need", [(x, 1.0), (y, 1.0)], Sense::Ge, 2.0);
+        let opts = SimplexOptions::default();
+        assert_eq!(propagate::infeasible_at_pass(&inf, opts.feas_tol), None);
+        let mut w = Worker::build(&inf, &opts).expect("build");
+        assert_eq!(
+            w.restore_and_optimize(LeavingRule::SteepestEdge),
+            Err(SolveError::Infeasible)
+        );
+        assert_eq!(w.iterations, 2);
+
+        // min −x over x ≥ 0: the slack basis is feasible, and phase 2's
+        // first ratio test finds the ray.
+        let mut unb = Model::new();
+        let x = unb.add_var("x", 0.0, f64::INFINITY, -1.0);
+        unb.add_con("lo", [(x, 1.0)], Sense::Ge, 0.0);
+        let mut w = Worker::build(&unb, &opts).expect("build");
+        assert_eq!(
+            w.restore_and_optimize(LeavingRule::SteepestEdge),
+            Err(SolveError::Unbounded)
+        );
+        assert_eq!(w.iterations, 1);
+    }
+
+    /// Rows over free columns that contradict each other only in
+    /// combination: `k` random rows `aᵢ·x ≤ bᵢ` or `aᵢ·x = bᵢ`, then the
+    /// row `Σ λᵢ·aᵢ·x ≥ Σ λᵢ·bᵢ + gap` with `λᵢ > 0` on the `≤` rows and of
+    /// either sign on the `=` rows. The rows themselves cap that
+    /// combination at `Σ λᵢ·bᵢ`, so a positive `gap` makes the LP
+    /// infeasible. Otherwise it is feasible: the free block is dense with
+    /// `k` no larger than its width, so it solves the rows with equality at
+    /// any value of the boxed columns. Each row holds two or more free
+    /// columns (the combination row almost surely), so row-activity
+    /// propagation sees no finite activity bound; the test checks that it
+    /// proves nothing. Only the boxed columns cost anything, so a feasible
+    /// instance has an optimum.
+    struct CombinationLp {
+        n_free: usize,
+        /// `(lb, ub, cost)` of each boxed column.
+        boxed: Vec<(f64, f64, f64)>,
+        /// `(coefficients, sense, rhs, λ)`, free columns first.
+        rows: Vec<(Vec<f64>, Sense, f64, f64)>,
+    }
+
+    impl CombinationLp {
+        fn random(rng: &mut ChaCha8Rng) -> Self {
+            let n_free = rng.gen_range(2..6usize);
+            let boxed: Vec<(f64, f64, f64)> = (0..rng.gen_range(0..4usize))
+                .map(|_| {
+                    let lb = rng.gen_range(-3.0..3.0);
+                    (lb, lb + rng.gen_range(0.5..4.0), rng.gen_range(-2.0..2.0))
+                })
+                .collect();
+            let rows = (0..rng.gen_range(1..n_free + 1))
+                .map(|_| {
+                    let coeffs = (0..n_free + boxed.len())
+                        .map(|j| {
+                            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                            if j < n_free {
+                                sign * rng.gen_range(0.5..3.0)
+                            } else if rng.gen_bool(0.5) {
+                                sign * rng.gen_range(0.5..2.0)
+                            } else {
+                                0.0
+                            }
+                        })
+                        .collect();
+                    let (sense, lambda) = if rng.gen_bool(0.7) {
+                        (Sense::Le, rng.gen_range(0.2..2.0))
+                    } else {
+                        (Sense::Eq, rng.gen_range(-2.0..2.0))
+                    };
+                    (coeffs, sense, rng.gen_range(-5.0..5.0), lambda)
+                })
+                .collect();
+            CombinationLp {
+                n_free,
+                boxed,
+                rows,
+            }
+        }
+
+        fn build(&self, gap: f64) -> Model {
+            let mut m = Model::new();
+            let mut vars = Vec::new();
+            for j in 0..self.n_free {
+                vars.push(m.add_var(format!("f{j}"), f64::NEG_INFINITY, f64::INFINITY, 0.0));
+            }
+            for (j, &(lb, ub, cost)) in self.boxed.iter().enumerate() {
+                vars.push(m.add_var(format!("b{j}"), lb, ub, cost));
+            }
+            let terms = |coeffs: &[f64]| -> Vec<(VarId, f64)> {
+                vars.iter()
+                    .zip(coeffs)
+                    .filter(|&(_, &a)| a != 0.0)
+                    .map(|(&v, &a)| (v, a))
+                    .collect()
+            };
+            let mut combination = vec![0.0; vars.len()];
+            let mut combination_rhs = gap;
+            for (i, (coeffs, sense, rhs, lambda)) in self.rows.iter().enumerate() {
+                m.add_con(format!("r{i}"), terms(coeffs), *sense, *rhs);
+                for (c, a) in combination.iter_mut().zip(coeffs) {
+                    *c += lambda * a;
+                }
+                combination_rhs += lambda * rhs;
+            }
+            m.add_con(
+                "combination",
+                terms(&combination),
+                Sense::Ge,
+                combination_rhs,
+            );
+            m
+        }
+    }
+
+    #[test]
+    fn infeasibility_propagation_cannot_see_is_proved_from_slack_and_warm_starts() {
+        // Each case solves a feasible sibling (gap < 0) for its basis, then
+        // an LP of the same rows whose gap is positive on even cases. The
+        // revised simplex must call it infeasible exactly when the dense
+        // tableau does, from the slack basis and from the sibling's basis,
+        // and agree on the optimum otherwise.
+        let cases = if cfg!(miri) { 12 } else { 300 };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1AFE_A51B);
+        let opts = SimplexOptions::default();
+        let (mut proved, mut optima) = (0, 0);
+        for case in 0..cases {
+            let lp = CombinationLp::random(&mut rng);
+            let sibling = lp.build(-rng.gen_range(0.5..3.0));
+            let basis = RevisedSimplex::new(opts.clone())
+                .solve(&sibling)
+                .unwrap_or_else(|e| panic!("case {case}: sibling {e:?}"))
+                .basis
+                .expect("basis exported");
+            let gap = rng.gen_range(0.5..3.0);
+            let target = lp.build(if case % 2 == 0 { gap } else { -gap });
+            assert_eq!(
+                propagate::infeasible_at_pass(&target, opts.feas_tol),
+                None,
+                "case {case}: propagation proved it"
+            );
+            let dense = DenseSimplex::new().solve(&target);
+            for (start, warm) in [("slack", None), ("warm", Some(&basis))] {
+                let revised = RevisedSimplex::new(opts.clone()).solve_warm(&target, warm);
+                match (&dense, &revised) {
+                    (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
+                    (Ok(d), Ok(r)) => {
+                        let scale = 1.0 + d.objective.abs();
+                        assert!(
+                            (d.objective - r.objective).abs() < 1e-6 * scale,
+                            "case {case} ({start}): dense {} revised {}",
+                            d.objective,
+                            r.objective
+                        );
+                    }
+                    (d, r) => panic!("case {case} ({start}): dense {d:?} revised {r:?}"),
+                }
+            }
+            match dense {
+                Err(_) => proved += 1,
+                Ok(_) => optima += 1,
+            }
+        }
+        let least = if cfg!(miri) { 4 } else { 100 };
+        assert!(
+            proved >= least && optima >= least,
+            "{proved} infeasible, {optima} optima"
+        );
+    }
+
+    #[test]
     fn negative_rhs_rows() {
-        // Rows with negative residual exercise the sign-adapted artificials.
+        // A row with a negative residual at the slack basis: the restoration
+        // moves the free column down.
         let mut m = Model::new();
         let x = m.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
         m.add_con("eq", [(x, 1.0)], Sense::Eq, -7.0);
@@ -2223,7 +2250,7 @@ mod tests {
         );
         crate::validate::assert_feasible(&m, &s.values, 1e-7);
         // Cross-check against the independent dense solver.
-        let d = crate::dense::DenseSimplex::new().solve(&m).unwrap();
+        let d = DenseSimplex::new().solve(&m).unwrap();
         assert!((d.objective - s.objective).abs() < 1e-6);
     }
 

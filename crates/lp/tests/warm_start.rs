@@ -35,7 +35,11 @@ fn round_trip_converges_in_at_most_one_iteration() {
         warm.warm_started,
         "identical re-solve must accept the basis"
     );
-    assert!(warm.iterations <= 1, "took {} iterations", warm.iterations);
+    assert!(
+        warm.stats.iterations <= 1,
+        "took {} iterations",
+        warm.stats.iterations
+    );
     assert!((warm.objective - cold.objective).abs() < 1e-9);
     for (a, b) in warm.values.iter().zip(cold.values.iter()) {
         assert!((a - b).abs() < 1e-9);
@@ -53,7 +57,7 @@ fn a_solve_offered_no_basis_is_not_a_warm_start() {
     ] {
         assert!(!sol.warm_started, "a slack start is not a warm start");
         assert_eq!(sol.stats.fallbacks, 0, "stats: {:?}", sol.stats);
-        assert!(sol.iterations > 0);
+        assert!(sol.stats.iterations > 0);
         assert!((sol.objective - 11.0).abs() < 1e-9, "{}", sol.objective);
     }
 }
@@ -152,10 +156,10 @@ fn basis_transfers_to_perturbed_neighbour() {
     );
     if warm_b.warm_started {
         assert!(
-            warm_b.iterations <= cold_b.iterations,
+            warm_b.stats.iterations <= cold_b.stats.iterations,
             "warm start must not take more pivots (warm {}, cold {})",
-            warm_b.iterations,
-            cold_b.iterations
+            warm_b.stats.iterations,
+            cold_b.stats.iterations
         );
     }
 }
@@ -165,7 +169,7 @@ fn primal_infeasible_warm_basis_is_restored_by_dual_pivots() {
     // Rolling-horizon pattern: same model shape, drastically moved RHS.
     // The exported basis is far from primal feasible for the new data; the
     // dual-simplex restoration must still deliver the cold optimum (and,
-    // being warm, in no more iterations than the cold two-phase solve).
+    // being warm, in no more iterations than the slack start).
     let mut m = Model::new();
     let x = m.add_var("x", 0.0, 100.0, 2.0);
     let y = m.add_var("y", 0.0, 100.0, 3.0);
@@ -188,10 +192,10 @@ fn primal_infeasible_warm_basis_is_restored_by_dual_pivots() {
         );
         if warm.warm_started {
             assert!(
-                warm.iterations <= cold.iterations,
+                warm.stats.iterations <= cold.stats.iterations,
                 "rhs {rhs}: warm {} > cold {} iterations",
-                warm.iterations,
-                cold.iterations
+                warm.stats.iterations,
+                cold.stats.iterations
             );
         }
     }

@@ -148,11 +148,11 @@ impl Eq for RollingStats {}
 struct WindowModel {
     model: Model,
     n: usize,
-    /// comp[d][h]: load hosted at site `d` in window hour `h`.
+    /// `comp[d][h]`: load hosted at site `d` in window hour `h`.
     comp: Vec<Vec<VarId>>,
-    /// mig[d][h]: load migrating out of site `d` during hour `h`.
+    /// `mig[d][h]`: load migrating out of site `d` during hour `h`.
     mig: Vec<Vec<VarId>>,
-    /// brown[d][h]: brown power drawn.
+    /// `brown[d][h]`: brown power drawn.
     brown: Vec<Vec<VarId>>,
     /// Conservation constraint per window hour.
     all: Vec<ConId>,
@@ -330,7 +330,7 @@ impl WindowModel {
         let n_struct = self.model.num_vars();
         let m = self.model.num_cons();
         let statuses = prev.statuses();
-        if statuses.len() != n_struct + m || !prev.artificial_rows().is_empty() {
+        if statuses.len() != n_struct + m {
             return None;
         }
         let h_total = self.comp.first().map_or(0, Vec::len);
