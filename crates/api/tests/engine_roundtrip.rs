@@ -12,6 +12,7 @@ use greencloud_climate::catalog::WorldCatalog;
 use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix, ValidationError};
 use greencloud_nebula::emulation::EmulationConfig;
+use greencloud_nebula::faults::{FaultKind, FaultSpec, ScheduledFault};
 use greencloud_nebula::scheduler::SchedulerConfig;
 
 /// Runs `spec` twice on `engine` — programmatically and through its JSON
@@ -115,6 +116,56 @@ fn annual_spec_replays_identically() {
         include_trace: true,
     });
     assert_json_replay_matches(&engine, &spec);
+}
+
+#[test]
+fn annual_spec_with_outages_pins_its_solved_report() {
+    // Two sites go dark together, then the third, under a WAN brownout:
+    // the fleet migrates, GDFS re-replicates every hour's dirty blocks, and
+    // the VMs on the darkened sites evacuate. Only scheduled faults, so the
+    // report does not depend on `GC_FAULT_SEED`.
+    let outage = |site, start_hour| ScheduledFault {
+        kind: FaultKind::SiteOutage,
+        site: Some(site),
+        start_hour,
+        duration_hours: 5,
+        magnitude: 0.0,
+    };
+    let engine = Engine::new(WorldCatalog::anchors_only(4));
+    let spec = ExperimentSpec::Annual(AnnualSpec {
+        config: EmulationConfig {
+            faults: Some(FaultSpec {
+                scheduled: vec![
+                    outage(0, 4),
+                    outage(1, 4),
+                    outage(2, 20),
+                    ScheduledFault {
+                        kind: FaultKind::WanDegraded,
+                        site: None,
+                        start_hour: 10,
+                        duration_hours: 12,
+                        magnitude: 0.25,
+                    },
+                ],
+                ..FaultSpec::default()
+            }),
+            ..tiny_emulation(40)
+        },
+        include_trace: false,
+    });
+    let report = assert_json_replay_matches(&engine, &spec);
+    let ReportBody::Annual(a) = &report.body else {
+        panic!("annual spec yields an annual report");
+    };
+    let res = a.resilience.as_ref().expect("resilience body present");
+    assert!(a.migrations > 0, "{a:?}");
+    assert!(a.rereplicated_blocks > 0, "{a:?}");
+    assert!(res.evacuations > 0, "{res:?}");
+    check_golden(
+        &report,
+        "annual_solved.json",
+        include_str!("golden/annual_solved.json"),
+    );
 }
 
 #[test]

@@ -58,6 +58,55 @@ impl ColMatrix {
         self.col_ptr.push(self.row_idx.len());
     }
 
+    /// Builds the `n_cols` columns of the matrix whose row `i` holds the
+    /// `(column, value)` entries of the `i`-th item of `rows`, by a counting
+    /// transpose: each column lists its rows in ascending order (a row's
+    /// entries for one column in their given order), and zero values are
+    /// dropped as [`ColMatrix::push_col`] drops them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any column index is `n_cols` or more.
+    pub fn from_rows<R, E>(n_cols: usize, rows: R) -> Self
+    where
+        R: Iterator<Item = E> + Clone,
+        E: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut col_ptr = vec![0usize; n_cols + 1];
+        let mut n_rows = 0;
+        for row in rows.clone() {
+            n_rows += 1;
+            for (j, v) in row {
+                if v != 0.0 {
+                    col_ptr[j + 1] += 1;
+                }
+            }
+        }
+        for j in 0..n_cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n_cols];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut cursor = col_ptr.clone();
+        for (i, row) in rows.enumerate() {
+            for (j, v) in row {
+                if v != 0.0 {
+                    let t = cursor[j];
+                    row_idx[t] = i;
+                    values[t] = v;
+                    cursor[j] += 1;
+                }
+            }
+        }
+        Self {
+            n_rows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -117,32 +166,14 @@ pub struct RowMatrix {
 
 impl RowMatrix {
     /// Builds the CSR mirror of `cols` (two-pass counting transpose,
-    /// `O(nnz)`).
+    /// `O(nnz)`): the compressed columns of `colsᵀ`, whose rows are the
+    /// columns of `cols`.
     pub fn from_cols(cols: &ColMatrix) -> Self {
-        let n_rows = cols.n_rows();
-        let mut row_ptr = vec![0usize; n_rows + 1];
-        for &r in &cols.row_idx {
-            row_ptr[r + 1] += 1;
-        }
-        for i in 0..n_rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = cols.nnz();
-        let mut col_idx = vec![0usize; nnz];
-        let mut values = vec![0.0f64; nnz];
-        let mut cursor = row_ptr.clone();
-        for j in 0..cols.n_cols() {
-            for (r, v) in cols.col(j) {
-                let t = cursor[r];
-                col_idx[t] = j;
-                values[t] = v;
-                cursor[r] += 1;
-            }
-        }
+        let t = ColMatrix::from_rows(cols.n_rows(), (0..cols.n_cols()).map(|j| cols.col(j)));
         Self {
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: t.col_ptr,
+            col_idx: t.row_idx,
+            values: t.values,
         }
     }
 
@@ -162,8 +193,9 @@ impl RowMatrix {
     }
 }
 
-/// Sparse LU factors of a square basis matrix, with row pivoting.
-#[derive(Debug, Clone)]
+/// Sparse LU factors of a square basis matrix, with row pivoting. The
+/// default holds no factors: a placeholder until a basis is factorized.
+#[derive(Debug, Clone, Default)]
 pub struct SparseLu {
     n: usize,
     /// L (unit diagonal implicit), columns in position space, entries strictly
@@ -831,6 +863,43 @@ mod tests {
         assert_eq!(collect(0), vec![(0, 1.0), (2, 4.0)]);
         assert_eq!(collect(1), vec![(1, 3.0), (2, 5.0)]);
         assert_eq!(collect(2), vec![(0, -2.0), (2, 6.0)]);
+    }
+
+    #[test]
+    fn columns_transposed_from_rows_match_columns_pushed_one_by_one() {
+        // Rows with zero entries, empty rows and columns no row touches.
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let (n_rows, n_cols) = (30, 25);
+        let rows: Vec<Vec<(usize, f64)>> = (0..n_rows)
+            .map(|_| {
+                (0..rng.gen_range(0..6usize))
+                    .map(|_| {
+                        let v = if rng.gen_bool(0.2) {
+                            0.0
+                        } else {
+                            rng.gen_range(-3.0..3.0)
+                        };
+                        (rng.gen_range(0..n_cols), v)
+                    })
+                    .collect()
+            })
+            .collect();
+        let transposed = ColMatrix::from_rows(n_cols, rows.iter().map(|r| r.iter().copied()));
+        let mut pushed = ColMatrix::new(n_rows);
+        for j in 0..n_cols {
+            pushed.push_col(rows.iter().enumerate().flat_map(|(i, r)| {
+                r.iter()
+                    .filter(move |&&(c, _)| c == j)
+                    .map(move |&(_, v)| (i, v))
+            }));
+        }
+        assert_eq!(transposed.n_rows(), n_rows);
+        assert_eq!(transposed.n_cols(), n_cols);
+        assert_eq!(transposed.nnz(), pushed.nnz());
+        for j in 0..n_cols {
+            let col = |m: &ColMatrix| m.col(j).map(|(r, v)| (r, v.to_bits())).collect::<Vec<_>>();
+            assert_eq!(col(&transposed), col(&pushed), "column {j}");
+        }
     }
 
     #[test]

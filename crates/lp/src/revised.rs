@@ -259,7 +259,7 @@ impl RevisedSimplex {
         if propagate::infeasible_at_pass(model, self.options.feas_tol).is_some() {
             return Err(SolveError::Infeasible);
         }
-        let mut w = Worker::build(model, &self.options)?;
+        let mut w = Worker::build(model, &self.options);
         // Validate-then-commit: a rejected basis leaves the slack basis
         // untouched, so the solve simply starts from there.
         let warm_installed = warm.is_some_and(|basis| w.try_install_basis(basis).is_ok());
@@ -274,11 +274,12 @@ impl RevisedSimplex {
                 Err(e @ (SolveError::Infeasible | SolveError::Unbounded)) => return Err(e),
                 Err(_) => {
                     discarded = Some(w.stats());
-                    w = Worker::build(model, &self.options)?;
+                    w = Worker::build(model, &self.options);
                 }
             }
         }
         if !warm_solved {
+            w.factorize_slack_basis()?;
             w.restore_and_optimize(LeavingRule::SteepestEdge)?;
         }
         let mut sol = w.extract(model);
@@ -434,6 +435,8 @@ struct Worker<'a> {
     state: Vec<PriceState>,
     basis: Vec<usize>,
     xb: Vec<f64>,
+    /// Factors of the installed basis; empty until a warm basis installs
+    /// or the slack basis is factorized for a slack start.
     lu: SparseLu,
     etas: Vec<Eta>,
     scratch: Vec<f64>,
@@ -478,25 +481,23 @@ struct Worker<'a> {
 }
 
 impl<'a> Worker<'a> {
-    fn build(model: &Model, opts: &'a SimplexOptions) -> Result<Self, SolveError> {
+    fn build(model: &Model, opts: &'a SimplexOptions) -> Self {
         let m = model.num_cons();
         let n_struct = model.num_vars();
         let n_total = n_struct + m;
 
-        let mut cols = ColMatrix::new(m);
+        // Structural columns, transposed from the rows.
+        let mut cols = ColMatrix::from_rows(
+            n_struct,
+            model
+                .cons
+                .iter()
+                .map(|con| con.terms.iter().map(|&(v, c)| (v.index(), c))),
+        );
         let mut lb = Vec::with_capacity(n_total);
         let mut ub = Vec::with_capacity(n_total);
         let mut cost = Vec::with_capacity(n_total);
-
-        // Structural columns.
-        let mut by_var: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_struct];
-        for (i, con) in model.cons.iter().enumerate() {
-            for &(v, c) in &con.terms {
-                by_var[v.index()].push((i, c));
-            }
-        }
-        for (j, var) in model.vars.iter().enumerate() {
-            cols.push_col(by_var[j].iter().copied());
+        for var in &model.vars {
             lb.push(var.lb);
             ub.push(var.ub);
             cost.push(var.obj);
@@ -519,7 +520,9 @@ impl<'a> Worker<'a> {
         // Slack basis: every structural column nonbasic at the finite bound
         // nearest zero (free columns parked at zero), every slack basic in
         // its row's slot. B = I, so the basic solution is the residual of
-        // the nonbasic point.
+        // the nonbasic point. It is factorized only if the solve starts
+        // from it (`Worker::factorize_slack_basis`): a warm install brings
+        // its own factors.
         let mut status = vec![ColStatus::AtLower; n_total];
         for j in 0..n_struct {
             status[j] = initial_status(lb[j], ub[j]);
@@ -537,8 +540,6 @@ impl<'a> Worker<'a> {
         for (slot, &sj) in basis.iter().enumerate() {
             status[sj] = ColStatus::Basic(slot);
         }
-
-        let lu = factorize_basis(&cols, &basis, m)?;
 
         // Hard cap on simplex iterations across the restoration and phase
         // 2, scaled with the problem size.
@@ -561,7 +562,7 @@ impl<'a> Worker<'a> {
             state: vec![PriceState::Off; n_total],
             basis,
             xb,
-            lu,
+            lu: SparseLu::default(),
             etas: Vec::new(),
             scratch: Vec::new(),
             work_y: vec![0.0; m],
@@ -589,7 +590,14 @@ impl<'a> Worker<'a> {
         for j in 0..n_total {
             w.set_status(j, w.status[j]);
         }
-        Ok(w)
+        w
+    }
+
+    /// Factorizes the slack basis [`Worker::build`] set up, for a solve
+    /// that starts from it.
+    fn factorize_slack_basis(&mut self) -> Result<(), SolveError> {
+        self.lu = factorize_basis(&self.cols, &self.basis, self.m)?;
+        Ok(())
     }
 
     /// Sets column `j`'s status and its pricing state, the one place the
@@ -1882,7 +1890,7 @@ mod tests {
         let slacks = Basis::from_statuses(vec![AtLower, AtLower, AtLower, Basic, Basic]);
 
         let opts = SimplexOptions::default();
-        let mut worker = Worker::build(&m, &opts).expect("build");
+        let mut worker = Worker::build(&m, &opts);
         assert_eq!(worker.try_install_basis(&slacks), Ok(()));
         assert_eq!(
             worker.restore_primal_feasibility(LeavingRule::MaxViolation),
@@ -1930,7 +1938,8 @@ mod tests {
         m.add_con("cap", vars.iter().map(|&v| (v, 1.0)), Sense::Le, 10.0);
         let opts = SimplexOptions::default();
         let corrupted = || {
-            let mut w = Worker::build(&m, &opts).expect("build");
+            let mut w = Worker::build(&m, &opts);
+            w.factorize_slack_basis().expect("B = I factorizes");
             w.compute_reduced_costs();
             for j in 0..20 {
                 w.d[j] = -1.0;
@@ -1996,7 +2005,8 @@ mod tests {
         inf.add_con("need", [(x, 1.0), (y, 1.0)], Sense::Ge, 2.0);
         let opts = SimplexOptions::default();
         assert_eq!(propagate::infeasible_at_pass(&inf, opts.feas_tol), None);
-        let mut w = Worker::build(&inf, &opts).expect("build");
+        let mut w = Worker::build(&inf, &opts);
+        w.factorize_slack_basis().expect("B = I factorizes");
         assert_eq!(
             w.restore_and_optimize(LeavingRule::SteepestEdge),
             Err(SolveError::Infeasible)
@@ -2008,7 +2018,8 @@ mod tests {
         let mut unb = Model::new();
         let x = unb.add_var("x", 0.0, f64::INFINITY, -1.0);
         unb.add_con("lo", [(x, 1.0)], Sense::Ge, 0.0);
-        let mut w = Worker::build(&unb, &opts).expect("build");
+        let mut w = Worker::build(&unb, &opts);
+        w.factorize_slack_basis().expect("B = I factorizes");
         assert_eq!(
             w.restore_and_optimize(LeavingRule::SteepestEdge),
             Err(SolveError::Unbounded)

@@ -107,6 +107,42 @@ fn wrong_shape_basis_falls_back() {
 }
 
 #[test]
+fn a_rejected_basis_solves_bit_for_bit_like_no_basis() {
+    // The installer rejects a basis of the wrong shape, or with more basic
+    // columns than rows, before it touches the slack basis. The solve then
+    // starts from the slack basis exactly as one offered no basis does:
+    // the same values, objective, exported basis and work counters, bit
+    // for bit.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x51AC_0B17);
+    let mut models = vec![sample_model()];
+    for (n, k) in [(6, 4), (12, 9), (40, 30)] {
+        models.push(BoxedLp::random(&mut rng, n, k).build(&mut rng));
+    }
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (case, m) in models.iter().enumerate() {
+        let none = solver().solve_warm(m, None).expect("slack start");
+        assert!(none.stats.iterations > 0, "case {case}: {:?}", none.stats);
+        let columns = m.num_vars() + m.num_cons();
+        let rejected = [
+            Basis::from_statuses(vec![BasisStatus::Basic; columns - 1]),
+            Basis::from_statuses(vec![BasisStatus::Basic; columns]),
+        ];
+        for basis in &rejected {
+            let sol = solver().solve_warm(m, Some(basis)).expect("slack start");
+            assert!(!sol.warm_started, "case {case}");
+            assert_eq!(
+                sol.objective.to_bits(),
+                none.objective.to_bits(),
+                "case {case}"
+            );
+            assert_eq!(bits(&sol.values), bits(&none.values), "case {case}");
+            assert_eq!(sol.basis, none.basis, "case {case}");
+            assert_eq!(sol.stats, none.stats, "case {case}");
+        }
+    }
+}
+
+#[test]
 fn stale_bound_statuses_are_repaired() {
     // Solve a model where y sits at its upper bound, then relax that bound
     // to infinity: the exported `AtUpper` status no longer refers to a

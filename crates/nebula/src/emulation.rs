@@ -612,6 +612,8 @@ pub fn run_observed(
         2usize.min(n),
     );
     let blocks_per_vm = (spec.disk_gb * 1024.0 / BLOCK_MB).ceil() as u32;
+    // Emulated writes carry no bytes: they all share one empty payload.
+    let no_payload: Arc<[u8]> = Arc::from([]);
     for v in 0..config.vm_count {
         let vm = Vm::new(VmId(v), spec);
         // Structurally infallible: hosts above are sized for the fleet.
@@ -880,7 +882,7 @@ pub fn run_observed(
                         file: FileId(vmid.0 as u64),
                         index: (h as u32 * dirty_blocks + k) % blocks_per_vm,
                     };
-                    gdfs.write(block, DatacenterId(i as u32), Arc::from([]));
+                    gdfs.write(block, DatacenterId(i as u32), Arc::clone(&no_payload));
                 }
             }
         }
