@@ -17,8 +17,9 @@
 //!   dual-simplex pivots (dual steepest edge on slack starts) and finishes
 //!   with primal phase 2, one path that proves infeasibility and
 //!   unboundedness itself; a warm start that stalls restarts from the
-//!   slack basis. This is the production path and comfortably solves the
-//!   multi-thousand-variable siting LPs.
+//!   slack basis. A kept solver re-solves an edited model from its last
+//!   basis, factors and eta file. This is the production path and
+//!   comfortably solves the multi-thousand-variable siting LPs.
 //! * [`branch::BranchAndBound`] — mixed-integer solving by branch & bound on
 //!   the LP relaxation.
 //! * [`validate`] — independent feasibility checking of solutions, used by

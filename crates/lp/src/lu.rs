@@ -132,6 +132,13 @@ impl ColMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
+    /// Replaces the entries of the listed columns, given in ascending
+    /// column order, each with its new nonzero `(row, value)` entries in
+    /// ascending row order; the other columns keep theirs.
+    pub(crate) fn replace_cols(&mut self, cols: &[(usize, Vec<(usize, f64)>)]) {
+        replace_lines(&mut self.col_ptr, &mut self.row_idx, &mut self.values, cols);
+    }
+
     /// Multiplies `self · x` into a fresh vector (used by tests/validation).
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n_rows];
@@ -191,6 +198,53 @@ impl RowMatrix {
             .copied()
             .zip(self.values[lo..hi].iter().copied())
     }
+
+    /// The column indices and values of row `i`'s entries, in column order.
+    pub(crate) fn row_slices(&self, i: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Replaces the entries of the listed rows, as
+    /// [`ColMatrix::replace_cols`] replaces columns.
+    pub(crate) fn replace_rows(&mut self, rows: &[(usize, Vec<(usize, f64)>)]) {
+        replace_lines(&mut self.row_ptr, &mut self.col_idx, &mut self.values, rows);
+    }
+}
+
+/// Rewrites the listed lines (columns of compressed columns, rows of
+/// compressed rows), ascending, with their new entries; the runs of other
+/// lines between them are copied whole.
+fn replace_lines(
+    ptr: &mut Vec<usize>,
+    idx: &mut Vec<usize>,
+    values: &mut Vec<f64>,
+    lines: &[(usize, Vec<(usize, f64)>)],
+) {
+    let mut new_ptr = Vec::with_capacity(ptr.len());
+    let mut new_idx = Vec::with_capacity(idx.len());
+    let mut new_values = Vec::with_capacity(values.len());
+    new_ptr.push(0);
+    let mut from = 0;
+    for next in lines.iter().map(Some).chain([None]) {
+        // The run of unchanged lines before `next`, copied whole.
+        let to = next.map_or(ptr.len() - 1, |(line, _)| *line);
+        let (lo, hi, base) = (ptr[from], ptr[to], new_idx.len());
+        new_ptr.extend(ptr[from + 1..=to].iter().map(|&p| p - lo + base));
+        new_idx.extend_from_slice(&idx[lo..hi]);
+        new_values.extend_from_slice(&values[lo..hi]);
+        if let Some((line, entries)) = next {
+            for &(i, v) in entries {
+                new_idx.push(i);
+                new_values.push(v);
+            }
+            new_ptr.push(new_idx.len());
+            from = line + 1;
+        }
+    }
+    *ptr = new_ptr;
+    *idx = new_idx;
+    *values = new_values;
 }
 
 /// Sparse LU factors of a square basis matrix, with row pivoting. The

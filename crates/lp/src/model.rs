@@ -123,11 +123,11 @@ pub struct Solution {
     /// simplex does; the dense tableau and branch & bound report `None`).
     /// Feed it to [`Model::solve_with_basis`] to warm-start a re-solve.
     pub basis: Option<crate::revised::Basis>,
-    /// `true` when the solve started from a supplied warm basis and
-    /// finished from it. `false` for a solve offered no basis (it starts
-    /// from the all-slack basis), for a basis that could not be installed,
-    /// and for a warm attempt that stalled and restarted from the slack
-    /// basis.
+    /// `true` when the solve started from a supplied warm basis, or a
+    /// kept solver's own, and finished from it. `false` for a solve
+    /// offered no basis (it starts from the all-slack basis), for a basis
+    /// that could not be installed, and for a warm attempt that stalled and
+    /// restarted from the slack basis.
     pub warm_started: bool,
     /// Per-solve solver counters (iterations, refactorizations,
     /// FTRAN/BTRAN counts, pricing time). The revised simplex fills every

@@ -18,6 +18,10 @@
 //! restoration picks leaving rows by dual steepest edge (Forrest &
 //! Goldfarb, 1992).
 //!
+//! A kept solver ([`RevisedSimplex::solve_kept`]) starts instead from the
+//! basis, factors and eta file its last solve ended with, after replacing
+//! the basic columns the caller's edits changed by eta updates.
+//!
 //! The path proves its own verdicts. A violated row whose pivot row offers
 //! no entering column proves the LP infeasible: no move of the nonbasic
 //! columns within their boxes brings the row's basic variable closer to
@@ -203,16 +207,23 @@ impl Default for SimplexOptions {
 }
 
 /// The solver object; construct with options, then call
-/// [`RevisedSimplex::solve`].
+/// [`RevisedSimplex::solve`], or [`RevisedSimplex::solve_kept`] to re-solve
+/// an edited model from where the last solve ended.
 #[derive(Debug, Clone, Default)]
 pub struct RevisedSimplex {
     options: SimplexOptions,
+    /// The worker of the last successful [`RevisedSimplex::solve_kept`]:
+    /// its basis, factors and eta file.
+    kept: Option<Worker>,
 }
 
 impl RevisedSimplex {
     /// Creates a solver with the given options.
     pub fn new(options: SimplexOptions) -> Self {
-        Self { options }
+        Self {
+            options,
+            kept: None,
+        }
     }
 
     /// Solves the LP relaxation of `model`.
@@ -263,18 +274,86 @@ impl RevisedSimplex {
         // Validate-then-commit: a rejected basis leaves the slack basis
         // untouched, so the solve simply starts from there.
         let warm_installed = warm.is_some_and(|basis| w.try_install_basis(basis).is_ok());
-        // A warm attempt's proofs stand. Any other error may be the
-        // starting basis's doing: rebuild and restart once from the slack
-        // basis, keeping the work burned in the attempt in the totals.
+        self.run(model, w, warm_installed, || {
+            Ok(Worker::build(model, &self.options))
+        })
+        .map(|(sol, _)| sol)
+    }
+
+    /// Solves `model` and keeps the final basis, its factors and its eta
+    /// file for the next call: the path for a caller that edits one model
+    /// in place and re-solves it, as the hourly scheduler does.
+    ///
+    /// With nothing kept, or a model of another shape (variable or
+    /// constraint count) than the kept solve's, the solve starts from the
+    /// slack basis as [`RevisedSimplex::solve`] does. Otherwise it continues
+    /// from the kept basis and factors: bounds, costs, right-hand sides and
+    /// columns are reloaded from `model`, each basic column whose entries
+    /// changed is replaced by an eta,
+    /// nonbasic statuses are remapped to the new bounds, and the
+    /// restoration and phase 2 run as on a warm start, with
+    /// [`Solution::warm_started`] set. A continued solve that ends in
+    /// anything but a proof of infeasibility or unboundedness restarts once
+    /// from the slack basis, and kept state that cannot be carried over (a
+    /// singular basis beyond repair) is dropped for the slack basis, so the
+    /// kept state never changes the answer. Any error drops it too.
+    ///
+    /// The values are read from `x_B` recomputed through the kept factors
+    /// and etas rather than after a final refactorization: the factors
+    /// serve the next call, and the refactorization interval still bounds
+    /// the eta file.
+    ///
+    /// # Errors
+    ///
+    /// See [`Model::solve`].
+    pub fn solve_kept(&mut self, model: &Model) -> Result<Solution, SolveError> {
+        let kept = self.kept.take();
+        model.validate()?;
+        // The restoration proves infeasibility from any start, so only a
+        // slack start, a continued solve's restart included, first looks
+        // for the propagation's cheaper proof.
+        let slack_start = || {
+            if propagate::infeasible_at_pass(model, self.options.feas_tol).is_some() {
+                return Err(SolveError::Infeasible);
+            }
+            Ok(Worker {
+                keep: true,
+                ..Worker::build(model, &self.options)
+            })
+        };
+        let continued = kept
+            .filter(|w| w.n_struct == model.num_vars() && w.m == model.num_cons())
+            .and_then(|mut w| w.refresh(model).is_ok().then_some(w));
+        let (sol, w) = match continued {
+            Some(w) => self.run(model, w, true, slack_start)?,
+            None => self.run(model, slack_start()?, false, slack_start)?,
+        };
+        self.kept = Some(w);
+        Ok(sol)
+    }
+
+    /// Optimizes from `w`'s installed basis when `warm`, else from its slack
+    /// basis, and extracts the solution. A warm attempt's proofs stand. Any
+    /// other error may be the starting basis's doing: restart once from the
+    /// slack basis of the worker `slack_start` builds, keeping the work
+    /// burned in the attempt in the totals. The worker that solved is
+    /// handed back with the solution.
+    fn run(
+        &self,
+        model: &Model,
+        mut w: Worker,
+        warm: bool,
+        slack_start: impl FnOnce() -> Result<Worker, SolveError>,
+    ) -> Result<(Solution, Worker), SolveError> {
         let mut discarded = None;
         let mut warm_solved = false;
-        if warm_installed {
+        if warm {
             match w.restore_and_optimize(LeavingRule::MaxViolation) {
                 Ok(()) => warm_solved = true,
                 Err(e @ (SolveError::Infeasible | SolveError::Unbounded)) => return Err(e),
                 Err(_) => {
                     discarded = Some(w.stats());
-                    w = Worker::build(model, &self.options);
+                    w = slack_start()?;
                 }
             }
         }
@@ -288,7 +367,7 @@ impl RevisedSimplex {
             sol.stats.absorb(&attempt);
             sol.stats.fallbacks += 1;
         }
-        Ok(sol)
+        Ok((sol, w))
     }
 }
 
@@ -325,7 +404,7 @@ fn price_state(st: ColStatus, lb: f64, ub: f64) -> PriceState {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Eta {
     slot: usize,
     pivot: f64,
@@ -416,8 +495,9 @@ const BLAND_AFTER: usize = 1000;
 /// the phase gives up with [`SolveError::Numerical`]).
 const REJECTED_STREAK_MAX: usize = 16;
 
-struct Worker<'a> {
-    opts: &'a SimplexOptions,
+#[derive(Debug, Clone)]
+struct Worker {
+    opts: SimplexOptions,
     m: usize,
     n_struct: usize,
     /// Structural columns, then one slack per row.
@@ -472,6 +552,10 @@ struct Worker<'a> {
     /// `GC_LP_PARANOID` was set at solver construction (env var read once,
     /// not per iteration).
     paranoid: bool,
+    /// The worker outlives its solve, as a kept solver's does
+    /// ([`RevisedSimplex::solve_kept`]), so its extract leaves the factors
+    /// and eta file to the next solve instead of refactorizing.
+    keep: bool,
     iterations: usize,
     max_iterations: usize,
     n_refactor: usize,
@@ -480,41 +564,20 @@ struct Worker<'a> {
     pricing_ns: u64,
 }
 
-impl<'a> Worker<'a> {
-    fn build(model: &Model, opts: &'a SimplexOptions) -> Self {
+impl Worker {
+    fn build(model: &Model, opts: &SimplexOptions) -> Self {
         let m = model.num_cons();
         let n_struct = model.num_vars();
         let n_total = n_struct + m;
 
-        // Structural columns, transposed from the rows.
-        let mut cols = ColMatrix::from_rows(
-            n_struct,
-            model
-                .cons
-                .iter()
-                .map(|con| con.terms.iter().map(|&(v, c)| (v.index(), c))),
-        );
-        let mut lb = Vec::with_capacity(n_total);
-        let mut ub = Vec::with_capacity(n_total);
-        let mut cost = Vec::with_capacity(n_total);
-        for var in &model.vars {
-            lb.push(var.lb);
-            ub.push(var.ub);
-            cost.push(var.obj);
-        }
-        // Slack columns: row sense becomes slack bounds.
-        for (i, con) in model.cons.iter().enumerate() {
-            cols.push_col([(i, 1.0)]);
-            let (l, u) = match con.sense {
-                Sense::Le => (0.0, f64::INFINITY),
-                Sense::Ge => (f64::NEG_INFINITY, 0.0),
-                Sense::Eq => (0.0, 0.0),
-            };
-            lb.push(l);
-            ub.push(u);
-            cost.push(0.0);
-        }
-
+        let cols = columns(model);
+        let (lb, ub): (Vec<f64>, Vec<f64>) = column_bounds(model).unzip();
+        let cost: Vec<f64> = model
+            .vars
+            .iter()
+            .map(|v| v.obj)
+            .chain(std::iter::repeat_n(0.0, m))
+            .collect();
         let rhs: Vec<f64> = model.cons.iter().map(|c| c.rhs).collect();
 
         // Slack basis: every structural column nonbasic at the finite bound
@@ -548,7 +611,7 @@ impl<'a> Worker<'a> {
         let rows = RowMatrix::from_cols(&cols);
 
         let mut w = Worker {
-            opts,
+            opts: opts.clone(),
             m,
             n_struct,
             n_total,
@@ -580,6 +643,7 @@ impl<'a> Worker<'a> {
             d_stale: true,
             d_exact: false,
             paranoid: std::env::var_os("GC_LP_PARANOID").is_some(),
+            keep: false,
             iterations: 0,
             max_iterations,
             n_refactor: 0,
@@ -1192,13 +1256,7 @@ impl<'a> Worker<'a> {
     /// `work_alpha`/`alpha_touched` by sparse row access over the CSR
     /// mirror — `O(Σ_{ρᵢ≠0} nnz(rowᵢ))` instead of scanning every column.
     fn pivot_row(&mut self, r: usize) {
-        self.work_rho.fill(0.0);
-        self.work_rho[r] = 1.0;
-        self.rho_nz.clear();
-        self.rho_nz.push(r);
-        eta_btran(&self.etas, &mut self.work_rho, Some(&mut self.rho_nz));
-        self.lu.btran(&mut self.work_rho, &mut self.scratch);
-        self.n_btran += 1;
+        self.btran_unit(r);
         if self.paranoid {
             self.paranoid_check(Kernel::PivotRow(r));
         }
@@ -1225,6 +1283,17 @@ impl<'a> Worker<'a> {
                 self.work_alpha[j] += rho * a;
             }
         }
+    }
+
+    /// Computes `ρ = B⁻ᵀ·eᵣ`, row `r` of the basis inverse, into `work_rho`.
+    fn btran_unit(&mut self, r: usize) {
+        self.work_rho.fill(0.0);
+        self.work_rho[r] = 1.0;
+        self.rho_nz.clear();
+        self.rho_nz.push(r);
+        eta_btran(&self.etas, &mut self.work_rho, Some(&mut self.rho_nz));
+        self.lu.btran(&mut self.work_rho, &mut self.scratch);
+        self.n_btran += 1;
     }
 
     /// Updates the maintained reduced costs (and, when `devex`, the devex
@@ -1280,6 +1349,18 @@ impl<'a> Worker<'a> {
     /// resumes. Any failure there is numerical trouble, not a proof: the
     /// basis was primal feasible before the repair.
     fn repair_singular_basis(&mut self) -> Result<(), SolveError> {
+        self.refactorize_evicting()?;
+        self.reset_devex();
+        self.restore_primal_feasibility(LeavingRule::MaxViolation)
+            .map_err(|_| SolveError::Numerical("restoration after basis repair failed".into()))
+    }
+
+    /// Refactorizes, evicting each column the factorization proves
+    /// dependent for the slack of a row it left uncovered (a unit column,
+    /// so the replacement cannot create a new dependency on the factorized
+    /// prefix), at most 16 times; then recomputes the basic solution. The
+    /// basic solution may then violate bounds.
+    fn refactorize_evicting(&mut self) -> Result<(), SolveError> {
         let unrepairable = || SolveError::Numerical("unrepairable singular basis".into());
         let mut attempt = 0usize;
         let lu = loop {
@@ -1311,9 +1392,183 @@ impl<'a> Worker<'a> {
         self.n_refactor += 1;
         self.recompute_xb();
         self.d_stale = true;
-        self.reset_devex();
-        self.restore_primal_feasibility(LeavingRule::MaxViolation)
-            .map_err(|_| SolveError::Numerical("restoration after basis repair failed".into()))
+        Ok(())
+    }
+
+    /// Brings the columns and their row mirror up to date with `model`'s
+    /// rows, rewriting only the rows whose entries changed, and returns the
+    /// structural columns whose entries changed, ascending.
+    ///
+    /// Rebuilding both matrices with [`columns`] and
+    /// [`RowMatrix::from_cols`] gives the same result, but on the hourly
+    /// window LP, where a handful of rows change, it cost about 2.5 times
+    /// as much per hour and made perfbench's emulated `operate` hour about
+    /// a fifth slower.
+    fn reload_columns(&mut self, model: &Model) -> Vec<usize> {
+        let n_struct = self.n_struct;
+        let mut rows = Vec::new();
+        let mut changed = Vec::new();
+        for (i, con) in model.cons.iter().enumerate() {
+            // The row's structural entries: all but the slack, which is last.
+            let (cols, vals) = self.rows.row_slices(i);
+            let (cols, vals) = (&cols[..cols.len() - 1], &vals[..vals.len() - 1]);
+            let old = || cols.iter().copied().zip(vals.iter().copied());
+            let nonzeros = || {
+                con.terms
+                    .iter()
+                    .filter(|t| t.1 != 0.0)
+                    .map(|&(v, a)| (v.index(), a))
+            };
+            // Terms kept in column order match in step; others once sorted.
+            if nonzeros().eq(old()) {
+                continue;
+            }
+            let mut entries: Vec<(usize, f64)> = nonzeros().collect();
+            entries.sort_unstable_by_key(|e| e.0);
+            if entries.iter().copied().eq(old()) {
+                continue;
+            }
+            changed.extend(
+                entries
+                    .iter()
+                    .filter(|&&e| !old().any(|o| o == e))
+                    .map(|e| e.0),
+            );
+            changed.extend(old().filter(|e| !entries.contains(e)).map(|e| e.0));
+            entries.push((n_struct + i, 1.0));
+            rows.push((i, entries));
+        }
+        if rows.is_empty() {
+            return changed;
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        // A changed column keeps its entries in unchanged rows and takes
+        // those of the changed rows.
+        let cols: Vec<(usize, Vec<(usize, f64)>)> = changed
+            .iter()
+            .map(|&j| {
+                let mut entries: Vec<(usize, f64)> = self
+                    .cols
+                    .col(j)
+                    .filter(|&(i, _)| rows.binary_search_by_key(&i, |r| r.0).is_err())
+                    .collect();
+                for (i, row) in &rows {
+                    if let Some(&(_, a)) = row.iter().find(|e| e.0 == j) {
+                        entries.push((*i, a));
+                    }
+                }
+                entries.sort_unstable_by_key(|e| e.0);
+                (j, entries)
+            })
+            .collect();
+        self.rows.replace_rows(&rows);
+        self.cols.replace_cols(&cols);
+        changed
+    }
+
+    /// Evicts the column in basis slot `r`, whose new entries depend on the
+    /// rest of the basis, for the nonbasic slack of the row where row `r`
+    /// of the basis inverse is largest: by an eta, with no refactorization.
+    /// The evicted column goes to its initial nonbasic status. Returns
+    /// `false`, changing nothing, when no slack's pivot exceeds
+    /// [`PIV_TOL`].
+    fn evict(&mut self, r: usize) -> bool {
+        self.btran_unit(r);
+        let mut best: Option<(usize, f64)> = None;
+        for i in 0..self.m {
+            let piv = self.work_rho[i].abs();
+            let slack = self.n_struct + i;
+            if piv > PIV_TOL
+                && !matches!(self.status[slack], ColStatus::Basic(_))
+                && best.is_none_or(|(_, p)| piv > p)
+            {
+                best = Some((slack, piv));
+            }
+        }
+        let Some((slack, _)) = best else {
+            return false;
+        };
+        self.ftran_col(slack);
+        self.push_eta(r);
+        let evicted = self.basis[r];
+        self.set_status(evicted, initial_status(self.lb[evicted], self.ub[evicted]));
+        self.set_status(slack, ColStatus::Basic(r));
+        self.basis[r] = slack;
+        true
+    }
+
+    /// Carries this worker's basis over to `model`, an edited model of the
+    /// same shape, for [`RevisedSimplex::solve_kept`].
+    ///
+    /// Costs and right-hand sides are reloaded, and so are bounds: a column
+    /// whose bounds changed has its nonbasic status remapped as a warm
+    /// install remaps an offered basis. Only the rows and columns whose
+    /// entries changed are rewritten (see [`Worker::reload_columns`]). Each
+    /// basic column among them is replaced in its slot by an eta: the FTRAN
+    /// of its new entries through the kept factors and eta file, pivoting
+    /// on that slot as an entering column would. A pivot at or below
+    /// [`PIV_TOL`] means the new column depends on the rest of the basis,
+    /// and [`Worker::evict`] swaps a slack into its slot instead. Only when
+    /// no slack can take the slot, or the eta file has reached
+    /// [`REFACTOR_EVERY`], does the refresh refactorize, evicting dependent
+    /// columns as a singular repair does. `x_B` is then recomputed through
+    /// the factors and etas, and the restoration starts as it does on a
+    /// warm start.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Numerical`] when the refactorization meets a basis it
+    /// cannot repair; the worker's state is then unusable.
+    fn refresh(&mut self, model: &Model) -> Result<(), SolveError> {
+        self.iterations = 0;
+        self.n_refactor = 0;
+        self.n_ftran = 0;
+        self.n_btran = 0;
+        self.pricing_ns = 0;
+        for (c, var) in self.cost.iter_mut().zip(&model.vars) {
+            *c = var.obj;
+        }
+        for (r, con) in self.rhs.iter_mut().zip(&model.cons) {
+            *r = con.rhs;
+        }
+        for (j, (lo, hi)) in column_bounds(model).enumerate() {
+            if (lo, hi) != (self.lb[j], self.ub[j]) {
+                self.lb[j] = lo;
+                self.ub[j] = hi;
+                let st = match self.status[j] {
+                    ColStatus::AtLower if lo.is_finite() => ColStatus::AtLower,
+                    ColStatus::AtUpper if hi.is_finite() => ColStatus::AtUpper,
+                    ColStatus::Basic(slot) => ColStatus::Basic(slot),
+                    _ => initial_status(lo, hi),
+                };
+                self.set_status(j, st);
+            }
+        }
+        let changed = self.reload_columns(model);
+        let mut refactor = false;
+        for &j in &changed {
+            let ColStatus::Basic(slot) = self.status[j] else {
+                continue;
+            };
+            self.ftran_col(j);
+            if self.work_w[slot].abs() > PIV_TOL {
+                self.push_eta(slot);
+            } else if !self.evict(slot) {
+                refactor = true;
+                break;
+            }
+        }
+        if refactor || self.etas.len() >= REFACTOR_EVERY {
+            self.refactorize_evicting()?;
+        } else {
+            self.recompute_xb();
+            self.d_stale = true;
+        }
+        if self.paranoid {
+            self.paranoid_check(Kernel::BasicSolution);
+        }
+        Ok(())
     }
 
     /// Refactorizes, recovering from a singular basis via
@@ -1621,11 +1876,12 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Recomputes the basic solution from scratch against the current
-    /// factorization: `x_B = B⁻¹·(b − A_N·x_N)`.
+    /// Recomputes the basic solution from scratch through the factors and
+    /// the eta file: `x_B = B⁻¹·(b − A_N·x_N)`.
     fn recompute_xb(&mut self) {
         let mut xb = self.nonbasic_residual();
         self.lu.ftran(&mut xb, &mut self.scratch);
+        eta_ftran(&self.etas, &mut xb);
         self.xb = xb;
     }
 
@@ -1646,10 +1902,17 @@ impl<'a> Worker<'a> {
         resid
     }
 
+    /// The solution at the current basis. A one-shot solve first sheds
+    /// eta-file drift with a final refactorization; a kept worker
+    /// recomputes `x_B` through its factors and etas instead, since they
+    /// serve its next solve.
     fn extract(&mut self, model: &Model) -> Solution {
-        // A final refactorization sheds eta-file drift before reporting.
         if !self.etas.is_empty() {
-            let _ = self.refactorize();
+            if self.keep {
+                self.recompute_xb();
+            } else {
+                let _ = self.refactorize();
+            }
         }
         let mut values = vec![0.0; self.n_struct];
         for (j, value) in values.iter_mut().enumerate() {
@@ -1689,8 +1952,8 @@ enum Kernel {
     Ftran(usize),
     /// The pivot row's BTRAN of slot `r`: `B⁻ᵀ·eᵣ`.
     PivotRow(usize),
-    /// The basic solution after a restoration step's flips and pivot:
-    /// `x_B = B⁻¹·(b − A_N·x_N)`.
+    /// The basic solution after a restoration step's flips and pivot, or
+    /// after a kept solver's refresh: `x_B = B⁻¹·(b − A_N·x_N)`.
     BasicSolution,
 }
 
@@ -1773,6 +2036,38 @@ fn factorize_basis(
         b.push_col(cols.col(j));
     }
     SparseLu::factorize(&b)
+}
+
+/// The worker's columns for `model`: the structural columns, transposed
+/// from the rows with zero coefficients dropped, then one unit slack column
+/// per row.
+fn columns(model: &Model) -> ColMatrix {
+    let mut cols = ColMatrix::from_rows(
+        model.num_vars(),
+        model
+            .cons
+            .iter()
+            .map(|con| con.terms.iter().map(|&(v, c)| (v.index(), c))),
+    );
+    for i in 0..model.num_cons() {
+        cols.push_col([(i, 1.0)]);
+    }
+    cols
+}
+
+/// The bounds of `model`'s columns: the structurals', then each row's
+/// slack's, which encode the row sense.
+fn column_bounds(model: &Model) -> impl Iterator<Item = (f64, f64)> + '_ {
+    let slack = |sense| match sense {
+        Sense::Le => (0.0, f64::INFINITY),
+        Sense::Ge => (f64::NEG_INFINITY, 0.0),
+        Sense::Eq => (0.0, 0.0),
+    };
+    model
+        .vars
+        .iter()
+        .map(|v| (v.lb, v.ub))
+        .chain(model.cons.iter().map(move |c| slack(c.sense)))
 }
 
 #[cfg(test)]
@@ -2397,5 +2692,57 @@ mod tests {
             hyper > 0 && dense > 0 && multi_term > 0,
             "hyper {hyper}, dense with a list {dense}, hyper with 2+ terms {multi_term}"
         );
+    }
+
+    #[test]
+    fn reloaded_columns_match_a_fresh_build() {
+        // Edits of every kind a model allows between kept solves: a value
+        // changed, a term set to 0.0 (its entry goes), a term appended out
+        // of column order, a zeroed term restored. After each reload the
+        // columns and their row mirror must equal a fresh build's, and the
+        // reported columns must be exactly those whose entries changed.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC01_5EED);
+        let mut m = Model::new();
+        let vars: Vec<VarId> = (0..8)
+            .map(|j| m.add_var(format!("x{j}"), 0.0, 1.0, 1.0))
+            .collect();
+        let rows: Vec<_> = (0..6)
+            .map(|i| {
+                let terms: Vec<(VarId, f64)> = (0..8)
+                    .filter(|_| rng.gen_bool(0.4))
+                    .map(|j| (vars[j], 1.0 + j as f64))
+                    .collect();
+                m.add_con(format!("r{i}"), terms, Sense::Le, 1.0)
+            })
+            .collect();
+        let opts = SimplexOptions::default();
+        let mut w = Worker::build(&m, &opts);
+        let entries = |c: &ColMatrix, j: usize| c.col(j).collect::<Vec<_>>();
+        for round in 0..40 {
+            let before = columns(&m);
+            for _ in 0..rng.gen_range(1..4) {
+                let (i, j) = (rng.gen_range(0..6), rng.gen_range(0..8));
+                let a = match rng.gen_range(0..3u32) {
+                    0 => 0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                };
+                m.set_con_term(rows[i], vars[j], a);
+            }
+            let fresh = columns(&m);
+            let changed = w.reload_columns(&m);
+            let differ: Vec<usize> = (0..8)
+                .filter(|&j| entries(&before, j) != entries(&fresh, j))
+                .collect();
+            assert_eq!(changed, differ, "round {round}");
+            for j in 0..fresh.n_cols() {
+                assert_eq!(entries(&w.cols, j), entries(&fresh, j), "round {round}");
+            }
+            let mirror = RowMatrix::from_cols(&fresh);
+            for i in 0..6 {
+                let got: Vec<_> = w.rows.row(i).collect();
+                let want: Vec<_> = mirror.row(i).collect();
+                assert_eq!(got, want, "round {round}, row {i}");
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 
 use greencloud_lp::dense::DenseSimplex;
 use greencloud_lp::revised::{Basis, BasisStatus, RevisedSimplex, SimplexOptions};
-use greencloud_lp::{Model, Sense, SolveError};
+use greencloud_lp::{ConId, Model, Sense, Solution, SolveError, VarId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -323,6 +323,11 @@ impl BoxedLp {
 
     /// The model whose rows hold at a random point of the boxes.
     fn build(&self, rng: &mut ChaCha8Rng) -> Model {
+        self.build_with_rows(rng).0
+    }
+
+    /// [`BoxedLp::build`], with the handles of its rows.
+    fn build_with_rows(&self, rng: &mut ChaCha8Rng) -> (Model, Vec<ConId>) {
         let mut m = Model::new();
         let mut point = Vec::with_capacity(self.vars.len());
         let mut ids = Vec::with_capacity(self.vars.len());
@@ -330,6 +335,7 @@ impl BoxedLp {
             ids.push(m.add_var(format!("x{i}"), lo, hi, c));
             point.push(rng.gen_range(lo..hi));
         }
+        let mut rows = Vec::with_capacity(self.rows.len());
         for (r, (coeffs, sense, slack)) in self.rows.iter().enumerate() {
             let activity: f64 = coeffs.iter().zip(&point).map(|(a, x)| a * x).sum();
             let rhs = match sense {
@@ -342,9 +348,9 @@ impl BoxedLp {
                 .zip(coeffs)
                 .filter(|&(_, &a)| a != 0.0)
                 .map(|(&v, &a)| (v, a));
-            m.add_con(format!("r{r}"), terms, *sense, rhs);
+            rows.push(m.add_con(format!("r{r}"), terms, *sense, rhs));
         }
-        m
+        (m, rows)
     }
 }
 
@@ -381,4 +387,137 @@ fn random_boxed_neighbours_warm_start_to_the_dense_optimum() {
         }
     }
     assert!(cold_cases.is_empty(), "fell back cold: {cold_cases:?}");
+}
+
+/// Solves `m` with the kept solver and checks it against a one-shot solve
+/// of the same model: the same status, and objectives within 1e-9
+/// relative. Returns the kept solve's solution.
+fn kept_agrees(kept: &mut RevisedSimplex, m: &Model, case: &str) -> Option<Solution> {
+    let once = solver().solve(m);
+    let next = kept.solve_kept(m);
+    match (&once, &next) {
+        (Ok(a), Ok(b)) => assert!(
+            (a.objective - b.objective).abs() <= 1e-9 * a.objective.abs().max(1.0),
+            "{case}: one-shot {} kept {}",
+            a.objective,
+            b.objective
+        ),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{case}"),
+        _ => panic!("{case}: one-shot {once:?} kept {next:?}"),
+    }
+    next.ok()
+}
+
+/// The structural variables with status `st` in `sol`'s basis.
+fn with_status(sol: &Solution, m: &Model, st: BasisStatus) -> Vec<VarId> {
+    let basis = sol.basis.as_ref().expect("basis exported");
+    (0..m.num_vars())
+        .filter(|&j| basis.statuses()[j] == st)
+        .map(VarId::from_index)
+        .collect()
+}
+
+#[test]
+fn a_kept_solver_agrees_with_one_shot_solves_after_every_edit() {
+    // Random boxed LPs solved by one kept solver, then edited in place
+    // between solves the way a rolling-horizon caller edits its model.
+    // Each continued solve must match a one-shot solve of the edited model.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6E97_C0DE);
+    let mut continued = 0;
+    let mut solves = 0;
+    for case in 0..60 {
+        let n = rng.gen_range(4..10usize);
+        let k = rng.gen_range(3..8usize);
+        let lp = BoxedLp::random(&mut rng, n, k);
+        let (mut m, rows) = lp.build_with_rows(&mut rng);
+        let coeff = |r: usize, j: VarId| lp.rows[r].0[j.index()];
+        let mut kept = solver();
+        let Some(first) = kept_agrees(&mut kept, &m, &format!("case {case}")) else {
+            continue;
+        };
+        let mut edits: Vec<(String, Model)> = Vec::new();
+
+        // Right-hand sides.
+        for &con in &rows {
+            let rhs = m.rhs(con) + rng.gen_range(-0.5..0.5);
+            m.set_rhs(con, rhs);
+        }
+        edits.push(("rhs".into(), m.clone()));
+
+        // A bound moved, then a nonbasic at its upper bound left with none:
+        // its status no longer names a bound and must be remapped.
+        let j = VarId::from_index(rng.gen_range(0..n));
+        let (lo, hi) = m.bounds(j);
+        m.set_bounds(j, lo - 0.3, hi + 0.2);
+        edits.push(("bound".into(), m.clone()));
+        if let Some(&up) = with_status(&first, &m, BasisStatus::AtUpper).first() {
+            let (lo, _) = m.bounds(up);
+            m.set_bounds(up, lo, f64::INFINITY);
+            m.set_obj(up, 1.0);
+            edits.push(("at-upper bound dropped".into(), m.clone()));
+        }
+
+        // A basic column's coefficient, and a term set to 0.0 then restored.
+        let basic = with_status(&first, &m, BasisStatus::Basic);
+        if let Some(&b) = basic.first() {
+            if let Some(r) = (0..k).find(|&r| coeff(r, b) != 0.0) {
+                m.set_con_term(rows[r], b, coeff(r, b) * 1.7);
+                edits.push(("basic coefficient".into(), m.clone()));
+                m.set_con_term(rows[r], b, 0.0);
+                edits.push(("term zeroed".into(), m.clone()));
+                m.set_con_term(rows[r], b, coeff(r, b));
+                edits.push(("term restored".into(), m.clone()));
+            }
+        }
+
+        // Two basic columns made parallel: the kept basis turns singular.
+        if let [a, b, ..] = basic[..] {
+            for (r, &con) in rows.iter().enumerate() {
+                m.set_con_term(con, b, 0.5 * coeff(r, a));
+            }
+            edits.push(("basic column scaled onto another".into(), m.clone()));
+            for (r, &con) in rows.iter().enumerate() {
+                m.set_con_term(con, b, coeff(r, b));
+            }
+            edits.push(("column restored".into(), m.clone()));
+        }
+
+        // An infeasible round, then a feasible one.
+        let far = rows[0];
+        let rhs = m.rhs(far);
+        m.set_rhs(far, if lp.rows[0].1 == Sense::Le { -1e4 } else { 1e4 });
+        edits.push(("infeasible".into(), m.clone()));
+        m.set_rhs(far, rhs);
+        edits.push(("feasible again".into(), m.clone()));
+
+        for (what, edited) in &edits {
+            if let Some(sol) = kept_agrees(&mut kept, edited, &format!("case {case}, {what}")) {
+                solves += 1;
+                continued += usize::from(sol.warm_started);
+            }
+        }
+    }
+    // Solves after an error start from the slack basis; the rest continue.
+    assert!(solves > 300, "{solves} kept solves");
+    assert!(
+        continued * 10 >= solves * 8,
+        "{continued} of {solves} continued"
+    );
+}
+
+#[test]
+fn a_kept_solver_resolves_an_unedited_model_without_a_pivot() {
+    let m = sample_model();
+    let mut kept = solver();
+    let first = kept.solve_kept(&m).expect("slack start");
+    assert!(!first.warm_started);
+    let again = kept.solve_kept(&m).expect("continued");
+    assert!(again.warm_started);
+    assert!(again.stats.iterations <= 1, "{:?}", again.stats);
+    assert_eq!(again.stats.refactorizations, 0, "{:?}", again.stats);
+    assert_eq!(again.objective.to_bits(), first.objective.to_bits());
+    // Another shape starts over from the slack basis.
+    let other = Model::new();
+    let empty = kept.solve_kept(&other).expect("empty model");
+    assert!(!empty.warm_started);
 }

@@ -7,8 +7,8 @@
 //! the scheduler re-partitions load against the 48-hour green forecast and
 //! the planner migrates VMs donor→closest-receiver, smallest footprint
 //! first. The hourly optimization runs on a [`RollingScheduler`]: one
-//! persistent LP whose forecast coefficients are shifted in place each
-//! round and whose solves warm-start from the previous hour's basis.
+//! persistent LP whose forecasts are rewritten in place each round and
+//! whose solves continue from the previous hour's basis and factors.
 //!
 //! Energy accounting follows the paper, extended with the storage models
 //! the siting LP already assumes. Demand per site-hour is PUE-scaled IT

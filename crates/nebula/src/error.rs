@@ -8,8 +8,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum NebulaError {
     /// The hourly re-partitioning optimization failed even after the
-    /// graceful-degradation retry ladder (cold restart, rebuild,
-    /// escalating tolerances).
+    /// graceful-degradation retry ladder (rebuild, cold solve, escalating
+    /// tolerances).
     Solve(SolveError),
     /// The emulation configuration is out of range (bad battery
     /// efficiency, invalid fault spec, no sites, …).
