@@ -1,14 +1,16 @@
 //! Machine-readable benchmark records (`BENCH_lp.json`).
 //!
-//! `repro timing` (and the `quick` CI smoke, on a reduced workload) write
-//! the engine's LP timing records to `BENCH_lp.json` so the perf
-//! trajectory is tracked across PRs instead of living only in stdout logs.
+//! A full `repro timing` writes the engine's LP timing records to
+//! `BENCH_lp.json` so the perf trajectory is tracked across PRs instead of
+//! living only in stdout logs; reduced runs (`repro timing --fast`, the
+//! `quick` CI smoke) check the same round-trip through a scratch file.
 //! The document model comes from [`greencloud_api::json`]; this module
 //! keeps the fixed `greencloud-bench-lp/1` schema on top of it.
 
 use greencloud_api::json::Json;
 use greencloud_api::report::TimingRecord;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Schema identifier written to (and required from) `BENCH_lp.json`.
 pub const BENCH_SCHEMA: &str = "greencloud-bench-lp/1";
@@ -111,6 +113,18 @@ pub fn check_bench_json(written: &[TimingRecord], text: &str) -> Result<(), Stri
     Ok(())
 }
 
+/// Writes the records to `path` as a `BENCH_lp.json` document and checks
+/// that what landed on disk parses back into the same rows.
+///
+/// # Errors
+///
+/// The write or read error, or what [`check_bench_json`] finds.
+pub fn write_bench_json(path: &Path, records: &[TimingRecord]) -> Result<(), String> {
+    std::fs::write(path, render_bench_json(records)).map_err(|e| format!("write: {e}"))?;
+    let back = std::fs::read_to_string(path).map_err(|e| format!("readback: {e}"))?;
+    check_bench_json(records, &back)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +158,18 @@ mod tests {
         assert_eq!(back[1].name, records[1].name);
         assert!((back[1].warm_rate - 0.9896).abs() < 1e-9);
         assert_eq!(check_bench_json(&records, &text), Ok(()));
+    }
+
+    #[test]
+    fn writes_to_the_given_path_and_reads_it_back() {
+        let path =
+            std::env::temp_dir().join(format!("greencloud-bench-json-{}.json", std::process::id()));
+        let records = records();
+        let written = write_bench_json(&path, &records);
+        let text = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written, Ok(()));
+        assert_eq!(text.expect("written"), render_bench_json(&records));
     }
 
     #[test]

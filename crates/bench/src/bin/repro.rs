@@ -52,7 +52,7 @@ use greencloud_api::{
     AnnualSpec, Engine, ExperimentSpec, Report, RunCtx, SearchSpec, SitingSpec, SweepAxes,
     SweepMode, SweepSpec, TimingSpec,
 };
-use greencloud_bench::bench_json::{check_bench_json, render_bench_json};
+use greencloud_bench::bench_json::write_bench_json;
 use greencloud_bench::{repro_search, sweep_inputs, tech_label, world, REPRO_SEED};
 use greencloud_climate::catalog::WorldCatalog;
 use greencloud_core::formulation::solve_single;
@@ -62,6 +62,7 @@ use greencloud_energy::capacity_factor::CapacityFactors;
 use greencloud_energy::pue::PueModel;
 use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::scheduler::SchedulerConfig;
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -555,28 +556,32 @@ fn run_router(cfg: greencloud_api::RouterConfig) -> i32 {
     0
 }
 
-/// Writes the timing records to `BENCH_lp.json` in the working directory
-/// and checks that what actually landed on disk parses back into the same
-/// rows; returns `false` on any failure.
-fn write_bench_lp_json(records: &[TimingRecord]) -> bool {
-    let text = render_bench_json(records);
-    if let Err(e) = std::fs::write("BENCH_lp.json", &text) {
-        println!("BENCH_lp.json write FAILED: {e}");
-        return false;
+/// Writes the timing records to `path` and checks that what actually
+/// landed on disk parses back into the same rows; returns `false` on any
+/// failure. A run with `snapshot` unset (a reduced run) writes to a scratch
+/// file instead and removes it after the check, leaving the committed
+/// `BENCH_lp.json` alone.
+fn write_bench_lp_json(records: &[TimingRecord], snapshot: bool) -> bool {
+    let path = if snapshot {
+        PathBuf::from("BENCH_lp.json")
+    } else {
+        std::env::temp_dir().join(format!("BENCH_lp.{}.json", std::process::id()))
+    };
+    let written = write_bench_json(&path, records);
+    if !snapshot {
+        let _ = std::fs::remove_file(&path);
     }
-    let checked = std::fs::read_to_string("BENCH_lp.json")
-        .map_err(|e| format!("readback: {e}"))
-        .and_then(|back| check_bench_json(records, &back));
-    match checked {
+    match written {
         Ok(()) => {
             println!(
-                "BENCH_lp.json: {} records written and validated",
+                "{}: {} records written and validated",
+                path.display(),
                 records.len()
             );
             true
         }
         Err(e) => {
-            println!("BENCH_lp.json VALIDATION FAILED: {e}");
+            println!("{} FAILED: {e}", path.display());
             false
         }
     }
@@ -1080,7 +1085,7 @@ fn annual(ctx: &Ctx) {
 }
 
 /// CI smoke: a short storage-aware emulation, a tiny siting solve, and the
-/// `BENCH_lp.json` round-trip — all through the engine. Prints what it ran
+/// bench-file round-trip, through a scratch file — all through the engine. Prints what it ran
 /// and returns `false` on any failure.
 fn quick(ctx: &Ctx) -> bool {
     header("quick — CI smoke (operational + siting)");
@@ -1133,7 +1138,7 @@ fn quick(ctx: &Ctx) -> bool {
     // The machine-readable bench artifact must round-trip: emit a reduced
     // run of the LP suite and re-parse what lands on disk.
     match results.next().expect("timing result") {
-        Ok(report) => ok &= write_bench_lp_json(timing_records(&report)),
+        Ok(report) => ok &= write_bench_lp_json(timing_records(&report), false),
         Err(e) => {
             println!("LP bench suite FAILED: {e}");
             ok = false;
@@ -1160,7 +1165,8 @@ fn quick(ctx: &Ctx) -> bool {
 
 /// §V-C: schedule computation times, plus the LP-substrate benchmark suite
 /// and, unless `--fast`, the full-budget search rows (all written to
-/// `BENCH_lp.json` for cross-PR tracking).
+/// `BENCH_lp.json` for cross-PR tracking; `--fast` checks its reduced rows'
+/// round-trip through a scratch file instead).
 fn timing(ctx: &Ctx) {
     header("§V-C — schedule computation time");
     let engine = ctx.anchors_engine();
@@ -1177,7 +1183,7 @@ fn timing(ctx: &Ctx) {
             if !ctx.fast {
                 records.extend(search_records());
             }
-            write_bench_lp_json(&records);
+            write_bench_lp_json(&records, !ctx.fast);
         }
         Err(e) => println!("timing failed: {e}"),
     }

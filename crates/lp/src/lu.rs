@@ -5,16 +5,28 @@
 //! nonzeros per column), so a dense factorization would dominate solve time.
 //! [`SparseLu`] implements a left-looking column LU with partial pivoting:
 //! `P·B·Q = L·U` with `L` unit lower triangular and `U` upper triangular,
-//! both stored column-wise in pivot-position space. Each column is
-//! eliminated only over its symbolic reach — the earlier pivots its
-//! nonzeros can reach through `L` (Gilbert–Peierls) — so factorization costs
-//! `O(nnz(B) + flops)` plus a sort of each reach, not `O(n²)` probes of
-//! every earlier pivot. Triangular solves use a dense workspace. FTRAN
-//! costs `O(n)` index arithmetic plus the `L` and `U` columns of the
-//! positions whose value is nonzero. BTRAN solves `Uᵀ` row-wise over a row
-//! copy of `U` built once per factorization, so it costs `O(n)` plus the
-//! `U` rows of the nonzero positions, and then `Lᵀ` by dot products in
-//! `O(n + nnz(L))`.
+//! both stored column-wise in pivot-position space. `Q` is the
+//! triangularization preorder ([`SparseLu::col_order`]): a caller that
+//! renumbers its basis slots by it, as the revised simplex does after every
+//! factorization, solves with `Q = I`, and `P` is the row order
+//! ([`SparseLu::row_at`], [`SparseLu::position_of`]).
+//!
+//! Factorization reads the basis columns straight from the column store,
+//! reuses its work arrays from call to call, and eliminates each column
+//! only over its symbolic reach — the earlier pivots its nonzeros can reach
+//! through `L` (Gilbert–Peierls) — so it costs `O(nnz(B) + flops)` plus a
+//! sort of each reach, not `O(n²)` probes of every earlier pivot; a column
+//! with one nonzero in a row not yet pivoted is pivoted on directly.
+//!
+//! The solves run in place in position space and report the nonzeros of
+//! their result in ascending position. [`SparseLu::ftran_in_place`] sweeps
+//! `L` over the positions whose `L` column is nonempty from the first
+//! nonzero position on, then `U` backward over every position, skipping
+//! zero values. [`SparseLu::btran_in_place`] solves `Uᵀ` row-wise over a
+//! row copy of `U` built once per factorization, from the first nonzero
+//! position on, then `Lᵀ` by a dot product at each position whose `L`
+//! column is nonempty. So a solve costs `O(n)` index checks in its `U`
+//! sweep plus the `L` and `U` entries of its nonzero positions.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
@@ -124,19 +136,59 @@ impl ColMatrix {
 
     /// The `(row, value)` entries of column `j`.
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (rows, values) = self.col_slices(j);
+        rows.iter().copied().zip(values.iter().copied())
+    }
+
+    /// The row indices and values of column `j`'s entries.
+    pub(crate) fn col_slices(&self, j: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
+        (&self.row_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Column `j`'s value in row `i`, if it has an entry there.
+    pub(crate) fn get(&self, j: usize, i: usize) -> Option<f64> {
+        self.entry(j, i).map(|e| self.values[e])
+    }
+
+    /// The index, in the store of every column's entries, of column `j`'s
+    /// entry in row `i`, if it has one. Columns list their rows ascending.
+    fn entry(&self, j: usize, i: usize) -> Option<usize> {
         let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        self.row_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.values[lo..hi].iter().copied())
+        self.row_idx[lo..self.col_ptr[j + 1]]
+            .binary_search(&i)
+            .ok()
+            .map(|e| lo + e)
     }
 
     /// Replaces the entries of the listed columns, given in ascending
     /// column order, each with its new nonzero `(row, value)` entries in
     /// ascending row order; the other columns keep theirs.
     pub(crate) fn replace_cols(&mut self, cols: &[(usize, Vec<(usize, f64)>)]) {
-        replace_lines(&mut self.col_ptr, &mut self.row_idx, &mut self.values, cols);
+        let mut new_ptr = Vec::with_capacity(self.col_ptr.len());
+        let mut new_idx = Vec::with_capacity(self.row_idx.len());
+        let mut new_values = Vec::with_capacity(self.values.len());
+        new_ptr.push(0);
+        let mut from = 0;
+        for next in cols.iter().map(Some).chain([None]) {
+            // The run of unchanged columns before `next`, copied whole.
+            let to = next.map_or(self.col_ptr.len() - 1, |(j, _)| *j);
+            let (lo, hi, base) = (self.col_ptr[from], self.col_ptr[to], new_idx.len());
+            new_ptr.extend(self.col_ptr[from + 1..=to].iter().map(|&p| p - lo + base));
+            new_idx.extend_from_slice(&self.row_idx[lo..hi]);
+            new_values.extend_from_slice(&self.values[lo..hi]);
+            if let Some((j, entries)) = next {
+                for &(i, v) in entries {
+                    new_idx.push(i);
+                    new_values.push(v);
+                }
+                new_ptr.push(new_idx.len());
+                from = j + 1;
+            }
+        }
+        self.col_ptr = new_ptr;
+        self.row_idx = new_idx;
+        self.values = new_values;
     }
 
     /// Multiplies `self · x` into a fresh vector (used by tests/validation).
@@ -154,33 +206,83 @@ impl ColMatrix {
     }
 }
 
-/// A row-wise (CSR) mirror of a [`ColMatrix`].
+/// A row-wise (CSR) copy of a [`ColMatrix`] whose rows keep their *live*
+/// entries first.
 ///
 /// The revised simplex prices by pivot row: `αᵣ = ρᵀ·A` where `ρ = B⁻ᵀ·eᵣ`
 /// is hyper-sparse on the siting bases. With only column access, forming
 /// the pivot row means scanning every column of `A` — `O(nnz(A))` per
-/// pivot. With a row mirror it is a gather over the rows where `ρ` is
-/// nonzero: `O(Σ_{ρᵢ≠0} nnz(rowᵢ))`, typically a few dozen entries.
+/// pivot. With a row copy it is a gather over the rows where `ρ` is
+/// nonzero, and over only the live entries of each: a column that can
+/// never enter (basic, or fixed) is dead, and its entries sit after the
+/// row's live ones, where the gather does not read them.
 ///
-/// The mirror is immutable and built once per solve; the column form stays
-/// the source of truth for FTRANs and factorization.
+/// Each row lists its live entries, then its dead ones. A build
+/// ([`RowMatrix::from_cols`], or the solver's rebuild around its live
+/// columns) leaves each part in ascending column order; moving one column
+/// across the boundary of every row it touches is one swap per row, so
+/// later orders depend on the history of those moves. The column form
+/// stays the source of truth for FTRANs and factorization.
 #[derive(Debug, Clone, Default)]
 pub struct RowMatrix {
     row_ptr: Vec<usize>,
+    /// Row `i`'s first `live[i]` entries are its live ones.
+    live: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+    /// For each entry of the column store, its index in `col_idx`.
+    at: Vec<usize>,
 }
 
 impl RowMatrix {
-    /// Builds the CSR mirror of `cols` (two-pass counting transpose,
-    /// `O(nnz)`): the compressed columns of `colsᵀ`, whose rows are the
-    /// columns of `cols`.
+    /// Builds the CSR copy of `cols` with every column live.
     pub fn from_cols(cols: &ColMatrix) -> Self {
-        let t = ColMatrix::from_rows(cols.n_rows(), (0..cols.n_cols()).map(|j| cols.col(j)));
-        Self {
-            row_ptr: t.col_ptr,
-            col_idx: t.row_idx,
-            values: t.values,
+        let mut rows = Self::default();
+        rows.partition(cols, |_| true);
+        rows
+    }
+
+    /// (Re)builds this copy of `cols`, each row with the entries of the
+    /// columns `live` accepts first, by one counting transpose (`O(nnz +
+    /// rows)`) into the arrays of the previous build.
+    pub(crate) fn partition(&mut self, cols: &ColMatrix, live: impl Fn(usize) -> bool) {
+        let n_rows = cols.n_rows();
+        let nnz = cols.nnz();
+        self.row_ptr.clear();
+        self.row_ptr.resize(n_rows + 1, 0);
+        self.live.clear();
+        self.live.resize(n_rows, 0);
+        for j in 0..cols.n_cols() {
+            let is_live = live(j);
+            for &i in cols.col_slices(j).0 {
+                self.row_ptr[i + 1] += 1;
+                self.live[i] += usize::from(is_live);
+            }
+        }
+        for i in 0..n_rows {
+            self.row_ptr[i + 1] += self.row_ptr[i];
+        }
+        self.col_idx.resize(nnz, 0);
+        self.values.resize(nnz, 0.0);
+        self.at.resize(nnz, 0);
+        // Each row's fill cursor in its live part and in its dead part.
+        let mut next_live: Vec<usize> = self.row_ptr[..n_rows].to_vec();
+        let mut next_dead: Vec<usize> = (0..n_rows).map(|i| next_live[i] + self.live[i]).collect();
+        for j in 0..cols.n_cols() {
+            let cursor = if live(j) {
+                &mut next_live
+            } else {
+                &mut next_dead
+            };
+            let lo = cols.col_ptr[j];
+            for e in lo..cols.col_ptr[j + 1] {
+                let i = cols.row_idx[e];
+                let p = cursor[i];
+                cursor[i] += 1;
+                self.col_idx[p] = j;
+                self.values[p] = cols.values[e];
+                self.at[e] = p;
+            }
         }
     }
 
@@ -189,7 +291,8 @@ impl RowMatrix {
         self.row_ptr.len().saturating_sub(1)
     }
 
-    /// The `(column, value)` entries of row `i`, in column order.
+    /// The `(column, value)` entries of row `i`: its live entries, then its
+    /// dead ones (see the type's docs for their order).
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
@@ -199,52 +302,44 @@ impl RowMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
-    /// The column indices and values of row `i`'s entries, in column order.
-    pub(crate) fn row_slices(&self, i: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+    /// Number of entries in row `i`, live and dead.
+    pub(crate) fn row_len(&self, i: usize) -> usize {
+        self.row_ptr[i + 1] - self.row_ptr[i]
+    }
+
+    /// The column indices and values of row `i`'s live entries.
+    pub(crate) fn live_slices(&self, i: usize) -> (&[usize], &[f64]) {
+        let lo = self.row_ptr[i];
+        let hi = lo + self.live[i];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Replaces the entries of the listed rows, as
-    /// [`ColMatrix::replace_cols`] replaces columns.
-    pub(crate) fn replace_rows(&mut self, rows: &[(usize, Vec<(usize, f64)>)]) {
-        replace_lines(&mut self.row_ptr, &mut self.col_idx, &mut self.values, rows);
-    }
-}
-
-/// Rewrites the listed lines (columns of compressed columns, rows of
-/// compressed rows), ascending, with their new entries; the runs of other
-/// lines between them are copied whole.
-fn replace_lines(
-    ptr: &mut Vec<usize>,
-    idx: &mut Vec<usize>,
-    values: &mut Vec<f64>,
-    lines: &[(usize, Vec<(usize, f64)>)],
-) {
-    let mut new_ptr = Vec::with_capacity(ptr.len());
-    let mut new_idx = Vec::with_capacity(idx.len());
-    let mut new_values = Vec::with_capacity(values.len());
-    new_ptr.push(0);
-    let mut from = 0;
-    for next in lines.iter().map(Some).chain([None]) {
-        // The run of unchanged lines before `next`, copied whole.
-        let to = next.map_or(ptr.len() - 1, |(line, _)| *line);
-        let (lo, hi, base) = (ptr[from], ptr[to], new_idx.len());
-        new_ptr.extend(ptr[from + 1..=to].iter().map(|&p| p - lo + base));
-        new_idx.extend_from_slice(&idx[lo..hi]);
-        new_values.extend_from_slice(&values[lo..hi]);
-        if let Some((line, entries)) = next {
-            for &(i, v) in entries {
-                new_idx.push(i);
-                new_values.push(v);
+    /// Moves column `j`'s entry in every row it touches to the live part of
+    /// the row (`live`) or out of it, by one swap with the entry at the
+    /// part's boundary. `j` must currently be on the other side.
+    pub(crate) fn set_live(&mut self, cols: &ColMatrix, j: usize, live: bool) {
+        for e in cols.col_ptr[j]..cols.col_ptr[j + 1] {
+            let i = cols.row_idx[e];
+            if !live {
+                self.live[i] -= 1;
             }
-            new_ptr.push(new_idx.len());
-            from = line + 1;
+            let boundary = self.row_ptr[i] + self.live[i];
+            if live {
+                self.live[i] += 1;
+            }
+            let p = self.at[e];
+            if p != boundary {
+                let other = self.col_idx[boundary];
+                let Some(other_e) = cols.entry(other, i) else {
+                    unreachable!("row {i}'s copy lists column {other}, which has no entry there");
+                };
+                self.col_idx.swap(p, boundary);
+                self.values.swap(p, boundary);
+                self.at[other_e] = p;
+                self.at[e] = boundary;
+            }
         }
     }
-    *ptr = new_ptr;
-    *idx = new_idx;
-    *values = new_values;
 }
 
 /// Sparse LU factors of a square basis matrix, with row pivoting. The
@@ -257,6 +352,9 @@ pub struct SparseLu {
     l_ptr: Vec<usize>,
     l_idx: Vec<usize>,
     l_val: Vec<f64>,
+    /// The positions whose L column is nonempty, ascending: the only ones
+    /// the L sweeps of the solves visit.
+    l_nonempty: Vec<usize>,
     /// U columns in position space, entries strictly above the diagonal.
     u_ptr: Vec<usize>,
     u_idx: Vec<usize>,
@@ -271,9 +369,37 @@ pub struct SparseLu {
     row_of: Vec<usize>,
     /// `pos_of[r]` = pivot position of original row `r`.
     pos_of: Vec<usize>,
-    /// `col_of[p]` = original column factored at position `p` (the
-    /// triangularization preorder: `P·B·Q = L·U`).
+    /// `col_of[p]` = index, in the list of basis columns factorized, of
+    /// the column factored at position `p` (the triangularization
+    /// preorder: `P·B·Q = L·U`).
     col_of: Vec<usize>,
+    /// Work arrays of the factorization, kept for the next one.
+    work: Workspace,
+}
+
+/// The factorization's work arrays. Between calls `x` is all zero and
+/// `mark` all `false`; the rest are rewritten before they are read.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// The basis by row for the preorder: row `r` lists, ascending, the
+    /// basis indices of the columns with an entry in it.
+    t_ptr: Vec<usize>,
+    t_idx: Vec<usize>,
+    ccnt: Vec<usize>,
+    rcnt: Vec<usize>,
+    col_active: Vec<bool>,
+    row_active: Vec<bool>,
+    col_stack: Vec<usize>,
+    row_stack: Vec<usize>,
+    back: Vec<usize>,
+    /// Dense elimination workspace indexed by original row, with the list
+    /// of touched rows for its sparse reset.
+    x: Vec<f64>,
+    mark: Vec<bool>,
+    touched: Vec<usize>,
+    /// `seen[p] == k` stamps position `p` as reached for column `k`.
+    seen: Vec<usize>,
+    reach: Vec<usize>,
 }
 
 /// Smallest acceptable pivot magnitude.
@@ -294,7 +420,8 @@ pub enum FactorizeError {
     /// No acceptable pivot exists for position `col`: that basis column is
     /// (numerically) dependent on its predecessors.
     Singular {
-        /// Zero-based position of the failing column.
+        /// Zero-based index, in the list of basis columns factorized, of
+        /// the failing column.
         col: usize,
         /// `pivoted[r]` is `true` for original rows already holding a pivot
         /// when the factorization gave up; any `false` row is a valid
@@ -327,98 +454,6 @@ impl From<FactorizeError> for SolveError {
     }
 }
 
-/// Computes a fill-reducing column order for a simplex basis: the classic
-/// doubly-bordered triangularization. Column singletons peel to the front
-/// (their L columns are empty, so later eliminations through them create no
-/// fill), row singletons peel to the back in reverse (their off-pivot
-/// entries land in U), and only the residual "bump" — ordered sparsest
-/// column first — can fill in. Simplex bases are mostly slacks and
-/// chain-structured columns, so the bump is typically tiny; without this
-/// preorder the plain left-looking factorization was observed to fill a
-/// 1.3k-row siting basis from ~4k to ~90k nonzeros, making LU solves (and
-/// refactorization itself) the dominant solver cost.
-fn triangular_order(b: &ColMatrix) -> Vec<usize> {
-    let n = b.n_rows();
-    let rows = RowMatrix::from_cols(b);
-    let mut ccnt: Vec<usize> = (0..n).map(|j| b.col(j).count()).collect();
-    let mut rcnt: Vec<usize> = (0..n).map(|r| rows.row(r).count()).collect();
-    let mut col_active = vec![true; n];
-    let mut row_active = vec![true; n];
-    let mut col_stack: Vec<usize> = (0..n).filter(|&j| ccnt[j] == 1).collect();
-    let mut row_stack: Vec<usize> = (0..n).filter(|&r| rcnt[r] == 1).collect();
-    let mut front: Vec<usize> = Vec::with_capacity(n);
-    let mut back: Vec<usize> = Vec::new();
-
-    // Peel until neither kind of singleton remains. Stack entries can go
-    // stale as counts change; validity is re-checked on pop.
-    loop {
-        let mut peeled: Option<(usize, usize, bool)> = None; // (col, row, to front)
-        while let Some(j) = col_stack.pop() {
-            if col_active[j] && ccnt[j] == 1 {
-                // A stale count with no active row left just means this
-                // column misses its singleton turn and falls through to
-                // the bump — the preorder is a fill heuristic, never a
-                // correctness requirement, so degrade instead of panicking.
-                match b.col(j).map(|(r, _)| r).find(|&r| row_active[r]) {
-                    Some(r) => {
-                        peeled = Some((j, r, true));
-                        break;
-                    }
-                    None => continue,
-                }
-            }
-        }
-        if peeled.is_none() {
-            while let Some(r) = row_stack.pop() {
-                if row_active[r] && rcnt[r] == 1 {
-                    match rows.row(r).map(|(j, _)| j).find(|&j| col_active[j]) {
-                        Some(j) => {
-                            peeled = Some((j, r, false));
-                            break;
-                        }
-                        None => continue,
-                    }
-                }
-            }
-        }
-        let Some((j, r, to_front)) = peeled else {
-            break;
-        };
-        if to_front {
-            front.push(j);
-        } else {
-            back.push(j);
-        }
-        col_active[j] = false;
-        for (r2, _) in b.col(j) {
-            if row_active[r2] {
-                rcnt[r2] -= 1;
-                if rcnt[r2] == 1 {
-                    row_stack.push(r2);
-                }
-            }
-        }
-        row_active[r] = false;
-        for (j2, _) in rows.row(r) {
-            if col_active[j2] {
-                ccnt[j2] -= 1;
-                if ccnt[j2] == 1 {
-                    col_stack.push(j2);
-                }
-            }
-        }
-    }
-
-    // The bump: whatever the peel could not order, sparsest column first
-    // (deterministic tie-break on index).
-    let mut bump: Vec<usize> = (0..n).filter(|&j| col_active[j]).collect();
-    bump.sort_unstable_by_key(|&j| (ccnt[j], j));
-    front.extend(bump);
-    back.reverse();
-    front.extend(back);
-    front
-}
-
 impl SparseLu {
     /// Factorizes the square matrix whose columns are given by `basis`,
     /// reporting singularity with enough structure for the caller to repair
@@ -428,57 +463,85 @@ impl SparseLu {
     ///
     /// [`FactorizeError::NotSquare`] / [`FactorizeError::Singular`].
     pub fn factorize(basis: &ColMatrix) -> Result<Self, FactorizeError> {
-        let n = basis.n_rows();
-        if basis.n_cols() != n {
+        let mut lu = Self::default();
+        let all: Vec<usize> = (0..basis.n_cols()).collect();
+        lu.refactor(basis, &all)?;
+        Ok(lu)
+    }
+
+    /// Factorizes, in place of the current factors, the square matrix whose
+    /// `k`-th column is column `basis[k]` of `cols`, read straight from
+    /// `cols`. On an error the factors are unusable until a factorization
+    /// succeeds.
+    ///
+    /// # Errors
+    ///
+    /// [`FactorizeError::NotSquare`] when `basis` does not list one column
+    /// per row of `cols`; [`FactorizeError::Singular`] as for
+    /// [`SparseLu::factorize`].
+    pub fn refactor(&mut self, cols: &ColMatrix, basis: &[usize]) -> Result<(), FactorizeError> {
+        let n = cols.n_rows();
+        if basis.len() != n {
             return Err(FactorizeError::NotSquare {
                 rows: n,
-                cols: basis.n_cols(),
+                cols: basis.len(),
             });
         }
-        let mut lu = SparseLu {
-            n,
-            l_ptr: Vec::with_capacity(n + 1),
-            l_idx: Vec::new(),
-            l_val: Vec::new(),
-            u_ptr: Vec::with_capacity(n + 1),
-            u_idx: Vec::new(),
-            u_val: Vec::new(),
-            u_diag: vec![0.0; n],
-            ur_ptr: Vec::new(),
-            ur_idx: Vec::new(),
-            ur_val: Vec::new(),
-            row_of: vec![usize::MAX; n],
-            pos_of: vec![usize::MAX; n],
-            col_of: triangular_order(basis),
-        };
-        lu.l_ptr.push(0);
-        lu.u_ptr.push(0);
-
-        // Dense workspace indexed by ORIGINAL row index, plus the list of
-        // touched entries for sparse reset. Membership must be tracked with
-        // an explicit mark — testing `x[r] == 0.0` would re-add a row whose
-        // value cancelled exactly to zero, duplicating entries in L.
-        let mut x = vec![0.0; n];
-        let mut mark = vec![false; n];
-        let mut touched: Vec<usize> = Vec::with_capacity(64);
-        // Symbolic reach of the current column: `seen[p] == k` stamps
-        // position p as reached for column k, so it never needs clearing.
-        let mut seen = vec![usize::MAX; n];
-        let mut reach: Vec<usize> = Vec::with_capacity(64);
+        self.n = n;
+        self.triangular_order(cols, basis);
+        self.l_ptr.clear();
+        self.l_ptr.push(0);
+        self.l_idx.clear();
+        self.l_val.clear();
+        self.l_nonempty.clear();
+        self.u_ptr.clear();
+        self.u_ptr.push(0);
+        self.u_idx.clear();
+        self.u_val.clear();
+        self.u_diag.clear();
+        self.u_diag.resize(n, 0.0);
+        self.row_of.clear();
+        self.row_of.resize(n, usize::MAX);
+        self.pos_of.clear();
+        self.pos_of.resize(n, usize::MAX);
+        let w = &mut self.work;
+        // Membership of the touched list must be tracked with an explicit
+        // mark — testing `x[r] == 0.0` would re-add a row whose value
+        // cancelled exactly to zero, duplicating entries in L.
+        w.x.resize(n, 0.0);
+        w.mark.resize(n, false);
+        w.seen.clear();
+        w.seen.resize(n, usize::MAX);
 
         for k in 0..n {
+            let (rows, vals) = cols.col_slices(basis[self.col_of[k]]);
+            // A single nonzero in a row not yet pivoted is the pivot: the
+            // reach is empty and L column k stays empty.
+            if let ([r], [v]) = (rows, vals) {
+                if self.pos_of[*r] == usize::MAX {
+                    self.u_ptr.push(self.u_idx.len());
+                    if v.abs() <= PIVOT_TOL {
+                        return Err(singular(&self.col_of, &self.pos_of, k));
+                    }
+                    self.u_diag[k] = *v;
+                    self.row_of[k] = *r;
+                    self.pos_of[*r] = k;
+                    self.l_ptr.push(self.l_idx.len());
+                    continue;
+                }
+            }
             // Scatter the column ordered at position k, seeding the reach
             // with the positions of its already-pivoted rows.
-            for (r, v) in basis.col(lu.col_of[k]) {
-                if !mark[r] {
-                    mark[r] = true;
-                    touched.push(r);
+            for (&r, &v) in rows.iter().zip(vals) {
+                if !w.mark[r] {
+                    w.mark[r] = true;
+                    w.touched.push(r);
                 }
-                x[r] += v;
-                let p = lu.pos_of[r];
-                if p != usize::MAX && seen[p] != k {
-                    seen[p] = k;
-                    reach.push(p);
+                w.x[r] += v;
+                let p = self.pos_of[r];
+                if p != usize::MAX && w.seen[p] != k {
+                    w.seen[p] = k;
+                    w.reach.push(p);
                 }
             }
             // Symbolic step (Gilbert–Peierls): pivot p can update the rows
@@ -488,14 +551,14 @@ impl SparseLu {
             // 0.0, which the elimination below would skip anyway. `reach`
             // doubles as the traversal's worklist.
             let mut next = 0;
-            while next < reach.len() {
-                let p = reach[next];
+            while next < w.reach.len() {
+                let p = w.reach[next];
                 next += 1;
-                for &r in &lu.l_idx[lu.l_ptr[p]..lu.l_ptr[p + 1]] {
-                    let q = lu.pos_of[r];
-                    if q != usize::MAX && seen[q] != k {
-                        seen[q] = k;
-                        reach.push(q);
+                for &r in &self.l_idx[self.l_ptr[p]..self.l_ptr[p + 1]] {
+                    let q = self.pos_of[r];
+                    if q != usize::MAX && w.seen[q] != k {
+                        w.seen[q] = k;
+                        w.reach.push(q);
                     }
                 }
             }
@@ -504,113 +567,244 @@ impl SparseLu {
             // also the order a scan over every earlier pivot visits them
             // in, so the factors are bit-identical to that scan's (the
             // tests keep it as `factorize_dense_scan`).
-            reach.sort_unstable();
+            w.reach.sort_unstable();
 
             // Left-looking elimination over the reach: a pivot p only
             // updates rows that were not pivoted before p, so
             // increasing-order processing over original-row workspace is
             // exact. The work grows with the reach and the flops, not with
             // k.
-            for &p in &reach {
-                let pr = lu.row_of[p];
-                let xp = x[pr];
+            for &p in &w.reach {
+                let pr = self.row_of[p];
+                let xp = w.x[pr];
                 if xp == 0.0 {
                     continue;
                 }
                 // U[p, k] = xp; eliminate using L column p.
-                lu.u_idx.push(p);
-                lu.u_val.push(xp);
-                let lo = lu.l_ptr[p];
-                let hi = lu.l_ptr[p + 1];
-                for t in lo..hi {
-                    let r = lu.l_idx[t];
-                    if !mark[r] {
-                        mark[r] = true;
-                        touched.push(r);
+                self.u_idx.push(p);
+                self.u_val.push(xp);
+                for t in self.l_ptr[p]..self.l_ptr[p + 1] {
+                    let r = self.l_idx[t];
+                    if !w.mark[r] {
+                        w.mark[r] = true;
+                        w.touched.push(r);
                     }
-                    x[r] -= lu.l_val[t] * xp;
+                    w.x[r] -= self.l_val[t] * xp;
                 }
-                x[pr] = 0.0;
+                w.x[pr] = 0.0;
             }
-            reach.clear();
-            lu.u_ptr.push(lu.u_idx.len());
+            w.reach.clear();
+            self.u_ptr.push(self.u_idx.len());
 
             // Partial pivot among unpivoted rows.
             let mut piv_row = usize::MAX;
             let mut piv_abs = PIVOT_TOL;
-            for &r in &touched {
-                if lu.pos_of[r] == usize::MAX {
-                    let a = x[r].abs();
+            for &r in &w.touched {
+                if self.pos_of[r] == usize::MAX {
+                    let a = w.x[r].abs();
                     if a > piv_abs {
                         piv_abs = a;
                         piv_row = r;
                     }
                 }
             }
-            if piv_row == usize::MAX {
-                return Err(FactorizeError::Singular {
-                    col: lu.col_of[k],
-                    pivoted: lu.pos_of.iter().map(|&p| p != usize::MAX).collect(),
-                });
-            }
-            let piv_val = x[piv_row];
-            lu.u_diag[k] = piv_val;
-            lu.row_of[k] = piv_row;
-            lu.pos_of[piv_row] = k;
+            if piv_row != usize::MAX {
+                let piv_val = w.x[piv_row];
+                self.u_diag[k] = piv_val;
+                self.row_of[k] = piv_row;
+                self.pos_of[piv_row] = k;
 
-            // L column k: remaining unpivoted nonzeros, scaled.
-            for &r in &touched {
-                if r != piv_row && lu.pos_of[r] == usize::MAX && x[r] != 0.0 {
-                    lu.l_idx.push(r);
-                    lu.l_val.push(x[r] / piv_val);
+                // L column k: remaining unpivoted nonzeros, scaled.
+                for &r in &w.touched {
+                    if r != piv_row && self.pos_of[r] == usize::MAX && w.x[r] != 0.0 {
+                        self.l_idx.push(r);
+                        self.l_val.push(w.x[r] / piv_val);
+                    }
                 }
+                if self.l_idx.len() > self.l_ptr[k] {
+                    self.l_nonempty.push(k);
+                }
+                self.l_ptr.push(self.l_idx.len());
             }
-            lu.l_ptr.push(lu.l_idx.len());
 
             // Sparse reset.
-            for &r in &touched {
-                x[r] = 0.0;
-                mark[r] = false;
+            for &r in &w.touched {
+                w.x[r] = 0.0;
+                w.mark[r] = false;
             }
-            touched.clear();
+            w.touched.clear();
+            if piv_row == usize::MAX {
+                return Err(singular(&self.col_of, &self.pos_of, k));
+            }
         }
 
         // Convert L's row indices from original-row space to position space so
         // the triangular solves are pure position-space sweeps.
-        for idx in &mut lu.l_idx {
-            *idx = lu.pos_of[*idx];
+        for idx in &mut self.l_idx {
+            *idx = self.pos_of[*idx];
         }
-        lu.index_u_rows();
-        Ok(lu)
+        self.index_u_rows();
+        Ok(())
+    }
+
+    /// Computes a fill-reducing column order for a simplex basis into
+    /// `col_of`: the classic doubly-bordered triangularization. Column
+    /// singletons peel to the front (their L columns are empty, so later
+    /// eliminations through them create no fill), row singletons peel to
+    /// the back in reverse (their off-pivot entries land in U), and only the
+    /// residual "bump" — ordered sparsest column first — can fill in.
+    /// Simplex bases are mostly slacks and chain-structured columns, so the
+    /// bump is typically tiny; without this preorder the plain left-looking
+    /// factorization was observed to fill a 1.3k-row siting basis from ~4k
+    /// to ~90k nonzeros, making LU solves (and refactorization itself) the
+    /// dominant solver cost.
+    fn triangular_order(&mut self, cols: &ColMatrix, basis: &[usize]) {
+        let n = basis.len();
+        let w = &mut self.work;
+        // The basis by row, a counting transpose over the basis indices.
+        w.t_ptr.clear();
+        w.t_ptr.resize(n + 1, 0);
+        w.ccnt.clear();
+        for &j in basis {
+            let rows = cols.col_slices(j).0;
+            w.ccnt.push(rows.len());
+            for &r in rows {
+                w.t_ptr[r + 1] += 1;
+            }
+        }
+        for r in 0..n {
+            w.t_ptr[r + 1] += w.t_ptr[r];
+        }
+        w.t_idx.resize(w.t_ptr[n], 0);
+        // `rcnt` is each row's fill cursor, then its count.
+        w.rcnt.clear();
+        w.rcnt.extend_from_slice(&w.t_ptr[..n]);
+        for (k, &j) in basis.iter().enumerate() {
+            for &r in cols.col_slices(j).0 {
+                w.t_idx[w.rcnt[r]] = k;
+                w.rcnt[r] += 1;
+            }
+        }
+        for r in 0..n {
+            w.rcnt[r] -= w.t_ptr[r];
+        }
+        w.col_active.clear();
+        w.col_active.resize(n, true);
+        w.row_active.clear();
+        w.row_active.resize(n, true);
+        w.col_stack.clear();
+        w.col_stack.extend((0..n).filter(|&k| w.ccnt[k] == 1));
+        w.row_stack.clear();
+        w.row_stack.extend((0..n).filter(|&r| w.rcnt[r] == 1));
+        w.back.clear();
+        let front = &mut self.col_of;
+        front.clear();
+
+        // Peel until neither kind of singleton remains. Stack entries can go
+        // stale as counts change; validity is re-checked on pop.
+        loop {
+            let mut peeled: Option<(usize, usize, bool)> = None; // (col, row, to front)
+            while let Some(k) = w.col_stack.pop() {
+                if w.col_active[k] && w.ccnt[k] == 1 {
+                    // A stale count with no active row left just means this
+                    // column misses its singleton turn and falls through to
+                    // the bump — the preorder is a fill heuristic, never a
+                    // correctness requirement, so degrade instead of panicking.
+                    match cols
+                        .col_slices(basis[k])
+                        .0
+                        .iter()
+                        .find(|&&r| w.row_active[r])
+                    {
+                        Some(&r) => {
+                            peeled = Some((k, r, true));
+                            break;
+                        }
+                        None => continue,
+                    }
+                }
+            }
+            if peeled.is_none() {
+                while let Some(r) = w.row_stack.pop() {
+                    if w.row_active[r] && w.rcnt[r] == 1 {
+                        match w.t_idx[w.t_ptr[r]..w.t_ptr[r + 1]]
+                            .iter()
+                            .find(|&&k| w.col_active[k])
+                        {
+                            Some(&k) => {
+                                peeled = Some((k, r, false));
+                                break;
+                            }
+                            None => continue,
+                        }
+                    }
+                }
+            }
+            let Some((k, r, to_front)) = peeled else {
+                break;
+            };
+            if to_front {
+                front.push(k);
+            } else {
+                w.back.push(k);
+            }
+            w.col_active[k] = false;
+            for &r2 in cols.col_slices(basis[k]).0 {
+                if w.row_active[r2] {
+                    w.rcnt[r2] -= 1;
+                    if w.rcnt[r2] == 1 {
+                        w.row_stack.push(r2);
+                    }
+                }
+            }
+            w.row_active[r] = false;
+            for &k2 in &w.t_idx[w.t_ptr[r]..w.t_ptr[r + 1]] {
+                if w.col_active[k2] {
+                    w.ccnt[k2] -= 1;
+                    if w.ccnt[k2] == 1 {
+                        w.col_stack.push(k2);
+                    }
+                }
+            }
+        }
+
+        // The bump: whatever the peel could not order, sparsest column first
+        // (deterministic tie-break on index).
+        let bump_from = front.len();
+        front.extend((0..n).filter(|&k| w.col_active[k]));
+        front[bump_from..].sort_unstable_by_key(|&k| (w.ccnt[k], k));
+        front.extend(w.back.iter().rev());
     }
 
     /// Builds the row copy of `U` from its columns (a counting transpose,
-    /// `O(n + nnz(U))`). Columns are visited in ascending `k`, so each row
-    /// lists its entries in ascending `k`.
+    /// `O(n + nnz(U))`) into the arrays of the last one. Columns are
+    /// visited in ascending `k`, so each row lists its entries in ascending
+    /// `k`.
     fn index_u_rows(&mut self) {
         let n = self.n;
-        let mut ptr = vec![0usize; n + 1];
+        self.ur_ptr.clear();
+        self.ur_ptr.resize(n + 1, 0);
         for &p in &self.u_idx {
-            ptr[p + 1] += 1;
+            self.ur_ptr[p + 1] += 1;
         }
         for p in 0..n {
-            ptr[p + 1] += ptr[p];
+            self.ur_ptr[p + 1] += self.ur_ptr[p];
         }
         let nnz = self.u_idx.len();
-        let mut idx = vec![0usize; nnz];
-        let mut val = vec![0.0f64; nnz];
-        let mut cursor = ptr.clone();
+        self.ur_idx.resize(nnz, 0);
+        self.ur_val.resize(nnz, 0.0);
+        // `seen` serves as the fill cursor of each row.
+        let cursor = &mut self.work.seen;
+        cursor.clear();
+        cursor.extend_from_slice(&self.ur_ptr[..n]);
         for k in 0..n {
             for t in self.u_ptr[k]..self.u_ptr[k + 1] {
                 let p = self.u_idx[t];
-                idx[cursor[p]] = k;
-                val[cursor[p]] = self.u_val[t];
+                self.ur_idx[cursor[p]] = k;
+                self.ur_val[cursor[p]] = self.u_val[t];
                 cursor[p] += 1;
             }
         }
-        self.ur_ptr = ptr;
-        self.ur_idx = idx;
-        self.ur_val = val;
     }
 
     /// Nonzeros stored in the factors (fill-in indicator).
@@ -618,148 +812,176 @@ impl SparseLu {
         self.l_idx.len() + self.u_idx.len() + self.n
     }
 
-    /// Solves `B·x = b` in place: `b` enters in original-row space and leaves
-    /// as `x` in basis-column (position) space.
-    pub fn ftran(&self, b: &mut [f64], scratch: &mut Vec<f64>) {
-        debug_assert_eq!(b.len(), self.n);
-        scratch.resize(self.n, 0.0);
-        // z = P·b
-        for p in 0..self.n {
-            scratch[p] = b[self.row_of[p]];
-        }
-        // L·y = z (forward, unit diagonal)
-        for k in 0..self.n {
-            let yk = scratch[k];
-            if yk != 0.0 {
-                for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                    scratch[self.l_idx[t]] -= self.l_val[t] * yk;
-                }
-            }
-        }
-        // U·x = y (backward)
-        for k in (0..self.n).rev() {
-            let xk = scratch[k] / self.u_diag[k];
-            scratch[k] = xk;
-            if xk != 0.0 {
-                for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                    scratch[self.u_idx[t]] -= self.u_val[t] * xk;
-                }
-            }
-        }
-        // x = Q·(position-space solution)
-        for p in 0..self.n {
-            b[self.col_of[p]] = scratch[p];
-        }
+    /// `col_order()[p]` is the index, in the list of basis columns
+    /// factorized, of the column factored at position `p`.
+    pub fn col_order(&self) -> &[usize] {
+        &self.col_of
     }
 
-    /// Solves `B·x = b` for a *sparse* right-hand side given as `(row,
-    /// value)` entries in original-row space, writing the solution (in
-    /// basis-column space) into `out`, which must be all-zero on entry.
+    /// The original row pivoted at position `p`.
+    pub fn row_at(&self, p: usize) -> usize {
+        self.row_of[p]
+    }
+
+    /// The pivot position of original row `r`.
+    pub fn position_of(&self, r: usize) -> usize {
+        self.pos_of[r]
+    }
+
+    /// Solves `L·U·x = z` in place, where `x` enters as `z = P·b` (`x[p] =
+    /// b[row_at(p)]`) and leaves as the solution in position space, which
+    /// is basis-column space for a caller whose slots follow
+    /// [`SparseLu::col_order`]. `x` must be zero before position `first`.
+    /// `nz` receives the positions of the solution's nonzeros, ascending.
     ///
-    /// Exploits hyper-sparsity two ways: the permutation gather of the
-    /// dense path is replaced by scattering only the given entries, and the
-    /// forward `L` sweep starts at the first pivot position the input
-    /// touches (everything before it provably stays zero). The backward
-    /// `U` sweep still spans all positions but skips zero values, so a
-    /// single-column FTRAN on a near-triangular basis costs `O(n)` index
-    /// arithmetic plus work proportional to the true fill.
-    pub fn ftran_sparse<I: IntoIterator<Item = (usize, f64)>>(
-        &self,
-        entries: I,
-        out: &mut [f64],
-        scratch: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(out.len(), self.n);
-        scratch.clear();
-        scratch.resize(self.n, 0.0);
-        let mut first = self.n;
-        for (r, v) in entries {
-            let p = self.pos_of[r];
-            scratch[p] += v;
-            if p < first {
-                first = p;
-            }
-        }
-        // L·y = P·b (forward, unit diagonal): positions before `first` are
-        // zero on input and L is lower triangular, so they stay zero.
-        for k in first..self.n {
-            let yk = scratch[k];
+    /// The `L` sweep visits only the positions from `first` on whose `L`
+    /// column is nonempty; the `U` sweep runs backward over every position,
+    /// skipping zero values. Updates propagate toward position 0, so it
+    /// cannot be truncated at `first`; visiting from the top, it meets the
+    /// nonzeros in descending order.
+    pub fn ftran_in_place(&self, x: &mut [f64], first: usize, nz: &mut Vec<usize>) {
+        debug_assert_eq!(x.len(), self.n);
+        let start = self.l_nonempty.partition_point(|&k| k < first);
+        for &k in &self.l_nonempty[start..] {
+            let yk = x[k];
             if yk != 0.0 {
                 for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                    scratch[self.l_idx[t]] -= self.l_val[t] * yk;
+                    x[self.l_idx[t]] -= self.l_val[t] * yk;
                 }
             }
         }
-        // U·x = y (backward). Updates propagate toward position 0, so the
-        // sweep cannot be truncated at `first`, only value-skipped.
+        nz.clear();
         for k in (0..self.n).rev() {
-            let xk = scratch[k];
+            let xk = x[k];
             if xk != 0.0 {
                 let xk = xk / self.u_diag[k];
-                scratch[k] = xk;
+                x[k] = xk;
+                if xk == 0.0 {
+                    continue; // underflow: its terms are zeros
+                }
+                nz.push(k);
                 for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                    scratch[self.u_idx[t]] -= self.u_val[t] * xk;
+                    x[self.u_idx[t]] -= self.u_val[t] * xk;
                 }
             }
         }
-        // x = Q·y, scattering only nonzeros into the caller's zeroed buffer.
-        for p in 0..self.n {
-            let v = scratch[p];
-            if v != 0.0 {
-                out[self.col_of[p]] = v;
-            }
-        }
+        nz.reverse();
     }
 
-    /// Solves `Bᵀ·y = c` in place: `c` enters in basis-column space and
-    /// leaves as `y` in original-row space.
+    /// Solves `(L·U)ᵀ·y = c` in place: `y` enters as `c` in position space
+    /// (basis-column space for a caller whose slots follow
+    /// [`SparseLu::col_order`]) and leaves as `P·y'` for the solution `y'`
+    /// of `Bᵀ·y' = c` (`y'[row_at(p)] = y[p]`). `y` must be zero before
+    /// position `first`. `nz` receives the positions of the solution's
+    /// nonzeros, ascending; `spare` is scratch.
     ///
-    /// The forward `Uᵀ` sweep runs row-wise: once position `k` is final,
-    /// its term leaves for every later position of `U` row `k`, and a
-    /// position whose value is zero is skipped. So it costs `O(n)` plus the
-    /// `U` rows of the nonzero positions, not every `U` entry from the
-    /// first nonzero position on — the saving on a hyper-sparse right-hand
-    /// side such as a pivot row's `eᵣ`. The backward `Lᵀ` sweep is a dot
-    /// product per position, `O(n + nnz(L))`; `L` is small on simplex
-    /// bases, and its columns are not stored in position order, so a
-    /// row-wise `Lᵀ` would reorder its sums.
+    /// The forward `Uᵀ` sweep runs row-wise from `first`: once position `k`
+    /// is final, its term leaves for every later position of `U` row `k`,
+    /// and a position whose value is zero is skipped. So it costs `O(n −
+    /// first)` plus the `U` rows of the nonzero positions, not every `U`
+    /// entry from the first nonzero position on — the saving on a
+    /// hyper-sparse right-hand side such as a pivot row's `eᵣ`. The
+    /// backward `Lᵀ` sweep is a dot product at each position whose `L`
+    /// column is nonempty; `L` is small on simplex bases, and its columns
+    /// are not stored in position order, so a row-wise `Lᵀ` would reorder
+    /// its sums.
     ///
     /// `U`'s columns hold their entries in ascending position, so each
     /// position receives the same nonzero terms in the same order as a dot
     /// product over its `U` column would subtract them: the result is
     /// bit-identical to that dot product up to the sign of a zero.
-    pub fn btran(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
-        debug_assert_eq!(c.len(), self.n);
-        scratch.resize(self.n, 0.0);
-        // w = Qᵀ·c
-        for k in 0..self.n {
-            scratch[k] = c[self.col_of[k]];
-        }
-        // Uᵀ·w = Qᵀ·c (forward, row-wise).
-        for k in 0..self.n {
-            let s = scratch[k];
+    pub fn btran_in_place(
+        &self,
+        y: &mut [f64],
+        first: usize,
+        nz: &mut Vec<usize>,
+        spare: &mut Vec<usize>,
+    ) {
+        debug_assert_eq!(y.len(), self.n);
+        nz.clear();
+        for k in first..self.n {
+            let s = y[k];
             if s == 0.0 {
-                scratch[k] = 0.0;
                 continue;
             }
             let wk = s / self.u_diag[k];
-            scratch[k] = wk;
+            y[k] = wk;
+            if wk == 0.0 {
+                continue; // underflow: its terms are zeros
+            }
+            nz.push(k);
             for t in self.ur_ptr[k]..self.ur_ptr[k + 1] {
-                scratch[self.ur_idx[t]] -= self.ur_val[t] * wk;
+                y[self.ur_idx[t]] -= self.ur_val[t] * wk;
             }
         }
-        // Lᵀ·v = w (backward, unit diagonal).
-        for k in (0..self.n).rev() {
-            let mut s = scratch[k];
+        // Lᵀ·v = w (backward, unit diagonal). A position that was zero and
+        // is not now joins the list, descending in `spare`.
+        spare.clear();
+        for &k in self.l_nonempty.iter().rev() {
+            let mut s = y[k];
+            let was_zero = s == 0.0;
             for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                s -= self.l_val[t] * scratch[self.l_idx[t]];
+                s -= self.l_val[t] * y[self.l_idx[t]];
             }
-            scratch[k] = s;
+            y[k] = s;
+            if was_zero && s != 0.0 {
+                spare.push(k);
+            }
         }
-        // y = Pᵀ·v
+        merge_descending(nz, spare);
+    }
+
+    /// Solves `B·x = b` in place: `b` enters in original-row space and leaves
+    /// as `x` in the order of the basis columns factorized.
+    pub fn ftran(&self, b: &mut [f64], scratch: &mut Vec<f64>) {
+        debug_assert_eq!(b.len(), self.n);
+        scratch.clear();
+        scratch.extend(self.row_of.iter().map(|&r| b[r]));
+        self.ftran_in_place(scratch, 0, &mut Vec::new());
+        for p in 0..self.n {
+            b[self.col_of[p]] = scratch[p];
+        }
+    }
+
+    /// Solves `Bᵀ·y = c` in place: `c` enters in the order of the basis
+    /// columns factorized and leaves as `y` in original-row space.
+    pub fn btran(&self, c: &mut [f64], scratch: &mut Vec<f64>) {
+        debug_assert_eq!(c.len(), self.n);
+        scratch.clear();
+        scratch.extend(self.col_of.iter().map(|&k| c[k]));
+        self.btran_in_place(scratch, 0, &mut Vec::new(), &mut Vec::new());
         for p in 0..self.n {
             c[self.row_of[p]] = scratch[p];
         }
+    }
+}
+
+/// The error for the column factored at position `k`, which has no
+/// acceptable pivot.
+fn singular(col_of: &[usize], pos_of: &[usize], k: usize) -> FactorizeError {
+    FactorizeError::Singular {
+        col: col_of[k],
+        pivoted: pos_of.iter().map(|&p| p != usize::MAX).collect(),
+    }
+}
+
+/// Merges the distinct positions of `desc`, in descending order, into the
+/// ascending list `asc`, which holds none of them.
+fn merge_descending(asc: &mut Vec<usize>, desc: &[usize]) {
+    if desc.is_empty() {
+        return;
+    }
+    let mut i = asc.len();
+    asc.resize(i + desc.len(), 0);
+    let mut out = asc.len();
+    for &d in desc {
+        while i > 0 && asc[i - 1] > d {
+            out -= 1;
+            i -= 1;
+            asc[out] = asc[i];
+        }
+        out -= 1;
+        asc[out] = d;
     }
 }
 
@@ -956,58 +1178,211 @@ mod tests {
         }
     }
 
+    /// Column `q` of `m` scattered to its rows' pivot positions (`P·a_q`),
+    /// and the first position it touches.
+    fn in_positions(lu: &SparseLu, m: &ColMatrix, q: usize) -> (Vec<f64>, usize) {
+        let mut x = vec![0.0; m.n_rows()];
+        let mut first = m.n_rows();
+        for (r, v) in m.col(q) {
+            let p = lu.position_of(r);
+            x[p] += v;
+            first = first.min(p);
+        }
+        (x, first)
+    }
+
+    /// The positions where `v` is nonzero, ascending.
+    fn nonzeros(v: &[f64]) -> Vec<usize> {
+        (0..v.len()).filter(|&p| v[p] != 0.0).collect()
+    }
+
     #[test]
     fn sparse_solves_agree_with_dense_solves() {
+        // Diagonally dominated random matrices, then siting-shaped bases.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        for trial in 0..30 {
-            let n = 5 + trial % 11;
-            let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n]; n];
-            for (i, row) in rows.iter_mut().enumerate() {
-                for (j, cell) in row.iter_mut().enumerate() {
-                    if rng.gen_bool(0.35) {
-                        *cell = rng.gen_range(-2.0..2.0);
-                    }
-                    if i == j {
-                        *cell += 4.0;
+        let mut bases: Vec<ColMatrix> = (0..30)
+            .map(|trial| {
+                let n = 5 + trial % 11;
+                let mut rows: Vec<Vec<f64>> = vec![vec![0.0; n]; n];
+                for (i, row) in rows.iter_mut().enumerate() {
+                    for (j, cell) in row.iter_mut().enumerate() {
+                        if rng.gen_bool(0.35) {
+                            *cell = rng.gen_range(-2.0..2.0);
+                        }
+                        if i == j {
+                            *cell += 4.0;
+                        }
                     }
                 }
+                let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+                dense_to_cols(&refs)
+            })
+            .collect();
+        let sizes: &[usize] = if cfg!(miri) { &[24] } else { &[24, 90, 400] };
+        for &n in sizes {
+            for _ in 0..4 {
+                bases.push(siting_shaped_basis(&mut rng, n, false));
             }
-            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let m = dense_to_cols(&refs);
-            let lu = SparseLu::factorize(&m).expect("factorize");
-            let mut scratch = Vec::new();
+        }
+        let mut scratch = Vec::new();
+        let (mut nz, mut spare) = (Vec::new(), Vec::new());
+        let mut solved = 0;
+        for m in &bases {
+            let Ok(lu) = SparseLu::factorize(m) else {
+                continue;
+            };
+            let n = m.n_rows();
+            let order = lu.col_order();
 
-            // Sparse FTRAN of a random column == dense FTRAN of the same.
+            // In-place FTRAN of a random column == dense FTRAN of the same,
+            // position p holding basis column order[p].
             let q = rng.gen_range(0..n);
             let mut dense = vec![0.0; n];
             for (r, v) in m.col(q) {
                 dense[r] = v;
             }
             lu.ftran(&mut dense, &mut scratch);
-            let mut sparse = vec![0.0; n];
-            lu.ftran_sparse(m.col(q), &mut sparse, &mut scratch);
-            for i in 0..n {
+            let (mut x, first) = in_positions(&lu, m, q);
+            lu.ftran_in_place(&mut x, first, &mut nz);
+            for p in 0..n {
                 assert!(
-                    (dense[i] - sparse[i]).abs() < 1e-12,
-                    "ftran_sparse mismatch at {i}"
+                    (dense[order[p]] - x[p]).abs() < 1e-12,
+                    "n={n}: in-place ftran mismatch at position {p}"
                 );
             }
+            assert_eq!(nz, nonzeros(&x), "n={n}: ftran nonzero list");
 
-            // Unit BTRAN, row-wise == dot products.
-            let r = rng.gen_range(0..n);
-            let mut rows = vec![0.0; n];
-            rows[r] = 1.0;
-            lu.btran(&mut rows, &mut scratch);
+            // In-place BTRAN of a unit vector == dot-product BTRAN, row
+            // row_at(p) holding position p.
+            let k = rng.gen_range(0..n);
             let mut dots = vec![0.0; n];
-            dots[r] = 1.0;
+            dots[k] = 1.0;
             btran_dot_products(&lu, &mut dots, &mut scratch);
-            for i in 0..n {
+            let p0 = (0..n).find(|&p| order[p] == k).expect("a permutation");
+            let mut y = vec![0.0; n];
+            y[p0] = 1.0;
+            lu.btran_in_place(&mut y, p0, &mut nz, &mut spare);
+            for p in 0..n {
                 assert!(
-                    (rows[i] - dots[i]).abs() < 1e-12,
-                    "row-wise btran mismatch at {i}"
+                    (dots[lu.row_at(p)] - y[p]).abs() < 1e-12,
+                    "n={n}: in-place btran mismatch at position {p}"
                 );
+            }
+            assert_eq!(nz, nonzeros(&y), "n={n}: btran nonzero list");
+            solved += 1;
+        }
+        assert!(solved > 30, "{solved} bases solved");
+    }
+
+    /// The solves with both `L` sweeps over every position, as they ran
+    /// before [`SparseLu`] listed its nonempty `L` columns: the reference
+    /// the listed sweeps must match bit for bit.
+    fn ftran_full_sweeps(lu: &SparseLu, x: &mut [f64]) {
+        let n = lu.n;
+        for k in 0..n {
+            let yk = x[k];
+            if yk != 0.0 {
+                for t in lu.l_ptr[k]..lu.l_ptr[k + 1] {
+                    x[lu.l_idx[t]] -= lu.l_val[t] * yk;
+                }
             }
         }
+        for k in (0..n).rev() {
+            let xk = x[k] / lu.u_diag[k];
+            x[k] = xk;
+            if xk != 0.0 {
+                for t in lu.u_ptr[k]..lu.u_ptr[k + 1] {
+                    x[lu.u_idx[t]] -= lu.u_val[t] * xk;
+                }
+            }
+        }
+    }
+
+    /// See [`ftran_full_sweeps`].
+    fn btran_full_sweeps(lu: &SparseLu, y: &mut [f64]) {
+        let n = lu.n;
+        for k in 0..n {
+            let s = y[k];
+            if s == 0.0 {
+                continue;
+            }
+            let wk = s / lu.u_diag[k];
+            y[k] = wk;
+            for t in lu.ur_ptr[k]..lu.ur_ptr[k + 1] {
+                y[lu.ur_idx[t]] -= lu.ur_val[t] * wk;
+            }
+        }
+        for k in (0..n).rev() {
+            let mut s = y[k];
+            for t in lu.l_ptr[k]..lu.l_ptr[k + 1] {
+                s -= lu.l_val[t] * y[lu.l_idx[t]];
+            }
+            y[k] = s;
+        }
+    }
+
+    #[test]
+    fn l_sweeps_over_nonempty_columns_are_bit_identical_to_full_sweeps() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[8, 24]
+        } else {
+            &[8, 24, 90, 400, 1500]
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let (mut nz, mut spare) = (Vec::new(), Vec::new());
+        let (mut solves, mut skipped) = (0, 0);
+        for &n in sizes {
+            for trial in 0..6 {
+                let Ok(lu) = SparseLu::factorize(&siting_shaped_basis(&mut rng, n, false)) else {
+                    continue;
+                };
+                skipped += n - lu.l_nonempty.len();
+                // A unit vector, 3–6 nonzeros, and a dense right-hand side.
+                for kind in 0..3 {
+                    let mut c = vec![0.0; n];
+                    match kind {
+                        0 => c[rng.gen_range(0..n)] = 1.0,
+                        1 => {
+                            for _ in 0..rng.gen_range(3..7) {
+                                c[rng.gen_range(0..n)] = rng.gen_range(-2.0..2.0);
+                            }
+                        }
+                        _ => c.iter_mut().for_each(|x| *x = rng.gen_range(-2.0..2.0)),
+                    }
+                    let first = c.iter().position(|&v| v != 0.0).unwrap_or(n);
+                    let mut full = c.clone();
+                    ftran_full_sweeps(&lu, &mut full);
+                    let mut listed = c.clone();
+                    lu.ftran_in_place(&mut listed, first, &mut nz);
+                    assert_eq!(
+                        bits_up_to_zero_sign(&listed),
+                        bits_up_to_zero_sign(&full),
+                        "ftran n={n} trial={trial} kind={kind}"
+                    );
+                    let mut full = c.clone();
+                    btran_full_sweeps(&lu, &mut full);
+                    let mut listed = c;
+                    lu.btran_in_place(&mut listed, first, &mut nz, &mut spare);
+                    assert_eq!(
+                        bits_up_to_zero_sign(&listed),
+                        bits_up_to_zero_sign(&full),
+                        "btran n={n} trial={trial} kind={kind}"
+                    );
+                    assert_eq!(
+                        nz,
+                        nonzeros(&listed),
+                        "btran n={n} trial={trial} kind={kind}"
+                    );
+                    solves += 1;
+                }
+            }
+        }
+        // The listed sweeps must have skipped positions with empty L
+        // columns for the comparison to mean anything.
+        assert!(
+            solves > 0 && skipped > 0,
+            "solves {solves}, skipped {skipped}"
+        );
     }
 
     #[test]
@@ -1046,19 +1421,13 @@ mod tests {
         let mut lu = SparseLu {
             n,
             l_ptr: vec![0],
-            l_idx: Vec::new(),
-            l_val: Vec::new(),
             u_ptr: vec![0],
-            u_idx: Vec::new(),
-            u_val: Vec::new(),
             u_diag: vec![0.0; n],
-            ur_ptr: Vec::new(),
-            ur_idx: Vec::new(),
-            ur_val: Vec::new(),
             row_of: vec![usize::MAX; n],
             pos_of: vec![usize::MAX; n],
-            col_of: triangular_order(basis),
+            ..SparseLu::default()
         };
+        lu.triangular_order(basis, &(0..n).collect::<Vec<_>>());
         let mut x = vec![0.0; n];
         let mut mark = vec![false; n];
         let mut touched: Vec<usize> = Vec::new();
@@ -1098,10 +1467,7 @@ mod tests {
                 }
             }
             if piv_row == usize::MAX {
-                return Err(FactorizeError::Singular {
-                    col: lu.col_of[k],
-                    pivoted: lu.pos_of.iter().map(|&p| p != usize::MAX).collect(),
-                });
+                return Err(singular(&lu.col_of, &lu.pos_of, k));
             }
             let piv_val = x[piv_row];
             lu.u_diag[k] = piv_val;
@@ -1289,6 +1655,85 @@ mod tests {
         assert!(
             factored > 0 && singular > 0 && filled > 0,
             "factored {factored}, singular {singular}, with L entries {filled}"
+        );
+    }
+
+    /// Asserts that `got` holds the same factors as `want`, bit for bit.
+    fn assert_same_factors(got: &SparseLu, want: &SparseLu, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.l_ptr, want.l_ptr, "{case}");
+        assert_eq!(got.l_idx, want.l_idx, "{case}");
+        assert_eq!(bits(&got.l_val), bits(&want.l_val), "{case}");
+        assert_eq!(got.u_ptr, want.u_ptr, "{case}");
+        assert_eq!(got.u_idx, want.u_idx, "{case}");
+        assert_eq!(bits(&got.u_val), bits(&want.u_val), "{case}");
+        assert_eq!(bits(&got.u_diag), bits(&want.u_diag), "{case}");
+        assert_eq!(got.ur_ptr, want.ur_ptr, "{case}");
+        assert_eq!(got.ur_idx, want.ur_idx, "{case}");
+        assert_eq!(bits(&got.ur_val), bits(&want.ur_val), "{case}");
+        assert_eq!(got.row_of, want.row_of, "{case}");
+        assert_eq!(got.col_of, want.col_of, "{case}");
+    }
+
+    #[test]
+    fn copy_free_factorization_is_bit_identical_to_dense_scan() {
+        // Each basis's columns sit at shuffled indices of a wider store,
+        // between decoy columns, and one `SparseLu` refactors every draw in
+        // turn, singular ones included, so its reused work arrays carry
+        // over from factorizations that succeeded and that failed.
+        let sizes: &[usize] = if cfg!(miri) {
+            &[3, 8, 24]
+        } else {
+            &[3, 8, 24, 90, 400, 1500]
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut lu = SparseLu::default();
+        let (mut factored, mut singular, mut singletons) = (0, 0, 0);
+        for &n in sizes {
+            for trial in 0..8 {
+                let b = siting_shaped_basis(&mut rng, n, trial % 4 == 3);
+                let width = 2 * n;
+                let mut at: Vec<usize> = (0..width).collect();
+                for i in (1..width).rev() {
+                    at.swap(i, rng.gen_range(0..i + 1));
+                }
+                let basis = &at[..n];
+                let mut store = ColMatrix::new(n);
+                for j in 0..width {
+                    match basis.iter().position(|&a| a == j) {
+                        Some(k) => store.push_col(b.col(k)),
+                        None => store.push_col([(rng.gen_range(0..n), 1.0), (0, -2.0)]),
+                    }
+                }
+                singletons += (0..n).filter(|&k| b.col(k).count() == 1).count();
+                let case = format!("n={n} trial={trial}");
+                match (lu.refactor(&store, basis), factorize_dense_scan(&b)) {
+                    (Ok(()), Ok(scan)) => {
+                        assert_same_factors(&lu, &scan, &case);
+                        factored += 1;
+                    }
+                    (
+                        Err(FactorizeError::Singular { col, pivoted }),
+                        Err(FactorizeError::Singular {
+                            col: scan_col,
+                            pivoted: scan_pivoted,
+                        }),
+                    ) => {
+                        assert_eq!(col, scan_col, "{case}");
+                        assert_eq!(pivoted, scan_pivoted, "{case}");
+                        singular += 1;
+                    }
+                    (got, scan) => panic!(
+                        "{case}: refactor gave {:?}, dense scan gave {:?}",
+                        got.err().map(|e| e.to_string()),
+                        scan.err().map(|e| e.to_string())
+                    ),
+                }
+            }
+        }
+        assert!(
+            factored > 0 && singular > 0 && singletons > 0,
+            "factored {factored}, singular {singular}, singleton columns {singletons}"
         );
     }
 

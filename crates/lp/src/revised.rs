@@ -34,14 +34,27 @@
 //!
 //! Nonbasic reduced costs are maintained *incrementally*: each pivot updates
 //! them from the pivot row `αᵣ = ρᵀ·A` (with `ρ = B⁻ᵀ·eᵣ` a hyper-sparse
-//! unit BTRAN, and the gather done by sparse row access over a CSR mirror of
-//! the column matrix), so choosing an entering column is a scan of a dense
-//! array instead of an `O(nnz(A))` rescan plus BTRAN per iteration. The
+//! unit BTRAN, and the gather done by sparse row access over the live
+//! entries of a row copy of the column matrix), so choosing an entering
+//! column is a scan of a dense array instead of an `O(nnz(A))` rescan plus
+//! BTRAN per iteration. The
 //! entering choice itself is governed by [`PricingMode`]: devex
 //! reference-framework pricing by default, with classic Dantzig
 //! available. Degenerate stalls switch to Bland's rule, which guarantees
 //! termination; optimality is only ever declared on freshly recomputed
 //! (exact) reduced costs.
+//!
+//! # Per-pivot work
+//!
+//! Every factorization renumbers the basis slots to its pivot positions, so
+//! the FTRAN, BTRAN and steepest-edge FTRAN run in place with no
+//! permutation pass, and each keeps an ascending list of its result's
+//! nonzeros. The basic-solution updates, the ratio test, the reduced-cost
+//! anchor, the eta push and the steepest-edge update walk those lists, not
+//! all `m` slots, and the restoration takes its leaving row from a bitmap
+//! of the violated slots. No choice depends on how anything is stored:
+//! the factors are computed from the basic columns in ascending column
+//! order, and every tie in a selection goes to the lower column.
 
 // Index loops here sweep multiple parallel arrays of the numerical kernel;
 // iterator rewrites obscure the linear algebra.
@@ -411,6 +424,31 @@ struct Eta {
     /// Off-pivot entries `(slot, value)` of the transformed entering column,
     /// in ascending slot.
     entries: Vec<(usize, f64)>,
+    /// The slots of `entries` as a bitmap, one bit per basis slot.
+    pattern: Vec<u64>,
+}
+
+impl Eta {
+    /// The eta of `entries` over `m` slots.
+    fn new(slot: usize, pivot: f64, entries: Vec<(usize, f64)>, m: usize) -> Self {
+        let mut eta = Eta {
+            slot,
+            pivot,
+            entries,
+            pattern: Vec::new(),
+        };
+        eta.index(m);
+        eta
+    }
+
+    /// Rebuilds `pattern` from `entries`.
+    fn index(&mut self, m: usize) {
+        self.pattern.clear();
+        self.pattern.resize(m.div_ceil(64), 0);
+        for &(i, _) in &self.entries {
+            set_bit(&mut self.pattern, i, true);
+        }
+    }
 }
 
 /// An eta whose entries outnumber the listed nonzeros of `y` by this
@@ -464,16 +502,63 @@ fn eta_btran(etas: &[Eta], y: &mut [f64], mut nz: Option<&mut Vec<usize>>) {
 }
 
 /// Applies the eta file in order, oldest eta first: the eta half of an
-/// FTRAN, `w ← Eₖ⁻¹⋯E₁⁻¹·w`.
-fn eta_ftran(etas: &[Eta], w: &mut [f64]) {
+/// FTRAN, `w ← Eₖ⁻¹⋯E₁⁻¹·w`. `nz` lists, ascending and without repeats,
+/// every slot where `w` may be nonzero, and is kept so: a slot an eta
+/// writes to joins it.
+///
+/// `members` is a bitmap over the slots, all zero on entry and on return.
+/// It holds the list's slots while the etas run, and each eta applied adds
+/// its pattern to it, a word at a time; if any slot joined, one scan of
+/// its words lists them all in ascending order, with no sort.
+fn eta_ftran(etas: &[Eta], w: &mut [f64], nz: &mut Vec<usize>, members: &mut [u64]) {
+    for &i in nz.iter() {
+        set_bit(members, i, true);
+    }
+    let mut joined = false;
     for eta in etas {
         let t = w[eta.slot] / eta.pivot;
         if t != 0.0 {
             for &(i, v) in &eta.entries {
                 w[i] -= v * t;
             }
+            for (word, &bits) in members.iter_mut().zip(&eta.pattern) {
+                joined |= bits & !*word != 0;
+                *word |= bits;
+            }
         }
         w[eta.slot] = t;
+    }
+    if joined {
+        nz.clear();
+        for (at, word) in members.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                nz.push(at * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    } else {
+        for &i in nz.iter() {
+            set_bit(members, i, false);
+        }
+    }
+}
+
+/// Whether basic value `x` lies outside `[lo, hi]` by more than `tol`, or
+/// is not finite.
+#[inline]
+fn violates(x: f64, lo: f64, hi: f64, tol: f64) -> bool {
+    !x.is_finite() || x < lo - tol || x > hi + tol
+}
+
+/// Sets bit `s` of `bits` to `on`.
+#[inline]
+fn set_bit(bits: &mut [u64], s: usize, on: bool) {
+    let mask = 1u64 << (s % 64);
+    if on {
+        bits[s / 64] |= mask;
+    } else {
+        bits[s / 64] &= !mask;
     }
 }
 
@@ -503,8 +588,10 @@ struct Worker {
     /// Structural columns, then one slack per row.
     n_total: usize,
     cols: ColMatrix,
-    /// CSR mirror of `cols` for pivot-row gathers (`αᵣ = ρᵀ·A` by sparse
-    /// row access instead of scanning every column).
+    /// Row copy of `cols` for pivot-row gathers (`αᵣ = ρᵀ·A` by sparse
+    /// row access instead of scanning every column). A column is live in
+    /// it while its pricing state is not [`PriceState::Off`], so each
+    /// gather reads only the entries of columns that can enter.
     rows: RowMatrix,
     lb: Vec<f64>,
     ub: Vec<f64>,
@@ -513,24 +600,42 @@ struct Worker {
     status: Vec<ColStatus>,
     /// Pricing state of every column, in step with `status` and the bounds.
     state: Vec<PriceState>,
+    /// The column in each basis slot. Every factorization renumbers the
+    /// slots to its pivot positions (see [`Worker::factorize`]), so slot
+    /// space and the factors' position space are one.
     basis: Vec<usize>,
     xb: Vec<f64>,
+    /// One bit per slot, set while `xb` violates its column's bounds by
+    /// more than `feas_tol` or is not finite: the restoration's leaving-row
+    /// candidates, kept by every update of `xb`.
+    infeasible: Vec<u64>,
     /// Factors of the installed basis; empty until a warm basis installs
     /// or the slack basis is factorized for a slack start.
     lu: SparseLu,
+    /// The basic columns in ascending order, as the last factorization
+    /// read them.
+    factor_order: Vec<usize>,
     etas: Vec<Eta>,
+    /// Cleared etas, whose buffers [`Worker::push_eta`] reuses.
+    spent_etas: Vec<Eta>,
     scratch: Vec<f64>,
     work_y: Vec<f64>,
     work_w: Vec<f64>,
-    /// Unit-BTRAN output `ρ = B⁻ᵀ·eᵣ` (row `r` of the basis inverse).
+    /// Ascending slots where `work_w` may be nonzero.
+    w_nz: Vec<usize>,
+    /// Unit-BTRAN output `ρ = B⁻ᵀ·eᵣ` (row `r` of the basis inverse), in
+    /// position space: entry `p` belongs to row `lu.row_at(p)`.
     work_rho: Vec<f64>,
-    /// Ascending slots where `work_rho` may be nonzero during the eta pass.
+    /// Ascending positions where `work_rho` may be nonzero.
     rho_nz: Vec<usize>,
     /// Ratio-test survivors `(slot, δ, bound)` of pass 1, in slot order.
     ratio_cands: Vec<(usize, f64, f64)>,
-    /// Dense pivot-row workspace, reset sparsely via `alpha_touched`.
+    /// Dense pivot-row workspace: entry `j` belongs to the last pivot row
+    /// when `alpha_stamp[j] == alpha_gen` (see [`Worker::alpha`]), and
+    /// `alpha_touched` lists those columns.
     work_alpha: Vec<f64>,
-    alpha_mark: Vec<bool>,
+    alpha_stamp: Vec<u32>,
+    alpha_gen: u32,
     alpha_touched: Vec<usize>,
     /// Maintained reduced costs of every column (basic entries are 0).
     d: Vec<f64>,
@@ -542,6 +647,16 @@ struct Worker {
     dse_w: Vec<f64>,
     /// FTRAN output `τ = B⁻¹·ρ_r` of the steepest-edge update.
     work_tau: Vec<f64>,
+    /// Ascending slots where `work_tau` may be nonzero.
+    tau_nz: Vec<usize>,
+    /// Scratch of the solves: a merge buffer, the nonzeros of a dense
+    /// solve, which nothing reads, and the slot bitmap of [`eta_ftran`].
+    spare: Vec<usize>,
+    dense_nz: Vec<usize>,
+    members: Vec<u64>,
+    /// Eligible restoration candidates `(q, dir, ratio, |α_q|)`, gathered
+    /// by the first pass of [`Worker::restoration_candidate`].
+    restore_cands: Vec<(usize, f64, f64, f64)>,
     /// `d` must be recomputed from scratch before the next pricing scan
     /// (set after refactorization, a basis install or repair, and drift
     /// detection).
@@ -608,38 +723,46 @@ impl Worker {
         // 2, scaled with the problem size.
         let max_iterations = (20 * (m + n_struct)).max(2_000);
 
-        let rows = RowMatrix::from_cols(&cols);
-
         let mut w = Worker {
             opts: opts.clone(),
             m,
             n_struct,
             n_total,
             cols,
-            rows,
+            rows: RowMatrix::default(),
             lb,
             ub,
             cost,
             rhs,
-            status,
-            state: vec![PriceState::Off; n_total],
+            status: Vec::new(),
+            state: Vec::new(),
             basis,
             xb,
+            infeasible: vec![0; m.div_ceil(64)],
             lu: SparseLu::default(),
+            factor_order: Vec::new(),
             etas: Vec::new(),
+            spent_etas: Vec::new(),
             scratch: Vec::new(),
             work_y: vec![0.0; m],
             work_w: vec![0.0; m],
+            w_nz: Vec::new(),
             work_rho: vec![0.0; m],
             rho_nz: Vec::new(),
             ratio_cands: Vec::new(),
             work_alpha: vec![0.0; n_total],
-            alpha_mark: vec![false; n_total],
+            alpha_stamp: vec![0; n_total],
+            alpha_gen: 0,
             alpha_touched: Vec::new(),
             d: vec![0.0; n_total],
             devex_w: vec![1.0; n_total],
             dse_w: vec![1.0; m],
             work_tau: vec![0.0; m],
+            tau_nz: Vec::new(),
+            spare: Vec::new(),
+            dense_nz: Vec::new(),
+            members: vec![0; m.div_ceil(64)],
+            restore_cands: Vec::new(),
             d_stale: true,
             d_exact: false,
             paranoid: std::env::var_os("GC_LP_PARANOID").is_some(),
@@ -651,24 +774,117 @@ impl Worker {
             n_btran: 0,
             pricing_ns: 0,
         };
-        for j in 0..n_total {
-            w.set_status(j, w.status[j]);
-        }
+        w.set_statuses(status);
         w
     }
 
     /// Factorizes the slack basis [`Worker::build`] set up, for a solve
     /// that starts from it.
     fn factorize_slack_basis(&mut self) -> Result<(), SolveError> {
-        self.lu = factorize_basis(&self.cols, &self.basis, self.m)?;
+        self.factorize()?;
         Ok(())
     }
 
-    /// Sets column `j`'s status and its pricing state, the one place the
+    /// Sets column `j`'s status and its pricing state, and moves its row
+    /// copy entries across the live boundary when it starts or stops being
+    /// able to enter: with [`Worker::set_statuses`], the one place the
     /// state is written. A change to `j`'s bounds calls it too.
     fn set_status(&mut self, j: usize, st: ColStatus) {
         self.status[j] = st;
-        self.state[j] = price_state(st, self.lb[j], self.ub[j]);
+        let state = price_state(st, self.lb[j], self.ub[j]);
+        let live = state != PriceState::Off;
+        if live != (self.state[j] != PriceState::Off) {
+            self.rows.set_live(&self.cols, j, live);
+        }
+        self.state[j] = state;
+    }
+
+    /// Installs every column's status at once, with its pricing state, and
+    /// rebuilds the row copy around the new live columns: the bulk form of
+    /// [`Worker::set_status`], for a whole basis.
+    fn set_statuses(&mut self, status: Vec<ColStatus>) {
+        self.state.clear();
+        self.state.extend(
+            status
+                .iter()
+                .enumerate()
+                .map(|(j, &st)| price_state(st, self.lb[j], self.ub[j])),
+        );
+        self.status = status;
+        let state = &self.state;
+        self.rows
+            .partition(&self.cols, |j| state[j] != PriceState::Off);
+    }
+
+    /// Factorizes the basic columns, read in ascending column order so
+    /// that the factors depend on the basic set alone, and on success
+    /// renumbers the slots to the factors' pivot positions: the column
+    /// factored at position `k` moves to slot `k`, taking its basic value
+    /// and steepest-edge weight along. The solves then run in slot space
+    /// with no column permutation. The eta file, indexed by the old slots,
+    /// is cleared either way.
+    ///
+    /// On [`FactorizeError::Singular`], `col` indexes `factor_order` and
+    /// the slots are unchanged.
+    fn factorize(&mut self) -> Result<(), FactorizeError> {
+        self.clear_etas();
+        self.factor_order.clear();
+        self.factor_order.extend_from_slice(&self.basis);
+        self.factor_order.sort_unstable();
+        self.lu.refactor(&self.cols, &self.factor_order)?;
+        for (k, &i) in self.lu.col_order().iter().enumerate() {
+            self.basis[k] = self.factor_order[i];
+        }
+        let old_slot = |st: ColStatus| match st {
+            ColStatus::Basic(s) => s,
+            _ => unreachable!("a factorized column is basic"),
+        };
+        for values in [&mut self.xb, &mut self.dse_w] {
+            self.scratch.clear();
+            self.scratch
+                .extend(self.basis.iter().map(|&j| values[old_slot(self.status[j])]));
+            std::mem::swap(values, &mut self.scratch);
+        }
+        for (k, &j) in self.basis.iter().enumerate() {
+            self.status[j] = ColStatus::Basic(k);
+        }
+        self.flag_all();
+        Ok(())
+    }
+
+    /// Recomputes every bit of `infeasible` from `xb`.
+    fn flag_all(&mut self) {
+        let tol = self.opts.feas_tol;
+        self.infeasible.fill(0);
+        for (s, &j) in self.basis.iter().enumerate() {
+            if violates(self.xb[s], self.lb[j], self.ub[j], tol) {
+                set_bit(&mut self.infeasible, s, true);
+            }
+        }
+    }
+
+    /// Sets slot `s`'s bit of `infeasible` from its current value.
+    fn flag(&mut self, s: usize) {
+        let j = self.basis[s];
+        let on = violates(self.xb[s], self.lb[j], self.ub[j], self.opts.feas_tol);
+        set_bit(&mut self.infeasible, s, on);
+    }
+
+    /// Moves the basic solution by `−step·w`, with `w = B⁻¹·a_q` the FTRAN
+    /// of the entering column in `work_w`, over `w`'s nonzeros only, and
+    /// re-flags the slots it moves.
+    fn move_basics(&mut self, step: f64) {
+        let tol = self.opts.feas_tol;
+        for &s in &self.w_nz {
+            let x = self.xb[s] - step * self.work_w[s];
+            self.xb[s] = x;
+            let j = self.basis[s];
+            set_bit(
+                &mut self.infeasible,
+                s,
+                violates(x, self.lb[j], self.ub[j], tol),
+            );
+        }
     }
 
     fn stats(&self) -> SolveStats {
@@ -684,9 +900,10 @@ impl Worker {
 
     /// Attempts to install an exported warm basis over the freshly built
     /// slack basis. Validate-then-commit: all checks run on scratch state,
-    /// and `self` is only mutated once the basis is proven usable — a
-    /// failed attempt leaves the slack basis intact, so the caller starts
-    /// from it with no rebuild.
+    /// and the basis, statuses and values are only changed once the basis
+    /// is proven usable — a failed attempt leaves the slack basis intact,
+    /// so the caller starts from it with no rebuild, factorizing it over
+    /// the factors the attempt left behind.
     ///
     /// The snapshot is *repaired* rather than trusted: nonbasic statuses
     /// that no longer match the model's bounds are remapped, and a
@@ -698,6 +915,7 @@ impl Worker {
         if warm.statuses().len() != self.n_total {
             return Err(()); // different model shape
         }
+        // The basic columns, ascending, as `Worker::factorize` reads them.
         let mut basics = Vec::with_capacity(self.m);
         for (j, &st) in warm.statuses().iter().enumerate() {
             if st == BasisStatus::Basic {
@@ -711,8 +929,9 @@ impl Worker {
         // a column the LU proves dependent is swapped for the slack of a
         // row that has no pivot yet (a unit column, so the replacement can
         // never create a new dependency on the repaired prefix). Bounded
-        // retries: pathological snapshots fall back to the slack basis.
-        let lu = {
+        // retries: pathological snapshots fall back to the slack basis,
+        // which factorizes afresh over the factors this leaves behind.
+        {
             // Basic-membership mark, kept in step with `basics`, so each
             // replacement search is O(m).
             let mut is_basic = vec![false; self.n_total];
@@ -721,8 +940,8 @@ impl Worker {
             }
             let mut attempt = 0usize;
             loop {
-                match factorize_basis(&self.cols, &basics, self.m) {
-                    Ok(lu) => break lu,
+                match self.lu.refactor(&self.cols, &basics) {
+                    Ok(()) => break,
                     Err(FactorizeError::NotSquare { .. }) => return Err(()),
                     Err(FactorizeError::Singular { col, pivoted }) => {
                         attempt += 1;
@@ -734,13 +953,16 @@ impl Worker {
                         let Some(r) = replacement else {
                             return Err(());
                         };
-                        is_basic[basics[col]] = false;
-                        basics[col] = self.n_struct + r;
-                        is_basic[basics[col]] = true;
+                        let slack = self.n_struct + r;
+                        is_basic[basics.remove(col)] = false;
+                        basics.insert(basics.partition_point(|&j| j < slack), slack);
+                        is_basic[slack] = true;
                     }
                 }
             }
-        };
+        }
+        // Slot k holds the column factored at position k.
+        let basis: Vec<usize> = self.lu.col_order().iter().map(|&i| basics[i]).collect();
 
         // Repaired statuses on scratch: warm nonbasics remapped against the
         // current bounds, basics patched last. Columns evicted by the
@@ -754,7 +976,7 @@ impl Worker {
                 _ => initial_status(self.lb[j], self.ub[j]),
             };
         }
-        for (slot, &j) in basics.iter().enumerate() {
+        for (slot, &j) in basis.iter().enumerate() {
             status[j] = ColStatus::Basic(slot);
         }
 
@@ -771,20 +993,18 @@ impl Worker {
                 }
             }
         }
-        lu.ftran(&mut resid, &mut self.scratch);
-        let xb = resid;
+        let mut xb: Vec<f64> = (0..self.m).map(|p| resid[self.lu.row_at(p)]).collect();
+        self.lu.ftran_in_place(&mut xb, 0, &mut self.dense_nz);
         if xb.iter().any(|x| !x.is_finite()) {
             return Err(());
         }
 
         // Commit.
-        for (j, &st) in status.iter().enumerate() {
-            self.set_status(j, st);
-        }
-        self.basis = basics;
-        self.lu = lu;
-        self.etas.clear();
+        self.set_statuses(status);
+        self.basis = basis;
+        self.clear_etas();
         self.xb = xb;
+        self.flag_all();
         self.d_stale = true;
         Ok(())
     }
@@ -851,29 +1071,44 @@ impl Worker {
         let max_steps = 2 * self.m + 64;
         let steepest = rule == LeavingRule::SteepestEdge;
         for _ in 0..max_steps {
-            // Leaving row: the best-scoring violated basic.
+            debug_assert!(
+                (0..self.m).all(|s| {
+                    let j = self.basis[s];
+                    let on = violates(self.xb[s], self.lb[j], self.ub[j], tol);
+                    on == (self.infeasible[s / 64] >> (s % 64) & 1 == 1)
+                }),
+                "infeasibility bitmap out of step with the basic solution"
+            );
+            // Leaving row: the best-scoring violated basic, the lower
+            // column on an exact tie, from the bitmap of violated slots.
             let mut worst: Option<(usize, f64, f64)> = None; // slot, score, target
-            for slot in 0..self.m {
-                let j = self.basis[slot];
-                let (lo, hi) = (self.lb[j], self.ub[j]);
-                let x = self.xb[slot];
-                if !x.is_finite() {
-                    return Err(SolveError::Numerical("non-finite basic value".into()));
-                }
-                let (viol, target) = if x < lo - tol {
-                    (lo - x, lo)
-                } else if x > hi + tol {
-                    (x - hi, hi)
-                } else {
-                    continue;
-                };
-                let score = if steepest {
-                    viol * viol / self.dse_w[slot]
-                } else {
-                    viol
-                };
-                if worst.is_none_or(|(_, s, _)| score > s) {
-                    worst = Some((slot, score, target));
+            for (word_at, &word) in self.infeasible.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = word_at * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let j = self.basis[slot];
+                    let (lo, hi) = (self.lb[j], self.ub[j]);
+                    let x = self.xb[slot];
+                    if !x.is_finite() {
+                        return Err(SolveError::Numerical("non-finite basic value".into()));
+                    }
+                    let (viol, target) = if x < lo - tol {
+                        (lo - x, lo)
+                    } else {
+                        (x - hi, hi)
+                    };
+                    let score = if steepest {
+                        viol * viol / self.dse_w[slot]
+                    } else {
+                        viol
+                    };
+                    let better = worst.is_none_or(|(s, best, _)| {
+                        score > best || (score == best && j < self.basis[s])
+                    });
+                    if better {
+                        worst = Some((slot, score, target));
+                    }
                 }
             }
             let Some((r, _, target)) = worst else {
@@ -893,7 +1128,7 @@ impl Worker {
             // the basis alone, so the row stays valid for the whole step.
             self.pivot_row(r);
             if steepest {
-                let exact: f64 = self.work_rho.iter().map(|v| v * v).sum();
+                let exact: f64 = self.rho_nz.iter().map(|&p| self.work_rho[p].powi(2)).sum();
                 if self.paranoid {
                     self.paranoid_check_dse_weight(r, exact);
                 }
@@ -931,9 +1166,7 @@ impl Worker {
                 // pivot row and the reduced costs are untouched.
                 let span = self.ub[q] - self.lb[q];
                 if span.is_finite() && t > span {
-                    for s in 0..self.m {
-                        self.xb[s] -= span * dir * self.work_w[s];
-                    }
+                    self.move_basics(span * dir);
                     let flipped_status = match self.status[q] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
@@ -955,9 +1188,7 @@ impl Worker {
                     self.update_dse_weights(r);
                 }
                 self.pricing_ns += t0.elapsed_ns();
-                for s in 0..self.m {
-                    self.xb[s] -= t * dir * self.work_w[s];
-                }
+                self.move_basics(t * dir);
                 self.xb[r] = nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
                 // The leaving variable lands exactly on its violated bound.
                 let lo = self.lb[leaving];
@@ -973,6 +1204,7 @@ impl Worker {
                 self.set_status(leaving, leaving_status);
                 self.set_status(q, ColStatus::Basic(r));
                 self.basis[r] = q;
+                self.flag(r);
                 self.push_eta(r);
                 break;
             }
@@ -988,12 +1220,17 @@ impl Worker {
 
     /// The restoration's entering candidate on the current pivot row when
     /// basic row `r` must move by `delta_r`: among the row's nonzeros whose
-    /// column can move `xb[r]` toward its target, the smallest |reduced
-    /// cost| per unit of pivot, the largest pivot on ties. Entering `q`
-    /// moving by `t·dir` changes `xb[r]` by `−t·dir·α_q`, so `q` is eligible
-    /// when `dir·α_q` opposes `delta_r`. Returns `(q, dir)`.
-    fn restoration_candidate(&self, delta_r: f64) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64, f64)> = None; // q, dir, ratio, |alpha|
+    /// column can move `xb[r]` toward its target, the largest pivot whose
+    /// |reduced cost| per unit of pivot is within 1e-12 of the smallest,
+    /// the lower column on an exact tie. Two passes (the smallest ratio,
+    /// then the choice within its window) make the choice independent of
+    /// the order the gather touched the columns in. Entering `q` moving by
+    /// `t·dir` changes `xb[r]` by `−t·dir·α_q`, so `q` is eligible when
+    /// `dir·α_q` opposes `delta_r`. Returns `(q, dir)`.
+    fn restoration_candidate(&mut self, delta_r: f64) -> Option<(usize, f64)> {
+        let mut cands = std::mem::take(&mut self.restore_cands);
+        cands.clear();
+        let mut min_ratio = f64::INFINITY;
         for &q in &self.alpha_touched {
             let alpha = self.work_alpha[q];
             if alpha.abs() <= PIV_TOL {
@@ -1015,17 +1252,18 @@ impl Worker {
                 continue; // moves xb[r] the wrong way
             }
             let ratio = self.d[q].abs() / alpha.abs();
-            let better = match best {
-                None => true,
-                Some((_, _, br, ba)) => {
-                    ratio < br - 1e-12 || (ratio <= br + 1e-12 && alpha.abs() > ba)
-                }
-            };
-            if better {
-                best = Some((q, dir, ratio, alpha.abs()));
+            min_ratio = min_ratio.min(ratio);
+            cands.push((q, dir, ratio, alpha.abs()));
+        }
+        let window = min_ratio + 1e-12;
+        let mut best: Option<(usize, f64, f64)> = None; // q, dir, |alpha|
+        for &(q, dir, ratio, a) in &cands {
+            if ratio <= window && best.is_none_or(|(bq, _, ba)| a > ba || (a == ba && q < bq)) {
+                best = Some((q, dir, a));
             }
         }
-        best.map(|(q, dir, _, _)| (q, dir))
+        self.restore_cands = cands;
+        best.map(|(q, dir, _)| (q, dir))
     }
 
     /// Dual steepest-edge update (Forrest & Goldfarb, 1992) for the pivot
@@ -1042,14 +1280,25 @@ impl Worker {
     /// structural of larger norm leaves, it overstated weights by up to
     /// 24% on the Fig. 7 search and tripped the `GC_LP_PARANOID` check.
     fn update_dse_weights(&mut self, r: usize) {
-        self.work_tau.copy_from_slice(&self.work_rho);
-        self.lu.ftran(&mut self.work_tau, &mut self.scratch);
-        eta_ftran(&self.etas, &mut self.work_tau);
+        // `work_rho` holds ρ_r at its rows' pivot positions, which is the
+        // permuted right-hand side the position-space FTRAN takes.
+        for &p in &self.rho_nz {
+            self.work_tau[p] = self.work_rho[p];
+        }
+        let first = self.rho_nz.first().copied().unwrap_or(self.m);
+        self.lu
+            .ftran_in_place(&mut self.work_tau, first, &mut self.tau_nz);
+        eta_ftran(
+            &self.etas,
+            &mut self.work_tau,
+            &mut self.tau_nz,
+            &mut self.members,
+        );
         self.n_ftran += 1;
         let wr = self.work_w[r];
         let beta_r = self.dse_w[r];
         let leaving_norm2: f64 = self.cols.col(self.basis[r]).map(|(_, a)| a * a).sum();
-        for i in 0..self.m {
+        for &i in &self.w_nz {
             let wi = self.work_w[i];
             if i == r || wi == 0.0 {
                 continue;
@@ -1059,6 +1308,9 @@ impl Worker {
             self.dse_w[i] = beta.max(k * k / leaving_norm2);
         }
         self.dse_w[r] = beta_r / (wr * wr);
+        for &p in &self.tau_nz {
+            self.work_tau[p] = 0.0;
+        }
     }
 
     /// Primal phase 2: runs pivots from a primal-feasible basis until the
@@ -1114,7 +1366,7 @@ impl Worker {
             // if the streak returns on a fresh factorization, give up so a
             // warm start can restart from the slack basis.
             let mut dq = self.cost[q];
-            for slot in 0..self.m {
+            for &slot in &self.w_nz {
                 let gb = self.cost[self.basis[slot]];
                 if gb != 0.0 {
                     dq -= gb * self.work_w[slot];
@@ -1163,10 +1415,7 @@ impl Worker {
                     // x_q jumps to its opposite bound; basics absorb the
                     // move. The basis is unchanged, so the maintained
                     // reduced costs and devex weights stay valid as-is.
-                    let w = &self.work_w;
-                    for slot in 0..self.m {
-                        self.xb[slot] -= t * dir * w[slot];
-                    }
+                    self.move_basics(t * dir);
                     let flipped = match self.status[q] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
@@ -1195,9 +1444,7 @@ impl Worker {
                         );
                     }
                     self.pricing_ns += t0.elapsed_ns();
-                    for s in 0..self.m {
-                        self.xb[s] -= t * dir * self.work_w[s];
-                    }
+                    self.move_basics(t * dir);
                     let entering_value =
                         nonbasic_value(self.status[q], self.lb[q], self.ub[q]) + dir * t;
                     self.xb[slot] = entering_value;
@@ -1211,6 +1458,7 @@ impl Worker {
                     self.set_status(leaving, leaving_status);
                     self.set_status(q, ColStatus::Basic(slot));
                     self.basis[slot] = q;
+                    self.flag(slot);
                     self.push_eta(slot);
                     if t <= self.opts.feas_tol {
                         degen_streak += 1;
@@ -1234,7 +1482,15 @@ impl Worker {
         for slot in 0..self.m {
             self.work_y[slot] = self.cost[self.basis[slot]];
         }
-        self.btran();
+        // y = B⁻ᵀ·c_B: etas in reverse, then the factors, then by row.
+        eta_btran(&self.etas, &mut self.work_y, None);
+        self.lu
+            .btran_in_place(&mut self.work_y, 0, &mut self.dense_nz, &mut self.spare);
+        self.n_btran += 1;
+        self.scratch.resize(self.m, 0.0);
+        for p in 0..self.m {
+            self.scratch[self.lu.row_at(p)] = self.work_y[p];
+        }
         for j in 0..self.n_total {
             if matches!(self.status[j], ColStatus::Basic(_)) {
                 self.d[j] = 0.0;
@@ -1242,7 +1498,7 @@ impl Worker {
             }
             let mut dj = self.cost[j];
             for (r, a) in self.cols.col(j) {
-                dj -= self.work_y[r] * a;
+                dj -= self.scratch[r] * a;
             }
             self.d[j] = dj;
         }
@@ -1253,46 +1509,68 @@ impl Worker {
     /// Computes `ρ = B⁻ᵀ·eᵣ` into `work_rho` (hyper-sparse unit BTRAN:
     /// an eta pass that tracks the few nonzeros of `ρ`, then the row-wise
     /// LU BTRAN) and gathers the pivot row `αᵣ = ρᵀ·A` into
-    /// `work_alpha`/`alpha_touched` by sparse row access over the CSR
-    /// mirror — `O(Σ_{ρᵢ≠0} nnz(rowᵢ))` instead of scanning every column.
+    /// `work_alpha`/`alpha_touched` by sparse row access over the live
+    /// entries of the row copy — `O(Σ_{ρᵢ≠0} live(rowᵢ))` instead of
+    /// scanning every column. The rows are visited in ascending pivot
+    /// position, so each `α_j` sums its terms in an order that does not
+    /// depend on how the row copy stores them.
     fn pivot_row(&mut self, r: usize) {
         self.btran_unit(r);
         if self.paranoid {
             self.paranoid_check(Kernel::PivotRow(r));
         }
 
-        // Sparse reset of the previous pivot row, then the gather. The
-        // mark array (not a zero test) guards `alpha_touched` against
-        // duplicates when a value cancels exactly to zero mid-gather.
-        for idx in 0..self.alpha_touched.len() {
-            let j = self.alpha_touched[idx];
-            self.work_alpha[j] = 0.0;
-            self.alpha_mark[j] = false;
+        // A new gather generation: a column's first term in it sets its
+        // entry, so the last pivot row needs no reset. The stamp (not a
+        // zero test) guards `alpha_touched` against duplicates when a value
+        // cancels exactly to zero mid-gather.
+        self.alpha_gen = self.alpha_gen.wrapping_add(1);
+        if self.alpha_gen == 0 {
+            self.alpha_stamp.fill(0);
+            self.alpha_gen = 1;
         }
+        let gen = self.alpha_gen;
         self.alpha_touched.clear();
-        for i in 0..self.m {
-            let rho = self.work_rho[i];
+        for &p in &self.rho_nz {
+            let rho = self.work_rho[p];
             if rho == 0.0 {
                 continue;
             }
-            for (j, a) in self.rows.row(i) {
-                if !self.alpha_mark[j] {
-                    self.alpha_mark[j] = true;
+            let (cols, vals) = self.rows.live_slices(self.lu.row_at(p));
+            for (&j, &a) in cols.iter().zip(vals) {
+                if self.alpha_stamp[j] == gen {
+                    self.work_alpha[j] += rho * a;
+                } else {
+                    self.alpha_stamp[j] = gen;
                     self.alpha_touched.push(j);
+                    self.work_alpha[j] = rho * a;
                 }
-                self.work_alpha[j] += rho * a;
             }
         }
     }
 
-    /// Computes `ρ = B⁻ᵀ·eᵣ`, row `r` of the basis inverse, into `work_rho`.
+    /// Entry `j` of the last pivot row gathered.
+    fn alpha(&self, j: usize) -> f64 {
+        if self.alpha_stamp[j] == self.alpha_gen {
+            self.work_alpha[j]
+        } else {
+            0.0
+        }
+    }
+
+    /// Computes `ρ = B⁻ᵀ·eᵣ`, row `r` of the basis inverse, into `work_rho`
+    /// in position space, its nonzeros listed in `rho_nz`.
     fn btran_unit(&mut self, r: usize) {
-        self.work_rho.fill(0.0);
+        for &p in &self.rho_nz {
+            self.work_rho[p] = 0.0;
+        }
         self.work_rho[r] = 1.0;
         self.rho_nz.clear();
         self.rho_nz.push(r);
         eta_btran(&self.etas, &mut self.work_rho, Some(&mut self.rho_nz));
-        self.lu.btran(&mut self.work_rho, &mut self.scratch);
+        let first = self.rho_nz.first().copied().unwrap_or(r);
+        self.lu
+            .btran_in_place(&mut self.work_rho, first, &mut self.rho_nz, &mut self.spare);
         self.n_btran += 1;
     }
 
@@ -1304,7 +1582,7 @@ impl Worker {
     /// disagreement the incremental state is discarded (recomputed lazily)
     /// instead of propagating drift.
     fn update_reduced_costs(&mut self, q: usize, wr: f64, leaving: usize, devex: bool) {
-        let alpha_q = self.work_alpha[q];
+        let alpha_q = self.alpha(q);
         if !alpha_q.is_finite() || (alpha_q - wr).abs() > 1e-7 * (1.0 + wr.abs()) {
             self.d_stale = true;
             return;
@@ -1314,7 +1592,12 @@ impl Worker {
         let aq2 = wr * wr;
         for idx in 0..self.alpha_touched.len() {
             let j = self.alpha_touched[idx];
-            if j == q || self.state[j] == PriceState::Off {
+            debug_assert_ne!(
+                self.state[j],
+                PriceState::Off,
+                "the gather reads live columns"
+            );
+            if j == q {
                 continue;
             }
             let aj = self.work_alpha[j];
@@ -1363,9 +1646,9 @@ impl Worker {
     fn refactorize_evicting(&mut self) -> Result<(), SolveError> {
         let unrepairable = || SolveError::Numerical("unrepairable singular basis".into());
         let mut attempt = 0usize;
-        let lu = loop {
-            match factorize_basis(&self.cols, &self.basis, self.m) {
-                Ok(lu) => break lu,
+        loop {
+            match self.factorize() {
+                Ok(()) => break,
                 Err(FactorizeError::NotSquare { .. }) => return Err(unrepairable()),
                 Err(FactorizeError::Singular { col, pivoted }) => {
                     attempt += 1;
@@ -1379,63 +1662,82 @@ impl Worker {
                     let Some(r) = replacement else {
                         return Err(unrepairable());
                     };
-                    let evicted = self.basis[col];
+                    let evicted = self.factor_order[col];
+                    let ColStatus::Basic(slot) = self.status[evicted] else {
+                        return Err(unrepairable());
+                    };
                     let sj = self.n_struct + r;
                     self.set_status(evicted, initial_status(self.lb[evicted], self.ub[evicted]));
-                    self.set_status(sj, ColStatus::Basic(col));
-                    self.basis[col] = sj;
+                    self.set_status(sj, ColStatus::Basic(slot));
+                    self.basis[slot] = sj;
                 }
             }
-        };
-        self.lu = lu;
-        self.etas.clear();
+        }
         self.n_refactor += 1;
         self.recompute_xb();
         self.d_stale = true;
         Ok(())
     }
 
-    /// Brings the columns and their row mirror up to date with `model`'s
-    /// rows, rewriting only the rows whose entries changed, and returns the
-    /// structural columns whose entries changed, ascending.
+    /// Brings the columns and their row copy up to date with `model`'s
+    /// rows, rewriting only the columns whose entries changed, and returns
+    /// those structural columns, ascending. A row is unchanged when it
+    /// holds, besides its slack, exactly the model row's nonzero terms: its
+    /// entries are spread over a dense array by column, where each term
+    /// looks its value up. The row copy is rebuilt around the current live
+    /// columns when any row changed.
     ///
-    /// Rebuilding both matrices with [`columns`] and
-    /// [`RowMatrix::from_cols`] gives the same result, but on the hourly
-    /// window LP, where a handful of rows change, it cost about 2.5 times
+    /// Rebuilding the column store from the model with [`columns`] gives
+    /// the same columns, but on the hourly window LP, where a handful of
+    /// rows change, rebuilding both matrices that way cost about 2.5 times
     /// as much per hour and made perfbench's emulated `operate` hour about
     /// a fifth slower.
     fn reload_columns(&mut self, model: &Model) -> Vec<usize> {
         let n_struct = self.n_struct;
         let mut rows = Vec::new();
         let mut changed = Vec::new();
+        // Row i's stored values by column, zero elsewhere: a stored value is
+        // never zero, so a term missing from the row reads as a mismatch.
+        let by_col = &mut self.scratch;
+        by_col.clear();
+        by_col.resize(self.n_total, 0.0);
         for (i, con) in model.cons.iter().enumerate() {
-            // The row's structural entries: all but the slack, which is last.
-            let (cols, vals) = self.rows.row_slices(i);
-            let (cols, vals) = (&cols[..cols.len() - 1], &vals[..vals.len() - 1]);
-            let old = || cols.iter().copied().zip(vals.iter().copied());
             let nonzeros = || {
                 con.terms
                     .iter()
                     .filter(|t| t.1 != 0.0)
                     .map(|&(v, a)| (v.index(), a))
             };
-            // Terms kept in column order match in step; others once sorted.
-            if nonzeros().eq(old()) {
+            for (j, a) in self.rows.row(i) {
+                by_col[j] = a;
+            }
+            let same = nonzeros().count() + 1 == self.rows.row_len(i)
+                && nonzeros().all(|(j, a)| by_col[j] == a);
+            for (j, _) in self.rows.row(i) {
+                by_col[j] = 0.0;
+            }
+            if same {
                 continue;
             }
             let mut entries: Vec<(usize, f64)> = nonzeros().collect();
             entries.sort_unstable_by_key(|e| e.0);
-            if entries.iter().copied().eq(old()) {
-                continue;
-            }
             changed.extend(
                 entries
                     .iter()
-                    .filter(|&&e| !old().any(|o| o == e))
+                    .filter(|&&(j, a)| self.cols.get(j, i) != Some(a))
                     .map(|e| e.0),
             );
-            changed.extend(old().filter(|e| !entries.contains(e)).map(|e| e.0));
-            entries.push((n_struct + i, 1.0));
+            changed.extend(
+                self.rows
+                    .row(i)
+                    .filter(|&(j, a)| {
+                        j < n_struct
+                            && entries
+                                .binary_search_by_key(&j, |e| e.0)
+                                .map_or(true, |t| entries[t].1 != a)
+                    })
+                    .map(|e| e.0),
+            );
             rows.push((i, entries));
         }
         if rows.is_empty() {
@@ -1454,34 +1756,37 @@ impl Worker {
                     .filter(|&(i, _)| rows.binary_search_by_key(&i, |r| r.0).is_err())
                     .collect();
                 for (i, row) in &rows {
-                    if let Some(&(_, a)) = row.iter().find(|e| e.0 == j) {
-                        entries.push((*i, a));
+                    if let Ok(t) = row.binary_search_by_key(&j, |e| e.0) {
+                        entries.push((*i, row[t].1));
                     }
                 }
                 entries.sort_unstable_by_key(|e| e.0);
                 (j, entries)
             })
             .collect();
-        self.rows.replace_rows(&rows);
         self.cols.replace_cols(&cols);
+        let state = &self.state;
+        self.rows
+            .partition(&self.cols, |j| state[j] != PriceState::Off);
         changed
     }
 
     /// Evicts the column in basis slot `r`, whose new entries depend on the
     /// rest of the basis, for the nonbasic slack of the row where row `r`
-    /// of the basis inverse is largest: by an eta, with no refactorization.
+    /// of the basis inverse is largest (the lower row on a tie): by an eta,
+    /// with no refactorization.
     /// The evicted column goes to its initial nonbasic status. Returns
     /// `false`, changing nothing, when no slack's pivot exceeds
     /// [`PIV_TOL`].
     fn evict(&mut self, r: usize) -> bool {
         self.btran_unit(r);
         let mut best: Option<(usize, f64)> = None;
-        for i in 0..self.m {
-            let piv = self.work_rho[i].abs();
-            let slack = self.n_struct + i;
+        for &p in &self.rho_nz {
+            let piv = self.work_rho[p].abs();
+            let slack = self.n_struct + self.lu.row_at(p);
             if piv > PIV_TOL
                 && !matches!(self.status[slack], ColStatus::Basic(_))
-                && best.is_none_or(|(_, p)| piv > p)
+                && best.is_none_or(|(s, b)| piv > b || (piv == b && slack < s))
             {
                 best = Some((slack, piv));
             }
@@ -1503,8 +1808,8 @@ impl Worker {
     ///
     /// Costs and right-hand sides are reloaded, and so are bounds: a column
     /// whose bounds changed has its nonbasic status remapped as a warm
-    /// install remaps an offered basis. Only the rows and columns whose
-    /// entries changed are rewritten (see [`Worker::reload_columns`]). Each
+    /// install remaps an offered basis. Only the columns whose entries
+    /// changed are rewritten (see [`Worker::reload_columns`]). Each
     /// basic column among them is replaced in its slot by an eta: the FTRAN
     /// of its new entries through the kept factors and eta file, pivoting
     /// on that slot as an entering column would. A pivot at or below
@@ -1645,8 +1950,10 @@ impl Worker {
     /// basis. Under Bland's rule the strict smallest-ratio/smallest-index
     /// pairing is kept, as the anti-cycling proof requires.
     ///
-    /// Pass 1 records the slots that can limit the step in `ratio_cands`,
-    /// so pass 2 walks only those.
+    /// Pass 1 walks the nonzeros of the entering column's FTRAN and records
+    /// the slots that can limit the step in `ratio_cands`, so pass 2 walks
+    /// only those. An exact tie in pass 2 goes to the lower column, so the
+    /// choice does not depend on slot order.
     fn ratio_test(&mut self, q: usize, dir: f64, bland: bool) -> RatioOutcome {
         const BLAND_TIE: f64 = 1e-12;
         let tol = self.opts.feas_tol;
@@ -1655,7 +1962,7 @@ impl Worker {
         // Pass 1: the largest step no basic bound rejects by more than the
         // feasibility tolerance (Bland: the strict minimum ratio).
         let mut t_lim = f64::INFINITY;
-        for slot in 0..self.m {
+        for &slot in &self.w_nz {
             let delta = -dir * self.work_w[slot];
             if delta.abs() <= PIV_TOL {
                 continue;
@@ -1694,10 +2001,11 @@ impl Worker {
                     let better = match leave {
                         None => true,
                         Some((ls, _)) => {
+                            let lower = self.basis[slot] < self.basis[ls];
                             if bland {
-                                self.basis[slot] < self.basis[ls]
+                                lower
                             } else {
-                                piv > best_piv
+                                piv > best_piv || (piv == best_piv && lower)
                             }
                         }
                     };
@@ -1739,22 +2047,29 @@ impl Worker {
         }
     }
 
-    /// FTRAN of column `q`: `work_w ← B⁻¹·A_q` via the sparse-RHS LU solve
-    /// (no dense gather; the forward sweep starts at the first position
-    /// the column touches), then the eta file.
+    /// FTRAN of column `q`: `work_w ← B⁻¹·A_q`, its nonzeros listed in
+    /// `w_nz`. The last FTRAN's nonzeros are cleared through their list,
+    /// the column's entries land at their rows' pivot positions, and the
+    /// factors solve in place from the first of them; then the eta file.
     fn ftran_col(&mut self, q: usize) {
-        self.work_w.fill(0.0);
+        for &s in &self.w_nz {
+            self.work_w[s] = 0.0;
+        }
+        let mut first = self.m;
+        for (r, v) in self.cols.col(q) {
+            let p = self.lu.position_of(r);
+            self.work_w[p] += v;
+            first = first.min(p);
+        }
         self.lu
-            .ftran_sparse(self.cols.col(q), &mut self.work_w, &mut self.scratch);
-        eta_ftran(&self.etas, &mut self.work_w);
+            .ftran_in_place(&mut self.work_w, first, &mut self.w_nz);
+        eta_ftran(
+            &self.etas,
+            &mut self.work_w,
+            &mut self.w_nz,
+            &mut self.members,
+        );
         self.n_ftran += 1;
-    }
-
-    /// BTRAN `work_y ← B⁻ᵀ·work_y` (etas in reverse, then the factors).
-    fn btran(&mut self) {
-        eta_btran(&self.etas, &mut self.work_y, None);
-        self.lu.btran(&mut self.work_y, &mut self.scratch);
-        self.n_btran += 1;
     }
 
     /// `GC_LP_PARANOID` cross-check: the eta-file FTRAN of the entering
@@ -1763,7 +2078,10 @@ impl Worker {
     /// factorization's answer to 1e-6 relative (`|fresh − eta| / (1 +
     /// |fresh|)`) in every entry.
     fn paranoid_check(&self, kernel: Kernel) {
-        let Ok(lu) = factorize_basis(&self.cols, &self.basis, self.m) else {
+        // Factorized in slot order, the fresh factors' dense solves answer
+        // in slot space.
+        let mut lu = SparseLu::default();
+        if lu.refactor(&self.cols, &self.basis).is_err() {
             eprintln!(
                 "PARANOID iter {}: current basis SINGULAR (etas {})",
                 self.iterations,
@@ -1771,7 +2089,7 @@ impl Worker {
             );
             // gclint: allow(panic-path) — GC_LP_PARANOID is an opt-in crash-on-drift debug mode
             panic!("paranoid singular");
-        };
+        }
         let mut fresh = vec![0.0; self.m];
         let mut scratch = Vec::new();
         let got = match kernel {
@@ -1780,24 +2098,27 @@ impl Worker {
                     fresh[r] = a;
                 }
                 lu.ftran(&mut fresh, &mut scratch);
-                &self.work_w
+                self.work_w.clone()
             }
             Kernel::PivotRow(r) => {
                 fresh[r] = 1.0;
                 lu.btran(&mut fresh, &mut scratch);
-                &self.work_rho
+                // `work_rho` by row, as the dense BTRAN answers.
+                (0..self.m)
+                    .map(|i| self.work_rho[self.lu.position_of(i)])
+                    .collect()
             }
             Kernel::BasicSolution => {
                 fresh = self.nonbasic_residual();
                 lu.ftran(&mut fresh, &mut scratch);
-                &self.xb
+                self.xb.clone()
             }
         };
         // Relative drift, the form `update_reduced_costs` uses for its
         // pivot cross-check: siting basics reach 1e8–1e9, where an
         // absolute 1e-6 is a few ulps. The worst entry past 1e-6 wins.
         let mut worst: Option<(usize, f64, f64, f64)> = None;
-        for (i, (&fresh, &eta)) in fresh.iter().zip(got).enumerate() {
+        for (i, (&fresh, &eta)) in fresh.iter().zip(&got).enumerate() {
             let drift = (fresh - eta).abs() / (1.0 + fresh.abs());
             if drift > worst.map_or(1e-6, |w| w.3) {
                 worst = Some((i, fresh, eta, drift));
@@ -1840,24 +2161,32 @@ impl Worker {
         }
     }
 
+    /// Empties the eta file, keeping the etas' buffers for the next ones:
+    /// allocating them afresh after every refactorization made each eta
+    /// push about twice as slow on the siting LPs.
+    fn clear_etas(&mut self) {
+        self.spent_etas.append(&mut self.etas);
+    }
+
     fn push_eta(&mut self, slot: usize) {
-        let pivot = self.work_w[slot];
-        let entries: Vec<(usize, f64)> = self
-            .work_w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != slot && v.abs() > 1e-13)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta {
-            slot,
-            pivot,
-            entries,
-        });
+        let mut eta = self
+            .spent_etas
+            .pop()
+            .unwrap_or_else(|| Eta::new(slot, 0.0, Vec::new(), 0));
+        eta.slot = slot;
+        eta.pivot = self.work_w[slot];
+        eta.entries.clear();
+        eta.entries.extend(
+            self.w_nz
+                .iter()
+                .map(|&i| (i, self.work_w[i]))
+                .filter(|&(i, v)| i != slot && v.abs() > 1e-13),
+        );
+        eta.index(self.m);
+        self.etas.push(eta);
     }
 
     fn refactorize(&mut self) -> Result<(), SolveError> {
-        self.etas.clear();
         debug_assert!(
             {
                 let mut b = self.basis.clone();
@@ -1866,7 +2195,7 @@ impl Worker {
             },
             "duplicate column in basis"
         );
-        self.lu = factorize_basis(&self.cols, &self.basis, self.m)?;
+        self.factorize()?;
         self.n_refactor += 1;
         // Refactorization is the accuracy anchor: the basic values are
         // recomputed from scratch, and the maintained reduced costs are
@@ -1879,10 +2208,18 @@ impl Worker {
     /// Recomputes the basic solution from scratch through the factors and
     /// the eta file: `x_B = B⁻¹·(b − A_N·x_N)`.
     fn recompute_xb(&mut self) {
-        let mut xb = self.nonbasic_residual();
-        self.lu.ftran(&mut xb, &mut self.scratch);
-        eta_ftran(&self.etas, &mut xb);
-        self.xb = xb;
+        let resid = self.nonbasic_residual();
+        for p in 0..self.m {
+            self.xb[p] = resid[self.lu.row_at(p)];
+        }
+        self.lu.ftran_in_place(&mut self.xb, 0, &mut self.dense_nz);
+        eta_ftran(
+            &self.etas,
+            &mut self.xb,
+            &mut self.dense_nz,
+            &mut self.members,
+        );
+        self.flag_all();
     }
 
     /// The right-hand side the basic solution solves, `b − A_N·x_N`.
@@ -2021,21 +2358,6 @@ fn nonbasic_value(status: ColStatus, lb: f64, ub: f64) -> f64 {
         ColStatus::FreeAtZero => 0.0,
         ColStatus::Basic(_) => unreachable!("basic column has no implied value"),
     }
-}
-
-/// Factorizes the basis whose slots hold the columns `basis` of `cols`.
-/// Callers that cannot repair a singular basis collapse the error into a
-/// [`SolveError`] with `?`.
-fn factorize_basis(
-    cols: &ColMatrix,
-    basis: &[usize],
-    m: usize,
-) -> Result<SparseLu, FactorizeError> {
-    let mut b = ColMatrix::new(m);
-    for &j in basis {
-        b.push_col(cols.col(j));
-    }
-    SparseLu::factorize(&b)
 }
 
 /// The worker's columns for `model`: the structural columns, transposed
@@ -2250,11 +2572,7 @@ mod tests {
         // With an eta file, the streak refactorizes, which recomputes the
         // reduced costs exactly and certifies the optimum.
         let mut stale = corrupted();
-        stale.etas.push(Eta {
-            slot: 0,
-            pivot: 1.0,
-            entries: Vec::new(),
-        });
+        stale.etas.push(Eta::new(0, 1.0, Vec::new(), stale.m));
         assert_eq!(stale.iterate(), Ok(()));
         assert_eq!(stale.iterations, REJECTED_STREAK_MAX + 1);
         assert_eq!(stale.n_refactor, 1);
@@ -2616,11 +2934,7 @@ mod tests {
                     }
                 }
                 let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-                Eta {
-                    slot,
-                    pivot: sign * rng.gen_range(0.25..4.0),
-                    entries,
-                }
+                Eta::new(slot, sign * rng.gen_range(0.25..4.0), entries, m)
             })
             .collect()
     }
@@ -2737,12 +3051,226 @@ mod tests {
             for j in 0..fresh.n_cols() {
                 assert_eq!(entries(&w.cols, j), entries(&fresh, j), "round {round}");
             }
+            // The row copy holds each row's entries in an order of its own.
             let mirror = RowMatrix::from_cols(&fresh);
             for i in 0..6 {
-                let got: Vec<_> = w.rows.row(i).collect();
+                let mut got: Vec<_> = w.rows.row(i).collect();
+                got.sort_unstable_by_key(|e| e.0);
                 let want: Vec<_> = mirror.row(i).collect();
                 assert_eq!(got, want, "round {round}, row {i}");
             }
+            assert_live_partition(&w, &format!("round {round}"));
         }
+    }
+
+    /// Asserts that each row of `w`'s row copy holds exactly the entries of
+    /// its row of the column store, and that its live part holds exactly
+    /// those of the columns whose pricing state is not `Off`.
+    fn assert_live_partition(w: &Worker, case: &str) {
+        for i in 0..w.m {
+            let mut stored: Vec<(usize, u64)> =
+                w.rows.row(i).map(|(j, a)| (j, a.to_bits())).collect();
+            stored.sort_unstable();
+            let in_cols: Vec<(usize, u64)> = (0..w.n_total)
+                .filter_map(|j| w.cols.get(j, i).map(|a| (j, a.to_bits())))
+                .collect();
+            assert_eq!(stored, in_cols, "{case}: row {i}");
+            let mut live: Vec<usize> = w.rows.live_slices(i).0.to_vec();
+            live.sort_unstable();
+            let want: Vec<usize> = in_cols
+                .iter()
+                .map(|e| e.0)
+                .filter(|&j| w.state[j] != PriceState::Off)
+                .collect();
+            assert_eq!(live, want, "{case}: live part of row {i}");
+        }
+    }
+
+    #[test]
+    fn live_partition_follows_status_and_bound_changes() {
+        // Random statuses and bounds, fixed columns and basic ones among
+        // them, moved one column at a time as pivots and bound edits move
+        // them; the partition is checked after every batch.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x11FE);
+        for case in 0..if cfg!(miri) { 2 } else { 12 } {
+            let m = siting_shaped_lp(&mut rng, 4 + case % 5, 1 + case % 3, 0.3);
+            let mut w = Worker::build(&m, &SimplexOptions::default());
+            assert_live_partition(&w, &format!("case {case} built"));
+            for batch in 0..20 {
+                for _ in 0..rng.gen_range(1..12) {
+                    let j = rng.gen_range(0..w.n_total);
+                    if rng.gen_bool(0.3) {
+                        // A bound edit: fixed, or freed again.
+                        let lo = w.lb[j].max(-5.0);
+                        w.ub[j] = if rng.gen_bool(0.5) { lo } else { lo + 3.0 };
+                        w.lb[j] = lo;
+                    }
+                    let st = match rng.gen_range(0..4u32) {
+                        0 => ColStatus::Basic(rng.gen_range(0..w.m)),
+                        1 => ColStatus::AtLower,
+                        2 => ColStatus::AtUpper,
+                        _ => ColStatus::FreeAtZero,
+                    };
+                    w.set_status(j, st);
+                }
+                assert_live_partition(&w, &format!("case {case} batch {batch}"));
+            }
+        }
+    }
+
+    /// A seeded LP shaped like the siting formulation over `hours` hours
+    /// and `sites` sites: per site a capacity and a solar size, per hour a
+    /// grid draw, green supply capped by the hour's solar factor times the
+    /// size, and a battery whose level chains hour to hour with ±1 and
+    /// 0.9 coefficients; a long row asks for a green share of the load, and
+    /// each site's capacity covers its peak. `green` is the share of the
+    /// load that must be green.
+    fn siting_shaped_lp(rng: &mut ChaCha8Rng, hours: usize, sites: usize, green: f64) -> Model {
+        let mut m = Model::new();
+        let mut green_terms = Vec::new();
+        let mut total_load = 0.0;
+        for s in 0..sites {
+            let cap = m.add_var(format!("cap{s}"), 0.0, 200.0, 9.0 + s as f64);
+            let solar = m.add_var(
+                format!("solar{s}"),
+                0.0,
+                500.0,
+                2.0 + rng.gen_range(0.0..1.0),
+            );
+            let batt = m.add_var(format!("batt{s}"), 0.0, 100.0, 1.5);
+            let mut prev_level = None;
+            let mut peak: f64 = 0.0;
+            for h in 0..hours {
+                let load = 10.0 + rng.gen_range(0.0..20.0);
+                let cf = (rng.gen_range(0.0..1.0f64) - 0.3).max(0.0);
+                peak = peak.max(load);
+                total_load += load;
+                let grid = m.add_var(
+                    format!("grid{s}_{h}"),
+                    0.0,
+                    f64::INFINITY,
+                    5.0 + rng.gen_range(0.0..3.0),
+                );
+                let green = m.add_var(format!("green{s}_{h}"), 0.0, f64::INFINITY, 0.0);
+                let charge = m.add_var(format!("chg{s}_{h}"), 0.0, 30.0, 0.01);
+                let discharge = m.add_var(format!("dis{s}_{h}"), 0.0, 30.0, 0.01);
+                let level = m.add_var(format!("lvl{s}_{h}"), 0.0, f64::INFINITY, 0.0);
+                m.add_con(
+                    format!("bal{s}_{h}"),
+                    [(grid, 1.0), (green, 1.0), (discharge, 1.0), (charge, -1.0)],
+                    Sense::Eq,
+                    load,
+                );
+                m.add_con(
+                    format!("prod{s}_{h}"),
+                    [(green, 1.0), (solar, -cf)],
+                    Sense::Le,
+                    0.0,
+                );
+                let mut chain = vec![(level, 1.0), (charge, -0.9), (discharge, 1.0)];
+                if let Some(p) = prev_level {
+                    chain.push((p, -1.0));
+                }
+                m.add_con(format!("lvl{s}_{h}"), chain, Sense::Eq, 0.0);
+                m.add_con(
+                    format!("room{s}_{h}"),
+                    [(level, 1.0), (batt, -1.0)],
+                    Sense::Le,
+                    0.0,
+                );
+                green_terms.push((green, 1.0));
+                prev_level = Some(level);
+            }
+            m.add_con(format!("peak{s}"), [(cap, 1.0)], Sense::Ge, peak);
+        }
+        m.add_con("green share", green_terms, Sense::Ge, green * total_load);
+        m
+    }
+
+    /// `model` with every constraint's terms re-entered in a shuffled
+    /// order, the model's own storage order.
+    fn shuffled_terms(model: &Model, rng: &mut ChaCha8Rng) -> Model {
+        let mut m = model.clone();
+        for (i, con) in model.cons.iter().enumerate() {
+            let mut terms = con.terms.clone();
+            for k in (1..terms.len()).rev() {
+                terms.swap(k, rng.gen_range(0..k + 1));
+            }
+            m.cons[i].terms = terms;
+        }
+        m
+    }
+
+    /// Shuffles the live and dead parts of every row of `w`'s row copy, the
+    /// order the pivot-row gather touches columns in.
+    fn shuffle_row_copy(w: &mut Worker, rng: &mut ChaCha8Rng) {
+        for i in 0..w.m {
+            let live: Vec<usize> = w.rows.live_slices(i).0.to_vec();
+            let mut order = live.clone();
+            for k in (1..order.len()).rev() {
+                order.swap(k, rng.gen_range(0..k + 1));
+            }
+            // Moving columns out and back in, in a random order, rebuilds
+            // the live part in that order (and stirs the dead part).
+            for &j in &live {
+                w.rows.set_live(&w.cols, j, false);
+            }
+            for &j in &order {
+                w.rows.set_live(&w.cols, j, true);
+            }
+        }
+    }
+
+    #[test]
+    fn storage_order_cannot_move_a_pivot() {
+        // Each LP is solved as given and again with its terms shuffled and
+        // its row copy's parts stirred, from the slack basis and from the
+        // optimal basis of a sibling of the same shape drawn from another
+        // seed; every count, status and objective bit must agree.
+        let opts = SimplexOptions::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0D_E7E2);
+        let cases = if cfg!(miri) { 1 } else { 6 };
+        let mut pivots = 0;
+        for case in 0..cases {
+            let (hours, sites) = (6 + 4 * case, 1 + case % 3);
+            let seed = rng.gen::<u64>();
+            let given = siting_shaped_lp(&mut ChaCha8Rng::seed_from_u64(seed), hours, sites, 0.3);
+            let sibling =
+                siting_shaped_lp(&mut ChaCha8Rng::seed_from_u64(seed ^ 1), hours, sites, 0.3);
+            let shuffled = shuffled_terms(&given, &mut rng);
+            let warm = RevisedSimplex::new(opts.clone())
+                .solve(&sibling)
+                .unwrap_or_else(|e| panic!("case {case}: sibling {e:?}"))
+                .basis
+                .expect("basis exported");
+            for start in [None, Some(&warm)] {
+                let solve = |model: &Model, stir: Option<u64>| {
+                    let mut w = Worker::build(model, &opts);
+                    let installed = start.is_some_and(|b| w.try_install_basis(b).is_ok());
+                    if let Some(stir) = stir {
+                        shuffle_row_copy(&mut w, &mut ChaCha8Rng::seed_from_u64(stir));
+                    }
+                    let (sol, _) = RevisedSimplex::new(opts.clone())
+                        .run(model, w, installed, || Ok(Worker::build(model, &opts)))
+                        .unwrap_or_else(|e| panic!("case {case}: {e:?}"));
+                    sol
+                };
+                let a = solve(&given, None);
+                let b = solve(&shuffled, Some(rng.gen()));
+                let what = format!(
+                    "case {case} ({} start)",
+                    if start.is_some() { "warm" } else { "slack" }
+                );
+                assert_eq!(a.warm_started, start.is_some(), "{what}");
+                assert_eq!(a.stats, b.stats, "{what}");
+                assert_eq!(a.warm_started, b.warm_started, "{what}");
+                assert_eq!(a.basis, b.basis, "{what}");
+                assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{what}");
+                let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{what}");
+                pivots += a.stats.iterations;
+            }
+        }
+        assert!(pivots > 20 * cases, "{pivots} pivots compared");
     }
 }
