@@ -765,10 +765,9 @@ fn emulation_to_json(c: &EmulationConfig) -> Json {
                     "migration_penalty",
                     Json::from(c.scheduler.migration_penalty),
                 ),
-                (
-                    "integral_vm_power_mw",
-                    opt(c.scheduler.integral_vm_power_mw),
-                ),
+                // Required and always null, so existing specs keep their
+                // normalized bytes and job ids.
+                ("integral_vm_power_mw", Json::Null),
             ]),
         ),
         (
@@ -828,8 +827,13 @@ fn emulation_from_json(j: &Json, path: &str) -> Result<EmulationConfig, SpecErro
         window_hours: int(sched_j, "window_hours", &sched_p)?,
         migration_fraction: num(sched_j, "migration_fraction", &sched_p)?,
         migration_penalty: num(sched_j, "migration_penalty", &sched_p)?,
-        integral_vm_power_mw: opt_num(sched_j, "integral_vm_power_mw", &sched_p)?,
     };
+    if !matches!(need(sched_j, "integral_vm_power_mw", &sched_p)?, Json::Null) {
+        return Err(SpecError::new(
+            sub(&sched_p, "integral_vm_power_mw"),
+            "must be null: every scheduler round is an LP",
+        ));
+    }
     let wan_j = need(j, "wan", path)?;
     let wan_p = sub(path, "wan");
     let wan = WanModel {

@@ -6,12 +6,14 @@ use greencloud_api::spec::{
     AnnualSpec, ExactSitingSpec, ExperimentSpec, SearchSpec, SitingSpec, SweepAxes, SweepMode,
     SweepSpec, TimingSpec, SPEC_SCHEMA,
 };
+use greencloud_api::store;
 use greencloud_climate::profiles::ProfileConfig;
 use greencloud_core::framework::{PlacementInput, StorageMode, TechMix};
 use greencloud_nebula::emulation::EmulationConfig;
 use greencloud_nebula::predictor::PredictionMode;
 use greencloud_nebula::scheduler::SchedulerConfig;
 use greencloud_nebula::wan::WanModel;
+use std::path::Path;
 
 fn round_trip(spec: &ExperimentSpec) -> ExperimentSpec {
     let text = spec.to_json_string();
@@ -72,7 +74,6 @@ fn annual_round_trips_with_every_option_exercised() {
             window_hours: 12,
             migration_fraction: 0.5,
             migration_penalty: 2e-3,
-            integral_vm_power_mw: Some(0.25),
         },
         wan: WanModel::leased(100.0),
         battery_efficiency: 0.8,
@@ -194,6 +195,61 @@ fn malformed_documents_name_the_offending_path() {
 
     // Not JSON at all.
     assert!(ExperimentSpec::from_json_str("not json").is_err());
+}
+
+#[test]
+fn shipped_specs_keep_their_job_ids() {
+    // A spec's job id hashes its normalized bytes, which also key the
+    // report cache and the journal, so these must not move.
+    for (name, id) in [
+        ("quick", "84633c160d1ad6b9a25185a554b4f6a7"),
+        ("siting", "3c6456c91cc276ca4458f9d2c6b709d8"),
+        ("durable", "007908413f9ea1cbf2c83eb3660602d6"),
+        ("faults", "18b10800284a762a8ee0dcb08271e067"),
+    ] {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../examples/{name}.spec.json"));
+        let text = std::fs::read_to_string(&path).expect("example spec readable");
+        let spec = ExperimentSpec::from_json_str(&text).expect("example spec parses");
+        assert_eq!(
+            store::job_id(spec.to_json_string().as_bytes()),
+            id,
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn integral_vm_power_must_be_null() {
+    // The key stays in greencloud-spec/1 so existing specs keep their
+    // bytes, but a number asks for integral-VM rounds, which are gone.
+    let annual = ExperimentSpec::Annual(AnnualSpec {
+        config: EmulationConfig::default(),
+        include_trace: false,
+    });
+    let sweep = ExperimentSpec::Sweep(SweepSpec {
+        base: EmulationConfig::default(),
+        axes: SweepAxes::default(),
+        mode: SweepMode::Grid,
+        seed: 7,
+    });
+    for (spec, path) in [
+        (&annual, "experiment.config.scheduler.integral_vm_power_mw"),
+        (&sweep, "experiment.base.scheduler.integral_vm_power_mw"),
+    ] {
+        let text = spec.to_json_string();
+        assert!(text.contains("\"integral_vm_power_mw\": null"), "{text}");
+        let number = text.replace(
+            "\"integral_vm_power_mw\": null",
+            "\"integral_vm_power_mw\": 0.25",
+        );
+        let err = ExperimentSpec::from_json_str(&number).unwrap_err();
+        assert_eq!(err.path, path, "{err}");
+        let missing = text.replace("\"integral_vm_power_mw\": null", "\"dropped\": null");
+        let err = ExperimentSpec::from_json_str(&missing).unwrap_err();
+        assert_eq!(err.path, path, "{err}");
+        assert!(err.to_string().contains("missing"), "{err}");
+    }
 }
 
 #[test]

@@ -26,7 +26,8 @@
 //!   candidate evaluated by solving its LP. The chains merge their work at
 //!   barriers in a fixed order, so a search is a function of its inputs and
 //!   seed.
-//! * [`milp`] — the exact branch & bound path for small candidate sets.
+//! * [`milp`] — the exact path for small candidate sets: every siting
+//!   enumerated, one LP each.
 //!
 //! The pipeline (candidates → filter → search → report) is composed in one
 //! place, `greencloud-api`'s `Engine`, which caches candidate sets per

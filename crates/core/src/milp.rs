@@ -3,17 +3,13 @@
 //! The paper formulates siting as a MILP whose binaries are `at(d)` (is a
 //! datacenter placed at location d?) and the construction size class. For
 //! the candidate-set sizes where the exact path is tractable at all (the
-//! paper reports days of runtime at 50–100 locations), enumerating the
-//! binary assignments and solving the LP for each is equivalent to branch &
-//! bound over them — with far better numerical behaviour than big-M
-//! couplings, because each subproblem is exactly the heuristic's LP. That is
-//! what this module does, with a simple bound-based pruning rule (a superset
-//! of an infeasible-capacity siting stays infeasible; costs of supersets are
-//! not monotone, so only availability pruning applies).
-//!
-//! General-purpose branch & bound over arbitrary integer variables lives in
-//! [`greencloud_lp::BranchAndBound`] and is exercised by the GreenNebula
-//! scheduler's integral mode.
+//! paper reports days of runtime at 50–100 locations), this module
+//! enumerates the binary assignments and solves one LP per siting. Each
+//! subproblem is exactly the heuristic's LP, which behaves far better
+//! numerically than big-M couplings would. A simple bound-based pruning
+//! rule applies (a superset of an infeasible-capacity siting stays
+//! infeasible; costs of supersets are not monotone, so only availability
+//! pruning applies).
 
 use crate::availability::min_datacenters;
 use crate::candidate::CandidateSite;

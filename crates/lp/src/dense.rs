@@ -41,7 +41,7 @@ impl DenseSimplex {
         Self::default()
     }
 
-    /// Solves the LP relaxation of `model`.
+    /// Solves `model`.
     ///
     /// # Errors
     ///

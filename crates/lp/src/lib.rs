@@ -1,11 +1,11 @@
-//! Linear and mixed-integer programming for the `greencloud` workspace.
+//! Linear programming for the `greencloud` workspace.
 //!
-//! The green-datacenter siting problem of Berral et al. (ICDCS 2014) is a
-//! mixed-integer linear program; its heuristic solver evaluates thousands of
-//! pure-LP subproblems. No external solver is available in this workspace, so
-//! this crate implements the whole stack from scratch:
+//! The siting search of Berral et al. (ICDCS 2014) evaluates thousands of
+//! LPs, one per candidate siting, and GreenNebula's hourly re-partitioning
+//! is an LP. No external solver is available in this workspace, so this
+//! crate implements the whole stack from scratch:
 //!
-//! * [`Model`] — a builder for LPs/MILPs with named, bounded variables and
+//! * [`Model`] — a builder for LPs with named, bounded variables and
 //!   linear constraints given as `(variable, coefficient)` terms.
 //! * [`dense::DenseSimplex`] — a two-phase full-tableau simplex. Simple and
 //!   easy to audit; used as the reference implementation in tests and for
@@ -20,8 +20,6 @@
 //!   slack basis. A kept solver re-solves an edited model from its last
 //!   basis, factors and eta file. This is the production path and
 //!   comfortably solves the multi-thousand-variable siting LPs.
-//! * [`branch::BranchAndBound`] — mixed-integer solving by branch & bound on
-//!   the LP relaxation.
 //! * [`validate`] — independent feasibility checking of solutions, used by
 //!   tests and debug assertions.
 //!
@@ -49,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch;
 pub mod dense;
 pub mod lu;
 pub mod model;
@@ -58,7 +55,6 @@ pub mod revised;
 pub mod validate;
 pub mod wallclock;
 
-pub use branch::BranchAndBound;
 pub use lu::FactorizeError;
-pub use model::{ConId, Model, Sense, Solution, SolveError, VarId, VarKind};
+pub use model::{ConId, Model, Sense, Solution, SolveError, VarId};
 pub use revised::{Basis, BasisStatus, PricingMode, RevisedSimplex, SimplexOptions, SolveStats};

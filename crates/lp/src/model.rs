@@ -55,24 +55,12 @@ impl fmt::Display for Sense {
     }
 }
 
-/// Continuity class of a variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VarKind {
-    /// Real-valued.
-    #[default]
-    Continuous,
-    /// Integer-valued (enforced by [`crate::BranchAndBound`], relaxed by the
-    /// pure-LP solvers).
-    Integer,
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct VarDef {
     pub name: String,
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
-    pub kind: VarKind,
 }
 
 #[derive(Debug, Clone)]
@@ -120,7 +108,7 @@ pub struct Solution {
     /// Value of every variable, indexed by [`VarId::index`].
     pub values: Vec<f64>,
     /// Final simplex basis, when the solver maintains one (the revised
-    /// simplex does; the dense tableau and branch & bound report `None`).
+    /// simplex does; the dense tableau reports `None`).
     /// Feed it to [`Model::solve_with_basis`] to warm-start a re-solve.
     pub basis: Option<crate::revised::Basis>,
     /// `true` when the solve started from a supplied warm basis, or a
@@ -131,9 +119,7 @@ pub struct Solution {
     pub warm_started: bool,
     /// Per-solve solver counters (iterations, refactorizations,
     /// FTRAN/BTRAN counts, pricing time). The revised simplex fills every
-    /// field; branch & bound reports the totals accumulated across every
-    /// node relaxation it solved; the dense tableau reports iterations
-    /// only.
+    /// field; the dense tableau reports iterations only.
     pub stats: crate::revised::SolveStats,
 }
 
@@ -151,12 +137,11 @@ impl Index<VarId> for Solution {
     }
 }
 
-/// A linear (or mixed-integer) program in minimization form.
+/// A linear program in minimization form.
 ///
 /// Variables carry bounds and objective coefficients; constraints are linear
 /// expressions compared against a right-hand side. The model is solved with
-/// [`Model::solve`] (LP, integrality relaxed) or
-/// [`crate::BranchAndBound`] (MILP).
+/// [`Model::solve`] or [`Model::solve_with_basis`].
 #[derive(Debug, Clone, Default)]
 pub struct Model {
     pub(crate) vars: Vec<VarDef>,
@@ -170,37 +155,15 @@ impl Model {
         Self::default()
     }
 
-    /// Adds a continuous variable with bounds `[lb, ub]` and objective
-    /// coefficient `obj`; returns its handle.
+    /// Adds a variable with bounds `[lb, ub]` and objective coefficient
+    /// `obj`; returns its handle.
     pub fn add_var(&mut self, name: impl Into<String>, lb: f64, ub: f64, obj: f64) -> VarId {
-        self.add_var_kind(name, lb, ub, obj, VarKind::Continuous)
-    }
-
-    /// Adds an integer variable (see [`VarKind::Integer`]).
-    pub fn add_int_var(&mut self, name: impl Into<String>, lb: f64, ub: f64, obj: f64) -> VarId {
-        self.add_var_kind(name, lb, ub, obj, VarKind::Integer)
-    }
-
-    /// Adds a binary (0/1 integer) variable.
-    pub fn add_bin_var(&mut self, name: impl Into<String>, obj: f64) -> VarId {
-        self.add_var_kind(name, 0.0, 1.0, obj, VarKind::Integer)
-    }
-
-    fn add_var_kind(
-        &mut self,
-        name: impl Into<String>,
-        lb: f64,
-        ub: f64,
-        obj: f64,
-        kind: VarKind,
-    ) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(VarDef {
             name: name.into(),
             lb,
             ub,
             obj,
-            kind,
         });
         id
     }
@@ -289,21 +252,6 @@ impl Model {
         self.cons.len()
     }
 
-    /// Handles of all integer variables.
-    pub fn integer_vars(&self) -> Vec<VarId> {
-        self.vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Integer)
-            .map(|(i, _)| VarId(i))
-            .collect()
-    }
-
-    /// Returns `true` if any variable is integer.
-    pub fn is_mip(&self) -> bool {
-        self.vars.iter().any(|v| v.kind == VarKind::Integer)
-    }
-
     /// Validates structural sanity (finite coefficients, `lb ≤ ub`).
     ///
     /// # Errors
@@ -355,11 +303,8 @@ impl Model {
         Ok(())
     }
 
-    /// Solves the LP relaxation with the production revised simplex and
-    /// default options.
-    ///
-    /// Integer variables are treated as continuous; use
-    /// [`crate::BranchAndBound`] to enforce integrality.
+    /// Solves the LP with the production revised simplex and default
+    /// options.
     ///
     /// # Errors
     ///
@@ -427,15 +372,13 @@ mod tests {
     fn build_and_inspect() {
         let mut m = Model::new();
         let x = m.add_var("x", 0.0, 5.0, 1.0);
-        let y = m.add_int_var("y", 0.0, 3.0, -2.0);
+        let y = m.add_var("y", 0.0, 3.0, -2.0);
         let c = m.add_con("c", [(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_cons(), 1);
         assert_eq!(m.var_name(x), "x");
         assert_eq!(m.con_name(c), "c");
         assert_eq!(m.bounds(y), (0.0, 3.0));
-        assert!(m.is_mip());
-        assert_eq!(m.integer_vars(), vec![y]);
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl RevisedSimplex {
         }
     }
 
-    /// Solves the LP relaxation of `model`.
+    /// Solves `model`.
     ///
     /// # Errors
     ///
@@ -248,8 +248,8 @@ impl RevisedSimplex {
         self.solve_warm(model, None)
     }
 
-    /// Solves the LP relaxation of `model`, optionally warm-starting from a
-    /// basis exported by a previous [`Solution`].
+    /// Solves `model`, optionally warm-starting from a basis exported by a
+    /// previous [`Solution`].
     ///
     /// The warm basis is repaired against the model's current bounds and
     /// refactorized, with singular basic sets repaired column-by-column

@@ -206,52 +206,6 @@ fn warm_start_agrees_with_cold_solve() {
     assert!(warmed > 100, "too few solvable cases warmed: {warmed}");
 }
 
-#[test]
-fn milp_relaxation_bound_holds() {
-    use greencloud_lp::BranchAndBound;
-    // On a deterministic family of knapsacks, the MILP optimum is never
-    // better than the LP relaxation and matches brute force.
-    for seed in 0..20u64 {
-        let weights: Vec<f64> = (0..6).map(|i| 1.0 + ((seed * 7 + i) % 9) as f64).collect();
-        let values: Vec<f64> = (0..6).map(|i| 1.0 + ((seed * 5 + i) % 7) as f64).collect();
-        let cap = weights.iter().sum::<f64>() * 0.5;
-        let mut m = Model::new();
-        let vars: Vec<_> = (0..6)
-            .map(|i| m.add_bin_var(format!("x{i}"), -values[i]))
-            .collect();
-        m.add_con(
-            "cap",
-            vars.iter().zip(weights.iter()).map(|(&v, &w)| (v, w)),
-            Sense::Le,
-            cap,
-        );
-        let relax = m.solve().unwrap();
-        let milp = BranchAndBound.solve(&m).unwrap();
-        assert!(milp.objective >= relax.objective - 1e-9);
-        // Brute force.
-        let mut best = 0.0f64;
-        for mask in 0u32..64 {
-            let w: f64 = (0..6)
-                .filter(|i| mask >> i & 1 == 1)
-                .map(|i| weights[i])
-                .sum();
-            if w <= cap + 1e-9 {
-                let v: f64 = (0..6)
-                    .filter(|i| mask >> i & 1 == 1)
-                    .map(|i| values[i])
-                    .sum();
-                best = best.max(v);
-            }
-        }
-        assert!(
-            (milp.objective + best).abs() < 1e-6,
-            "seed {seed}: milp {} vs brute {}",
-            -milp.objective,
-            best
-        );
-    }
-}
-
 /// A random LP that is feasible by construction: `n` columns (some boxed,
 /// some unbounded above) and `m` rows of mixed sense whose right-hand
 /// sides hold at a random point inside the bounds. With `dual_feasible`

@@ -552,6 +552,30 @@ pub fn run_observed(
             config.battery_efficiency
         )));
     }
+    // A dead link would make every migration endless; a partition is a
+    // fault (`wan_factor`), not a configured bandwidth.
+    let bw = config.wan.bandwidth_mbps;
+    if !(bw.is_finite() && bw > 0.0) {
+        return Err(NebulaError::Config(format!(
+            "wan.bandwidth_mbps {bw} is not finite and positive"
+        )));
+    }
+    let sched = &config.scheduler;
+    if sched.window_hours == 0 {
+        return Err(NebulaError::Config("scheduler.window_hours is 0".into()));
+    }
+    if !(0.0..=1.0).contains(&sched.migration_fraction) {
+        return Err(NebulaError::Config(format!(
+            "scheduler.migration_fraction {} outside [0, 1]",
+            sched.migration_fraction
+        )));
+    }
+    if !(sched.migration_penalty.is_finite() && sched.migration_penalty >= 0.0) {
+        return Err(NebulaError::Config(format!(
+            "scheduler.migration_penalty {} is not finite and nonnegative",
+            sched.migration_penalty
+        )));
+    }
     if let Some(fs) = &config.faults {
         fs.validate(n).map_err(NebulaError::Config)?;
     }
@@ -839,13 +863,12 @@ pub fn run_observed(
                     migration_hour_sum += dur;
                     migrated_gb += vm.spec.migration_footprint_mb(payload_mb) / 1024.0;
                     // The paper's conservative rule, stretched over the
-                    // epochs the transfer actually spans: the moved load
-                    // draws power at the donor for (a fraction of) each.
+                    // epochs the transfer actually spans (up to the run's
+                    // last hour): the moved load draws power at the donor
+                    // for (a fraction of) each.
                     let epochs = (dur.ceil() as usize).max(1);
-                    for k in 0..epochs {
-                        if h + k < config.hours {
-                            mig_overhead[h + k][from] += vm.power_mw() * theta;
-                        }
+                    for overhead in mig_overhead.iter_mut().skip(h).take(epochs) {
+                        overhead[from] += vm.power_mw() * theta;
                     }
                     // Block data lands at the receiver when the
                     // stop-and-copy completes (a kernel event, possibly
@@ -1343,6 +1366,50 @@ mod tests {
         let cancel = AtomicBool::new(true);
         let err = run_observed(&w, &quick_config(), &cancel, None).unwrap_err();
         assert_eq!(err, NebulaError::Cancelled);
+    }
+
+    #[test]
+    fn out_of_range_wan_and_scheduler_values_are_config_errors() {
+        let w = WorldCatalog::anchors_only(4);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (field, value) in [
+            ("wan.bandwidth_mbps", 0.0),
+            ("wan.bandwidth_mbps", -1.0),
+            ("wan.bandwidth_mbps", nan),
+            ("wan.bandwidth_mbps", inf),
+            ("scheduler.window_hours", 0.0),
+            ("scheduler.migration_fraction", -1.0),
+            ("scheduler.migration_fraction", 1.5),
+            ("scheduler.migration_fraction", nan),
+            ("scheduler.migration_penalty", -5.0),
+            ("scheduler.migration_penalty", inf),
+            ("scheduler.migration_penalty", nan),
+        ] {
+            let mut cfg = quick_config();
+            let sched = &mut cfg.scheduler;
+            match field {
+                "wan.bandwidth_mbps" => cfg.wan.bandwidth_mbps = value,
+                "scheduler.window_hours" => sched.window_hours = value as usize,
+                "scheduler.migration_fraction" => sched.migration_fraction = value,
+                _ => sched.migration_penalty = value,
+            }
+            match run(&w, &cfg) {
+                Err(NebulaError::Config(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field} = {value}: expected a config error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_near_dead_wan_still_ends_the_run() {
+        // Every migration outlasts the run: its donor overhead stops at the
+        // last hour and its completion event lands at the end of time.
+        let w = WorldCatalog::anchors_only(4);
+        let mut cfg = quick_config();
+        cfg.wan.bandwidth_mbps = 1e-300;
+        let r = run(&w, &cfg).expect("runs");
+        assert!(r.migrations > 0);
+        assert!(r.mean_migration_hours > cfg.hours as f64);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   per-datacenter manager with first-fit placement (the OpenNebula role).
 //! * [`predictor`] — 48-hour green-energy prediction (perfect, as the paper
 //!   assumes, or noisy for sensitivity studies).
-//! * [`scheduler`] — the hourly re-partitioning optimization: a small
-//!   LP/MILP minimizing brown energy over the prediction window, including
-//!   the migration energy overhead.
+//! * [`scheduler`] — the hourly re-partitioning optimization: a small LP
+//!   minimizing brown energy over the prediction window, including the
+//!   migration energy overhead.
 //! * [`planner`] — turns target loads into concrete VM migrations: donors
 //!   in decreasing out-power order, first-fit to the closest receiver,
 //!   smallest-footprint VMs first (the paper's §V-A policy).

@@ -18,7 +18,7 @@
 //! one-shot plan.
 
 use greencloud_lp::revised::SimplexOptions;
-use greencloud_lp::{BranchAndBound, ConId, Model, RevisedSimplex, Sense, SolveError, VarId};
+use greencloud_lp::{ConId, Model, RevisedSimplex, Sense, SolveError, VarId};
 
 /// Tuning of the hourly re-partitioning scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,9 +31,6 @@ pub struct SchedulerConfig {
     /// Tie-break penalty per MW moved (keeps the schedule from migrating
     /// gratuitously when brown energy is unaffected).
     pub migration_penalty: f64,
-    /// When `Some(p)`, hour-0 loads must be integral multiples of a VM's
-    /// power `p` (MW) — solved by branch & bound instead of a pure LP.
-    pub integral_vm_power_mw: Option<f64>,
 }
 
 impl Default for SchedulerConfig {
@@ -42,7 +39,6 @@ impl Default for SchedulerConfig {
             window_hours: 48,
             migration_fraction: 1.0,
             migration_penalty: 1e-3,
-            integral_vm_power_mw: None,
         }
     }
 }
@@ -175,23 +171,9 @@ struct WindowModel {
     brown_cons: Vec<Vec<ConId>>,
 }
 
-/// Quantizes the hour-0 conservation requirement to a feasible multiple of
-/// the VM power `p`: the nearest multiple of `p` to `total_load`, clamped to
-/// what the integral per-site capacities can actually host. Without this,
-/// `Σ comp[d][0] = total_load` is unsatisfiable whenever the load is not an
-/// exact multiple of `p` (e.g. 1.1 MW of load, 0.25 MW VMs).
-fn quantize_hour0_load(total_load: f64, p: f64, sites: &[SiteState]) -> f64 {
-    let hostable: f64 = sites
-        .iter()
-        .map(|s| (s.capacity_mw / p).floor().max(0.0))
-        .sum();
-    let q = (total_load / p).round().clamp(0.0, hostable);
-    q * p
-}
-
 fn build_window_model(config: &SchedulerConfig, sites: &[SiteState]) -> WindowModel {
     let n = sites.len();
-    let h_total = config.window_hours.max(1);
+    let h_total = config.window_hours;
     let total_load: f64 = sites.iter().map(|s| s.current_load_mw).sum();
     let theta = config.migration_fraction;
 
@@ -201,30 +183,7 @@ fn build_window_model(config: &SchedulerConfig, sites: &[SiteState]) -> WindowMo
     let mut brown = vec![Vec::with_capacity(h_total); n];
     for (d, site) in sites.iter().enumerate() {
         for h in 0..h_total {
-            let c = if h == 0 {
-                if let Some(p) = config.integral_vm_power_mw {
-                    // Integral hour-0 loads: comp = p · (integer count).
-                    let count = model.add_int_var(
-                        format!("n[{d}]"),
-                        0.0,
-                        (site.capacity_mw / p).floor(),
-                        0.0,
-                    );
-                    let c = model.add_var(format!("comp[{d},0]"), 0.0, site.capacity_mw, 0.0);
-                    model.add_con(
-                        format!("integral[{d}]"),
-                        [(c, 1.0), (count, -p)],
-                        Sense::Eq,
-                        0.0,
-                    );
-                    c
-                } else {
-                    model.add_var(format!("comp[{d},0]"), 0.0, site.capacity_mw, 0.0)
-                }
-            } else {
-                model.add_var(format!("comp[{d},{h}]"), 0.0, site.capacity_mw, 0.0)
-            };
-            comp[d].push(c);
+            comp[d].push(model.add_var(format!("comp[{d},{h}]"), 0.0, site.capacity_mw, 0.0));
             mig[d].push(model.add_var(
                 format!("mig[{d},{h}]"),
                 0.0,
@@ -238,18 +197,12 @@ fn build_window_model(config: &SchedulerConfig, sites: &[SiteState]) -> WindowMo
     let mut all = Vec::with_capacity(h_total);
     #[allow(clippy::needless_range_loop)] // h indexes several var families
     for h in 0..h_total {
-        // Conservation: all load is hosted somewhere. In integral mode the
-        // hour-0 requirement is quantized to the nearest hostable multiple
-        // of the VM power so the MILP stays feasible.
-        let rhs = match (h, config.integral_vm_power_mw) {
-            (0, Some(p)) => quantize_hour0_load(total_load, p, sites),
-            _ => total_load,
-        };
+        // Conservation: all load is hosted somewhere.
         all.push(model.add_con(
             format!("all[{h}]"),
             (0..n).map(|d| (comp[d][h], 1.0)),
             Sense::Eq,
-            rhs,
+            total_load,
         ));
     }
     let mut migfloor = vec![Vec::with_capacity(h_total); n];
@@ -376,7 +329,12 @@ fn validate_sites(config: &SchedulerConfig, sites: &[SiteState]) -> Result<(), S
     if sites.is_empty() {
         return Err(SolveError::InvalidModel("no datacenters".into()));
     }
-    let h_total = config.window_hours.max(1);
+    let h_total = config.window_hours;
+    if h_total == 0 {
+        return Err(SolveError::InvalidModel(
+            "zero-hour scheduling window".into(),
+        ));
+    }
     for s in sites {
         if s.green_forecast_mw.len() < h_total || s.pue_forecast.len() < h_total {
             return Err(SolveError::InvalidModel(
@@ -390,7 +348,7 @@ fn validate_sites(config: &SchedulerConfig, sites: &[SiteState]) -> Result<(), S
 /// The operational scheduler: keeps one persistent window model and one LP
 /// solver across hourly rounds, and continues every re-solve from the
 /// previous hour's basis and factors. Rebuilds (and cold-solves) only when
-/// the site count changes or integral mode forces branch & bound.
+/// the site count changes.
 #[derive(Debug, Clone, Default)]
 pub struct RollingScheduler {
     config: SchedulerConfig,
@@ -440,17 +398,6 @@ impl RollingScheduler {
     /// capacity; solver errors otherwise.
     pub fn plan(&mut self, sites: &[SiteState]) -> Result<SchedulePlan, SolveError> {
         validate_sites(&self.config, sites)?;
-
-        if self.config.integral_vm_power_mw.is_some() {
-            // Branch & bound maintains no exportable basis; integral rounds
-            // rebuild the (quantized) MILP from scratch.
-            let window = build_window_model(&self.config, sites);
-            self.stats.rebuilds += 1;
-            let sol = BranchAndBound.solve(&window.model)?;
-            self.stats.rounds += 1;
-            self.stats.absorb_solve(&sol.stats);
-            return Ok(window.extract(&sol));
-        }
 
         // The model is moved out of its slot for the round (and restored on
         // every exit path below), so no panicking `expect` is needed to
@@ -628,78 +575,17 @@ mod tests {
     }
 
     #[test]
-    fn integral_mode_quantizes_targets() {
-        // Total load is 4 VMs × 0.25 MW; hour-0 targets must stay integral.
-        let s0 = site(vec![0.0; 3], 1.0, 20.0);
-        let s1 = site(vec![50.0; 3], 0.0, 20.0);
-        let plan = RollingScheduler::new(SchedulerConfig {
-            window_hours: 3,
-            integral_vm_power_mw: Some(0.25),
-            ..SchedulerConfig::default()
-        })
-        .plan(&[s0, s1])
-        .expect("plan");
-        for &t in &plan.target_mw {
-            let q = t / 0.25;
-            assert!((q - q.round()).abs() < 1e-5, "target {t} not integral");
-        }
-        let sum: f64 = plan.target_mw.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
-    }
-
-    #[test]
-    fn integral_mode_survives_fractional_total_load() {
-        // 1.1 MW of load with 0.25 MW VMs: Σ comp[d][0] can only reach
-        // multiples of 0.25, so the unquantized MILP was infeasible. The
-        // quantized hour-0 conservation rounds to the nearest multiple.
-        let s0 = site(vec![0.0; 3], 1.1, 20.0);
-        let s1 = site(vec![50.0; 3], 0.0, 20.0);
-        let plan = RollingScheduler::new(SchedulerConfig {
-            window_hours: 3,
-            integral_vm_power_mw: Some(0.25),
-            ..SchedulerConfig::default()
-        })
-        .plan(&[s0, s1])
-        .expect("quantized MILP stays feasible");
-        for &t in &plan.target_mw {
-            let q = t / 0.25;
-            assert!((q - q.round()).abs() < 1e-5, "target {t} not integral");
-        }
-        // 1.1 / 0.25 = 4.4 rounds to 4 VMs = 1.0 MW at hour 0.
-        let sum: f64 = plan.target_mw.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
-    }
-
-    #[test]
-    fn integral_quantization_respects_capacity() {
-        // Capacity admits at most 3 whole VMs per site; rounding up past
-        // the hostable count would reintroduce infeasibility.
-        let sites = [
-            site(vec![0.0; 2], 0.9, 0.95),
-            site(vec![5.0; 2], 0.95, 0.95),
-        ];
-        let plan = RollingScheduler::new(SchedulerConfig {
-            window_hours: 2,
-            integral_vm_power_mw: Some(0.25),
-            ..SchedulerConfig::default()
-        })
-        .plan(&sites)
-        .expect("clamped to hostable VMs");
-        let sum: f64 = plan.target_mw.iter().sum();
-        // 1.85 / 0.25 = 7.4 → 7 VMs, but only 3 + 3 fit: clamp to 6.
-        assert!((sum - 1.5).abs() < 1e-6, "sum {sum}");
-    }
-
-    #[test]
     fn short_forecast_is_rejected() {
-        let s0 = site(vec![0.0; 2], 1.0, 2.0);
-        let err = RollingScheduler::new(SchedulerConfig {
-            window_hours: 4,
-            ..SchedulerConfig::default()
-        })
-        .plan(&[s0])
-        .unwrap_err();
-        assert!(matches!(err, SolveError::InvalidModel(_)));
+        // A zero-hour window is rejected too: it has no hour to plan.
+        for window_hours in [4, 0] {
+            let err = RollingScheduler::new(SchedulerConfig {
+                window_hours,
+                ..SchedulerConfig::default()
+            })
+            .plan(&[site(vec![0.0; 2], 1.0, 2.0)])
+            .unwrap_err();
+            assert!(matches!(err, SolveError::InvalidModel(_)), "{window_hours}");
+        }
     }
 
     /// Synthetic day/night production and PUE for two anti-phased sites

@@ -59,9 +59,12 @@ impl SimTime {
     }
 
     /// This time plus a fractional number of hours (rounded to seconds,
-    /// clamped at zero).
+    /// clamped at zero, saturating at the end of time).
     pub fn plus_hours_f64(self, hours: f64) -> SimTime {
-        SimTime(self.0 + (hours.max(0.0) * 3600.0).round() as u64)
+        SimTime(
+            self.0
+                .saturating_add((hours.max(0.0) * 3600.0).round() as u64),
+        )
     }
 }
 
@@ -235,6 +238,8 @@ mod tests {
         assert_eq!(t.as_secs(), 1800);
         let neg = SimTime(10).plus_hours_f64(-5.0);
         assert_eq!(neg.as_secs(), 10, "negative durations clamp to zero");
+        let never = SimTime(10).plus_hours_f64(f64::INFINITY);
+        assert_eq!(never.as_secs(), u64::MAX, "endless durations saturate");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`api`] — **the front door**: typed, serializable
 //!   [`api::ExperimentSpec`]s run by an [`api::Engine`] into structured
 //!   [`api::Report`]s (`Engine::new(catalog).run(spec)`).
-//! * [`lp`] — LP/MILP solver substrate (simplex, sparse LU, branch & bound).
+//! * [`lp`] — the LP solver substrate (revised simplex, sparse LU).
 //! * [`climate`] — synthetic typical-meteorological-year data and the world
 //!   location catalog with per-location economics.
 //! * [`energy`] — PV, wind-turbine, PUE, battery, and net-metering models.
